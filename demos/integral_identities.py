@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 
 from gausshyp import (IntegralSpec, check_closed_form_I, check_closed_form_II,
-                      kernel, quad_II, ratio_identity_sides,
-                      theta_identity_sides, verify_sign_bridge)
+                      quad_II, ratio_identity_sides, theta_identity_sides,
+                      verify_sign_bridge)
 
 
 def main():
     a = 0.5
-    print(f"kernel at a = {a}: Delta(0) = {kernel(a, 0.0).delta:.4f}, "
-          f"Delta(pi) = {kernel(a, math.pi).delta:.4f}")
+    print(f"kernel at a = {a}: Delta(0) = (1-a)**2 = {(1 - a) ** 2:.4f}, "
+          f"Delta(pi) = (1+a)**2 = {(1 + a) ** 2:.4f}")
 
     print(f"\nquadrature vs closed form at a = {a}:")
     print(f"{'n':>2} {'i':>2} {'integral I':>16} {'closed I':>16} "

@@ -8,12 +8,12 @@ integral identities that connect all of these.
 
 from __future__ import annotations
 
-from .binom import BinomChar, binom_char, reflect_char
+from .binom import binom_char, reflect_char
 from .errors import (DomainError, InvalidCError, NoConvergenceError,
                      QuadratureFailureError)
-from .integrals import (IntegralResult, IntegralSpec, KernelValue, U_series,
-                        V_series, check_closed_form_I, check_closed_form_II,
-                        closed_form_I, closed_form_II, kernel, quad_I, quad_II,
+from .integrals import (IntegralResult, IntegralSpec, U_series, V_series,
+                        check_closed_form_I, check_closed_form_II,
+                        closed_form_I, closed_form_II, quad_I, quad_II,
                         ratio_identity_sides, theta_identity_sides,
                         verify_ratio_identity, verify_sign_bridge,
                         verify_theta_identity)
@@ -22,23 +22,22 @@ from .series import (EXACT_DEGREE_CAP, HypergeometricParams, OdeResidual,
                      SeriesEvaluation, coefficients, eval_series, ode_residual,
                      operator_identity_residual, substitution_residual,
                      termination_index)
-from .transform import (NegativeParams, Representation, RepresentationChoice,
+from .transform import (Representation, RepresentationChoice,
                         TransformedParams, TripleParams, TripleRelationCheck,
                         TripleSums, character_series, estimate_terms,
                         eval_transformed, euler_transform_params,
-                        negative_params, params_from_negative,
                         params_from_triple, select_representation,
                         triple_params, triple_sums, verify_triple_relations)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinomChar", "binom_char", "reflect_char",
+    "binom_char", "reflect_char",
     "DomainError", "InvalidCError", "NoConvergenceError",
     "QuadratureFailureError",
-    "IntegralResult", "IntegralSpec", "KernelValue", "U_series", "V_series",
+    "IntegralResult", "IntegralSpec", "U_series", "V_series",
     "check_closed_form_I", "check_closed_form_II", "closed_form_I",
-    "closed_form_II", "kernel", "quad_I", "quad_II", "ratio_identity_sides",
+    "closed_form_II", "quad_I", "quad_II", "ratio_identity_sides",
     "theta_identity_sides", "verify_ratio_identity", "verify_sign_bridge",
     "verify_theta_identity",
     "Scalar", "is_exact", "parse_scalar", "power",
@@ -46,10 +45,9 @@ __all__ = [
     "SeriesEvaluation", "coefficients", "eval_series", "ode_residual",
     "operator_identity_residual", "substitution_residual",
     "termination_index",
-    "NegativeParams", "Representation", "RepresentationChoice",
-    "TransformedParams", "TripleParams", "TripleRelationCheck", "TripleSums",
-    "character_series", "estimate_terms", "eval_transformed",
-    "euler_transform_params", "negative_params", "params_from_negative",
+    "Representation", "RepresentationChoice", "TransformedParams",
+    "TripleParams", "TripleRelationCheck", "TripleSums", "character_series",
+    "estimate_terms", "eval_transformed", "euler_transform_params",
     "params_from_triple", "select_representation", "triple_params",
     "triple_sums", "verify_triple_relations",
 ]

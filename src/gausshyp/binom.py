@@ -8,7 +8,6 @@ exact inputs give exact rational outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
@@ -37,16 +36,3 @@ def reflect_char(m: Scalar, k: int) -> Scalar:
     _check_lower(k)
     sign = -1 if k % 2 else 1
     return sign * binom_char(m + k - 1, k)
-
-
-@dataclass(frozen=True)
-class BinomChar:
-    """An (upper, lower) index pair together with its coefficient value."""
-
-    upper: Scalar
-    lower: int
-    value: Scalar
-
-    @classmethod
-    def of(cls, upper: Scalar, lower: int) -> "BinomChar":
-        return cls(upper, lower, binom_char(upper, lower))

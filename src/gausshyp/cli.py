@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -225,79 +226,63 @@ def _check_entry(name: str, cases: int, failures: int,
     return entry
 
 
+def _passes(name: str, outcomes) -> dict:
+    """Entry of a check whose cases each pass (True) or fail (False)."""
+    outcomes = list(outcomes)
+    return _check_entry(name, len(outcomes), outcomes.count(False))
+
+
+def _within(name: str, pairs, not_applicable: int = 0) -> dict:
+    """Entry of a check whose cases are (residual, allowance) pairs."""
+    pairs = list(pairs)
+    failures = sum(residual > allowance for residual, allowance in pairs)
+    worst = max((residual for residual, _ in pairs), default=0.0)
+    return _check_entry(name, len(pairs), failures, worst_residual=worst,
+                        not_applicable=not_applicable)
+
+
+def _sign_bridge() -> dict:
+    return _passes("sign-bridge", (verify_sign_bridge(n, i) for n, i
+                                   in product(SIGN_RANGE, SIGN_RANGE)))
+
+
 def _verify_binom(config: RunConfig) -> list[dict]:
-    cases = failures = 0
-    for m in BINOM_MS:
-        for k in BINOM_KS:
-            cases += 1
-            if binom_char(-m, k) != reflect_char(m, k):
-                failures += 1
-    reflection = _check_entry("reflection", cases, failures)
-
-    cases = failures = 0
-    for m in BINOM_MS:
-        for k in BINOM_KS[1:]:
-            cases += 1
-            if binom_char(m, k) != binom_char(m - 1, k) + binom_char(m - 1, k - 1):
-                failures += 1
-    pascal = _check_entry("pascal-recurrence", cases, failures)
-
-    cases = failures = 0
-    for m in range(0, 13):
-        for k in BINOM_KS:
-            cases += 1
-            expected = comb(m, k) if k <= m else 0
-            if binom_char(m, k) != expected:
-                failures += 1
-    integer = _check_entry("integer-agreement", cases, failures)
-
-    cases = failures = 0
-    for n, i in product(SIGN_RANGE, SIGN_RANGE):
-        cases += 1
-        if not verify_sign_bridge(n, i):
-            failures += 1
-    bridge = _check_entry("sign-bridge", cases, failures)
-    return [reflection, pascal, integer, bridge]
+    return [
+        _passes("reflection", (binom_char(-m, k) == reflect_char(m, k)
+                               for m in BINOM_MS for k in BINOM_KS)),
+        _passes("pascal-recurrence",
+                (binom_char(m, k)
+                 == binom_char(m - 1, k) + binom_char(m - 1, k - 1)
+                 for m in BINOM_MS for k in BINOM_KS[1:])),
+        _passes("integer-agreement",
+                (binom_char(m, k) == (comb(m, k) if k <= m else 0)
+                 for m in range(0, 13) for k in BINOM_KS)),
+        _sign_bridge(),
+    ]
 
 
 def _verify_ode(config: RunConfig) -> list[dict]:
     degree = 10
-    zero_cases = zero_failures = 0
-    tip_cases = tip_failures = 0
-    op_cases = op_failures = 0
+    zeros, tips, ops = [], [], []
     for a, b, c in ODE_GRID:
         params = HypergeometricParams(a, b, c)
-        coeffs = coefficients(params, degree)
+        tip = (a + degree) * (b + degree) * coefficients(params, degree)[degree]
         res = ode_residual(params, degree).residual_coefficients
-        for j in range(degree):
-            zero_cases += 1
-            if res[j] != 0:
-                zero_failures += 1
-        zero_cases += 1
-        if res[degree + 1] != 0:
-            zero_failures += 1
-        tip_cases += 1
-        if res[degree] != -(a + degree) * (b + degree) * coeffs[degree]:
-            tip_failures += 1
+        zeros += [v == 0 for v in res[:degree] + res[degree + 1:]]
+        tips.append(res[degree] == -tip)
         diff = operator_identity_residual(params, degree)
-        for j in range(degree):
-            op_cases += 1
-            if diff[j] != 0:
-                op_failures += 1
-        op_cases += 1
-        if diff[degree] != (a + degree) * (b + degree) * coeffs[degree]:
-            op_failures += 1
+        ops += [v == 0 for v in diff[:degree]] + [diff[degree] == tip]
     return [
-        _check_entry("residual-zeros", zero_cases, zero_failures),
-        _check_entry("residual-tip", tip_cases, tip_failures),
-        _check_entry("operator-identity", op_cases, op_failures),
+        _passes("residual-zeros", zeros),
+        _passes("residual-tip", tips),
+        _passes("operator-identity", ops),
     ]
 
 
 def _verify_triple(config: RunConfig) -> list[dict]:
     tol = config.identity_tol(1e-10)
-    cases = failures = skipped = 0
-    worst = 0.0
+    pairs = []
+    skipped = 0
     for e, f, h in TRIPLE_EFH:
         tp = TripleParams(e, f, h)
         for x in TRIPLE_XS:
@@ -306,61 +291,32 @@ def _verify_triple(config: RunConfig) -> list[dict]:
             for residual, allowance in zip(out.residuals, out.allowances):
                 if residual is None:
                     skipped += 1
-                    continue
-                cases += 1
-                r = float(residual)
-                worst = max(worst, r)
-                if r > allowance:
-                    failures += 1
-    return [_check_entry("three-series-relations", cases, failures,
-                         worst_residual=worst, not_applicable=skipped)]
+                else:
+                    pairs.append((float(residual), allowance))
+    return [_within("three-series-relations", pairs, not_applicable=skipped)]
 
 
 def _verify_integrals(config: RunConfig) -> list[dict]:
     tol = config.identity_tol(1e-8)
-    cf1_cases = cf1_failures = 0
-    cf2_cases = cf2_failures = 0
-    ratio_cases = ratio_failures = 0
-    theta_cases = theta_failures = 0
-    worst_cf = worst_ratio = worst_theta = 0.0
-    for a in INTEGRAL_AS:
-        for n, i in INTEGRAL_NI:
-            spec = IntegralSpec(a, n, i)
-            r1 = check_closed_form_I(spec)
-            cf1_cases += 1
-            resid = abs(r1.quadrature - r1.closed_form)
-            worst_cf = max(worst_cf, resid)
-            if resid > max(tol, 10.0 * r1.abs_error_estimate):
-                cf1_failures += 1
-            r2 = check_closed_form_II(spec)
-            cf2_cases += 1
-            resid = abs(r2.quadrature - r2.closed_form)
-            worst_cf = max(worst_cf, resid)
-            if resid > max(tol, 10.0 * r2.abs_error_estimate):
-                cf2_failures += 1
-            lhs, rhs = ratio_identity_sides(spec)
-            ratio_cases += 1
-            resid = abs(lhs - rhs)
-            worst_ratio = max(worst_ratio, resid)
-            if resid > tol * (1.0 + abs(lhs)):
-                ratio_failures += 1
-            lhs, rhs = theta_identity_sides(spec)
-            theta_cases += 1
-            resid = abs(lhs - rhs)
-            worst_theta = max(worst_theta, resid)
-            if resid > tol * (1.0 + abs(lhs)):
-                theta_failures += 1
-    bridge_cases = bridge_failures = 0
-    for n, i in product(SIGN_RANGE, SIGN_RANGE):
-        bridge_cases += 1
-        if not verify_sign_bridge(n, i):
-            bridge_failures += 1
+    specs = [IntegralSpec(a, n, i) for a in INTEGRAL_AS for n, i in INTEGRAL_NI]
+
+    def closed_form(check):
+        for spec in specs:
+            r = check(spec)
+            yield (abs(r.quadrature - r.closed_form),
+                   max(tol, 10.0 * r.abs_error_estimate))
+
+    def identity(sides):
+        for spec in specs:
+            lhs, rhs = sides(spec)
+            yield abs(lhs - rhs), tol * (1.0 + abs(lhs))
+
     return [
-        _check_entry("closed-form-I", cf1_cases, cf1_failures, worst_cf),
-        _check_entry("closed-form-II", cf2_cases, cf2_failures, worst_cf),
-        _check_entry("ratio-identity", ratio_cases, ratio_failures, worst_ratio),
-        _check_entry("theta-identity", theta_cases, theta_failures, worst_theta),
-        _check_entry("sign-bridge", bridge_cases, bridge_failures),
+        _within("closed-form-I", closed_form(check_closed_form_I)),
+        _within("closed-form-II", closed_form(check_closed_form_II)),
+        _within("ratio-identity", identity(ratio_identity_sides)),
+        _within("theta-identity", identity(theta_identity_sides)),
+        _sign_bridge(),
     ]
 
 
@@ -508,11 +464,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"no convergence: {exc}", file=sys.stderr)
         return 3
     if config.output == "json":
-        print(render_json(report))
+        text = render_json(report) + "\n"
     elif config.output == "csv":
-        sys.stdout.write(render_csv(*csv_data))
+        text = render_csv(*csv_data)
     else:
-        print(render_text(report))
+        text = render_text(report) + "\n"
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`| head`).  Point stdout at the
+        # null device so the interpreter's flush at exit does not fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -56,14 +56,6 @@ class IntegralSpec:
 
 
 @dataclass(frozen=True)
-class KernelValue:
-    """Kernel values at one angle: delta and theta = delta/(1-a**2)."""
-
-    delta: float
-    theta: float
-
-
-@dataclass(frozen=True)
 class IntegralResult:
     """Quadrature vs closed form for one integral.
 
@@ -76,15 +68,6 @@ class IntegralResult:
     closed_form: float
     series_value: float
     abs_error_estimate: float
-
-
-def kernel(a_mod: float, phi: float) -> KernelValue:
-    if not 0.0 < a_mod < 1.0:
-        raise DomainError(f"a_mod must lie in (0, 1), got {a_mod}")
-    # (1-a)**2 + 4a sin(phi/2)**2 == 1 + a**2 - 2a cos(phi), without the
-    # cancellation near phi = 0 where the kernel is smallest
-    delta = (1.0 - a_mod) ** 2 + 4.0 * a_mod * math.sin(0.5 * phi) ** 2
-    return KernelValue(delta, delta / (1.0 - a_mod * a_mod))
 
 
 # ---- adaptive quadrature ----
@@ -134,7 +117,8 @@ def _adaptive_gauss(f, lo: float, hi: float, abs_tol: float,
 
 
 def _delta(a: float, phi: np.ndarray) -> np.ndarray:
-    # stable form of 1 + a**2 - 2a cos(phi), see kernel()
+    # (1-a)**2 + 4a sin(phi/2)**2 == 1 + a**2 - 2a cos(phi), without the
+    # cancellation near phi = 0 where the kernel is smallest
     return (1.0 - a) ** 2 + 4.0 * a * np.sin(0.5 * phi) ** 2
 
 
@@ -194,34 +178,32 @@ def U_series(spec: IntegralSpec, tol: float = 1e-12,
     return float(out.value)
 
 
+def _prefactor(spec: IntegralSpec, sign: int) -> float:
+    """pi a**i (1-a**2)**(sign (2n+1)): -1 for quad_I, +1 for quad_II."""
+    a = spec.a_mod
+    return math.pi * a ** spec.i * (1.0 - a * a) ** (sign * (2 * spec.n + 1))
+
+
 def closed_form_I(spec: IntegralSpec, tol: float = 1e-12) -> float:
     """pi a**i (1-a**2)**(-(2n+1)) V: the closed form of quad_I."""
-    a = spec.a_mod
-    one_minus = 1.0 - a * a
-    return math.pi * a ** spec.i * one_minus ** (-(2 * spec.n + 1)) * V_series(spec, tol)
+    return _prefactor(spec, -1) * V_series(spec, tol)
 
 
 def closed_form_II(spec: IntegralSpec, tol: float = 1e-12) -> float:
     """pi a**i (1-a**2)**(2n+1) U: the closed form of quad_II."""
-    a = spec.a_mod
-    one_minus = 1.0 - a * a
-    return math.pi * a ** spec.i * one_minus ** (2 * spec.n + 1) * U_series(spec, tol)
+    return _prefactor(spec, 1) * U_series(spec, tol)
 
 
 def check_closed_form_I(spec: IntegralSpec, tol: float = 1e-12) -> IntegralResult:
     quad, err = _quad_I_pair(spec, QUAD_ABS_TOL)
     v = V_series(spec, tol)
-    a = spec.a_mod
-    closed = math.pi * a ** spec.i * (1.0 - a * a) ** (-(2 * spec.n + 1)) * v
-    return IntegralResult(quad, closed, v, err)
+    return IntegralResult(quad, _prefactor(spec, -1) * v, v, err)
 
 
 def check_closed_form_II(spec: IntegralSpec, tol: float = 1e-12) -> IntegralResult:
     quad, err = _quad_II_pair(spec, QUAD_ABS_TOL)
     u = U_series(spec, tol)
-    a = spec.a_mod
-    closed = math.pi * a ** spec.i * (1.0 - a * a) ** (2 * spec.n + 1) * u
-    return IntegralResult(quad, closed, u, err)
+    return IntegralResult(quad, _prefactor(spec, 1) * u, u, err)
 
 
 # ---- cross-family identities ----
@@ -254,17 +236,18 @@ def theta_identity_sides(spec: IntegralSpec) -> tuple[float, float]:
     return lhs, rhs
 
 
-def verify_ratio_identity(spec: IntegralSpec, tol: float = 1e-8) -> float:
+def verify_ratio_identity(spec: IntegralSpec) -> float:
     """Residual |LHS - RHS| of the ratio identity.
 
-    Callers compare against tol * (1 + |LHS|); quadrature always runs at
-    QUAD_ABS_TOL so its noise stays far inside that allowance.
+    Callers compare against their own tolerance times (1 + |LHS|);
+    quadrature always runs at QUAD_ABS_TOL so its noise stays far inside
+    that allowance.
     """
     lhs, rhs = ratio_identity_sides(spec)
     return abs(lhs - rhs)
 
 
-def verify_theta_identity(spec: IntegralSpec, tol: float = 1e-8) -> float:
+def verify_theta_identity(spec: IntegralSpec) -> float:
     """Residual |LHS - RHS| of the theta-power form of the identity."""
     lhs, rhs = theta_identity_sides(spec)
     return abs(lhs - rhs)

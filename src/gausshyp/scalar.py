@@ -42,6 +42,12 @@ def is_nonpositive_integer(value: Scalar) -> bool:
     return n is not None and n <= 0
 
 
+def check_finite(name: str, value: Scalar) -> None:
+    """Reject a float inf or nan; exact values are always finite."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+
+
 def parse_scalar(text: str, exact: bool) -> Scalar:
     """Parse a command-line number.
 
@@ -50,13 +56,11 @@ def parse_scalar(text: str, exact: bool) -> Scalar:
     """
     text = text.strip()
     try:
-        if "/" in text:
-            return Fraction(text)
-        if exact:
-            return Fraction(text)
-        return float(text)
+        value = Fraction(text) if exact or "/" in text else float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse number {text!r}: {exc}") from None
+    check_finite("number", value)
+    return value
 
 
 def power(base: Scalar, exponent: Scalar) -> Scalar:

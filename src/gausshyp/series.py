@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InvalidCError, NoConvergenceError
-from .scalar import Scalar, as_integer, is_exact, is_nonpositive_integer
+from .scalar import (Scalar, as_integer, check_finite, is_exact,
+                     is_nonpositive_integer)
 
 #: Largest truncation degree accepted by the exact-mode polynomial
 #: operations; rational coefficient sizes grow quickly past this.
@@ -32,8 +33,8 @@ EXACT_DEGREE_CAP = 64
 class HypergeometricParams:
     """Parameter triple (a, b, c) of the series.
 
-    c must not be zero or a negative integer: the recurrence denominator
-    (k+1)(c+k) would vanish at k = -c.
+    Each parameter must be finite, and c must not be zero or a negative
+    integer: the recurrence denominator (k+1)(c+k) would vanish at k = -c.
     """
 
     a: Scalar
@@ -41,6 +42,8 @@ class HypergeometricParams:
     c: Scalar
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "c"):
+            check_finite(name, getattr(self, name))
         if is_nonpositive_integer(self.c):
             raise InvalidCError(f"c = {self.c} is zero or a negative integer")
 
@@ -55,7 +58,9 @@ class SeriesEvaluation:
     value        -- the partial (or complete) sum; exact iff every input was
     terms_used   -- number of terms added, >= 1
     terminated   -- True when no nonzero terms remain past the last one
-    tail_bound   -- certified bound on |true sum - value|; 0.0 if terminated
+    tail_bound   -- bound on the truncation error, the neglected tail
+                    |sum of terms past the last one|; 0.0 if terminated.
+                    It does not bound the rounding error of a float sum.
     """
 
     value: Scalar
@@ -84,7 +89,8 @@ def check_eval_point(x: Scalar) -> None:
         raise DomainError(f"x = {x} is outside the open interval (-1, 1)")
 
 
-def _check_budget(tol: float, max_terms: int) -> None:
+def check_budget(tol: float, max_terms: int) -> None:
+    """Reject a nonpositive tol or a term budget below one."""
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     if max_terms < 1:
@@ -153,92 +159,52 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
                 max_terms: int = 10000) -> SeriesEvaluation:
     """Sum the series at x, |x| < 1.
 
+    The one loop in the package that steps the term recurrence to a sum.
     Terminating parameter sets are summed completely (exactly when all
     inputs are exact).  Otherwise terms accumulate until the geometric
-    majorant bound on the remaining tail drops to tol.
+    majorant bound on the remaining tail drops to tol; a term beyond the
+    float range leaves the bound unmet.
     """
     check_eval_point(x)
-    _check_budget(tol, max_terms)
+    check_budget(tol, max_terms)
     a, b, c = params.a, params.b, params.c
     exact = params.exact() and is_exact(x)
     one: Scalar = Fraction(1) if exact else 1.0
 
+    # a terminating sum runs to its last term without a majorant check;
+    # any other sum checks its majorant from term k0 on
     stop = termination_index(params)
     if stop is not None:
         if stop + 1 > max_terms:
             raise NoConvergenceError(
                 f"series terminates after {stop + 1} terms but max_terms={max_terms}")
-        term = one
-        total = one
-        for k in range(stop):
-            term = term * (a + k) * (b + k) / ((k + 1) * (c + k)) * x
-            total = total + term
-        return SeriesEvaluation(total, stop + 1, True, 0.0)
-
-    if x == 0:
+        last, k0 = stop, max_terms
+    elif x == 0:
         return SeriesEvaluation(one, 1, False, 0.0)
+    else:
+        af, bf, cf, xf = float(a), float(b), float(c), float(x)
+        last, k0 = max_terms - 1, _positivity_index(af, bf, cf)
 
-    af, bf, cf, xf = float(a), float(b), float(c), float(x)
-    k0 = _positivity_index(af, bf, cf)
     term = one
     total = one
-    for k in range(max_terms):
+    for k in range(last + 1):
         if k >= k0:
             rho = _ratio_majorant(af, bf, cf, xf, k)
             if rho < 1.0:
-                bound = abs(float(term)) * rho / (1.0 - rho)
+                try:
+                    bound = abs(float(term)) * rho / (1.0 - rho)
+                except OverflowError:  # an exact term past the float range
+                    bound = math.inf
                 if bound <= tol:
                     return SeriesEvaluation(total, k + 1, False, bound)
-        if k + 1 >= max_terms:
+        if k == last:
             break
         term = term * (a + k) * (b + k) / ((k + 1) * (c + k)) * x
         total = total + term
+    if stop is not None:
+        return SeriesEvaluation(total, stop + 1, True, 0.0)
     raise NoConvergenceError(
         f"tail bound still above tol={tol} after {max_terms} terms")
-
-
-def _eval_with_derivatives(params: HypergeometricParams, x: float, tol: float,
-                           max_terms: int) -> tuple[float, float, float]:
-    """Double-precision (s, s', s'') at x, all three tails below tol.
-
-    The differentiated series share the base term ratio up to a factor
-    (k+1)/(k+1-d) for the d-th derivative, which is itself decreasing in k,
-    so the same majorant argument applies with rho multiplied by that
-    factor at the current k.
-    """
-    a, b, c = float(params.a), float(params.b), float(params.c)
-    if x == 0.0:
-        raise DomainError("derivative evaluation needs x != 0")
-    stop = termination_index(params)
-    k0 = max(2, _positivity_index(a, b, c))
-    s0 = s1 = s2 = 0.0
-    term = 1.0
-    k = 0
-    while True:
-        s0 += term
-        if k >= 1:
-            s1 += k * term / x
-        if k >= 2:
-            s2 += k * (k - 1) * term / (x * x)
-        if stop is not None and k == stop:
-            return s0, s1, s2
-        if k >= k0:
-            rho0 = _ratio_majorant(a, b, c, x, k)
-            rho1 = rho0 * (k + 1) / k
-            rho2 = rho0 * (k + 1) / (k - 1)
-            if rho2 < 1.0:
-                bound = max(
-                    abs(term) * rho0 / (1.0 - rho0),
-                    abs(k * term / x) * rho1 / (1.0 - rho1),
-                    abs(k * (k - 1) * term / (x * x)) * rho2 / (1.0 - rho2),
-                )
-                if bound <= tol:
-                    return s0, s1, s2
-        if k + 1 >= max_terms:
-            raise NoConvergenceError(
-                f"derivative tails still above tol={tol} after {max_terms} terms")
-        term = term * (a + k) * (b + k) / ((k + 1) * (c + k)) * x
-        k += 1
 
 
 # ---- polynomial helpers (dense coefficient lists, index = power) ----
@@ -348,15 +314,27 @@ def substitution_residual(params: HypergeometricParams, n_exp: Scalar,
         z'/z  = s'/s + n/(1-x)
         z''/z = s''/s + 2n s'/(s (1-x)) + n(n+1)/(1-x)**2,
 
-    so no power of (1-x) is ever formed.  Returns the numerical residual,
-    which is zero up to rounding and series truncation.
+    so no power of (1-x) is ever formed.  The derivatives come from DLMF
+    15.5.1, s^(d) = (a)_d (b)_d / (c)_d * s(a+d, b+d; c+d; x), each summed
+    to tol.  Returns the numerical residual, which is zero up to rounding
+    and series truncation.
     """
     xf = float(x)
     if not 0.0 < xf < 0.9:
         raise DomainError(f"x must lie in (0, 0.9), got {x}")
     a, b, c = float(params.a), float(params.b), float(params.c)
     n = float(n_exp)
-    s0, s1, s2 = _eval_with_derivatives(params, xf, tol, max_terms)
+
+    def derivative(d: int) -> float:
+        scale = 1.0
+        for j in range(d):
+            scale *= (a + j) * (b + j) / (c + j)
+        if scale == 0.0:
+            return 0.0
+        shifted = HypergeometricParams(a + d, b + d, c + d)
+        return scale * eval_series(shifted, xf, tol / abs(scale), max_terms).value
+
+    s0, s1, s2 = derivative(0), derivative(1), derivative(2)
     u = 1.0 - xf
     zr1 = s1 / s0 + n / u
     zr2 = s2 / s0 + 2.0 * n * s1 / (s0 * u) + n * (n + 1.0) / (u * u)

@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .binom import binom_char
-from .errors import DomainError, NoConvergenceError
+from .errors import DomainError
 from .scalar import Scalar, as_integer, is_exact, power
-from .series import (HypergeometricParams, SeriesEvaluation, check_eval_point,
-                     eval_series, termination_index)
+from .series import (HypergeometricParams, SeriesEvaluation, check_budget,
+                     check_eval_point, eval_series, termination_index)
 
 
 # ---- parameter maps ----
@@ -43,22 +42,8 @@ class TransformedParams:
 
 
 @dataclass(frozen=True)
-class NegativeParams:
-    """Sign-flipped parameters: f = -a, g = -b, zeta = a - c, eta = b - c.
-
-    With these, the original triple is (a, b, c) = (-f, -g, -f - zeta) and
-    the transformed upper parameters are (-zeta, -eta).
-    """
-
-    f: Scalar
-    g: Scalar
-    zeta: Scalar
-    eta: Scalar
-
-
-@dataclass(frozen=True)
 class TripleParams:
-    """Character-series parameters (e, f, h) with e = c-1, h = g+c-1.
+    """Character-series parameters (e, f, h) with e = c-1, f = -a, h = c-b-1.
 
     Only defined when c is a positive integer, i.e. e is a nonnegative
     integer; the inverse map is a = -f, b = e-h, c = e+1.
@@ -77,15 +62,6 @@ def euler_transform_params(params: HypergeometricParams) -> TransformedParams:
     """Map (a, b, c) to (c-a, c-b, c) with prefactor exponent c-a-b."""
     a, b, c = params.a, params.b, params.c
     return TransformedParams(c - a, c - b, c, c - a - b)
-
-
-def negative_params(params: HypergeometricParams) -> NegativeParams:
-    a, b, c = params.a, params.b, params.c
-    return NegativeParams(-a, -b, a - c, b - c)
-
-
-def params_from_negative(neg: NegativeParams) -> HypergeometricParams:
-    return HypergeometricParams(-neg.f, -neg.g, -neg.f - neg.zeta)
 
 
 def triple_params(params: HypergeometricParams) -> TripleParams:
@@ -192,45 +168,27 @@ def character_series(m1: Scalar, m2: Scalar, shift: int, x: Scalar,
                      tol: float = 1e-12, max_terms: int = 10000) -> SeriesEvaluation:
     """Sum of binom(m1, k) * binom(m2, shift+k) * x**k over k >= 0.
 
-    Terms follow the running-product recurrence
-
-        T_{k+1} = T_k * (m1-k)/(k+1) * (m2-shift-k)/(shift+k+1) * x,
-
-    so a zero factor terminates the sum exactly.  The stopping rule for
-    infinite sums is the same geometric majorant as for the hypergeometric
-    series: past the index where k-m1 and k+shift-m2 are positive, both
-    ratio factors are monotone with limit 1.
+    The term ratio (m1-k)(m2-shift-k) x / ((k+1)(shift+k+1)) is the
+    hypergeometric one with a = -m1, b = shift-m2, c = shift+1, so the sum
+    is binom(m2, shift) * s(-m1, shift-m2; shift+1; x), summed by
+    eval_series to tol divided by the magnitude of the leading character.
+    A zero factor terminates the sum exactly; a zero leading character
+    makes it vanish.
     """
     if not isinstance(shift, int) or isinstance(shift, bool) or shift < 0:
         raise DomainError(f"shift must be a nonnegative integer, got {shift!r}")
     check_eval_point(x)
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms}")
-
-    m1f, m2f, xf = float(m1), float(m2), float(x)
-    k0 = max(0, int(math.floor(m1f)) + 1, int(math.floor(m2f - shift)) + 1)
-    term: Scalar = binom_char(m2, shift)
+    check_budget(tol, max_terms)
+    lead: Scalar = binom_char(m2, shift)
     if not (is_exact(m1) and is_exact(x)):
-        term = float(term)
-    total = term
-    for k in range(max_terms):
-        if term == 0:
-            return SeriesEvaluation(total, k + 1, True, 0.0)
-        if k >= k0:
-            rho = (abs(xf) * max(1.0, (k - m1f) / (k + 1.0))
-                   * max(1.0, (k + shift - m2f) / (k + shift + 1.0)))
-            if rho < 1.0:
-                bound = abs(float(term)) * rho / (1.0 - rho)
-                if bound <= tol:
-                    return SeriesEvaluation(total, k + 1, False, bound)
-        if k + 1 >= max_terms:
-            break
-        term = term * (m1 - k) * (m2 - shift - k) * x / ((k + 1) * (shift + k + 1))
-        total = total + term
-    raise NoConvergenceError(
-        f"character series tail still above tol={tol} after {max_terms} terms")
+        lead = float(lead)
+    if lead == 0:
+        return SeriesEvaluation(lead, 1, True, 0.0)
+    lead_mag = abs(float(lead))
+    out = eval_series(HypergeometricParams(-m1, shift - m2, shift + 1), x,
+                      tol / lead_mag, max_terms)
+    return SeriesEvaluation(lead * out.value, out.terms_used, out.terminated,
+                            out.tail_bound * lead_mag)
 
 
 # ---- the three proportional sums ----

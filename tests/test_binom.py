@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gausshyp import BinomChar, DomainError, binom_char, reflect_char
+from gausshyp import DomainError, binom_char, reflect_char
 from oracles import brute_binom
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
@@ -66,11 +66,6 @@ def test_bad_lower_index():
         binom_char(3, 1.5)
     with pytest.raises(DomainError):
         reflect_char(3, -2)
-
-
-def test_binomchar_of():
-    bc = BinomChar.of(F(1, 2), 2)
-    assert (bc.upper, bc.lower, bc.value) == (F(1, 2), 2, F(-1, 8))
 
 
 @given(rationals, st.integers(0, 25))

@@ -5,10 +5,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from gausshyp.cli import format_float, main, render_json
+from gausshyp import IntegralSpec, check_closed_form_I, check_closed_form_II
+from gausshyp.cli import (INTEGRAL_AS, INTEGRAL_NI, format_float, main,
+                          render_json)
 
 
 def run(capsys, *argv):
@@ -92,6 +98,10 @@ def test_eval_domain_error_exit_2(capsys):
     code, _, err = run(capsys, "eval", "-a", "1", "-b", "1", "-c", "2",
                        "-x", "1.5")
     assert code == 2 and "x" in err
+    for a, c in (("nan", "2"), ("inf", "2"), ("1", "nan")):
+        code, out, err = run(capsys, "eval", "-a", a, "-b", "1", "-c", c,
+                             "-x", "0.5")
+        assert code == 2 and out == "" and "finite" in err
 
 
 def test_eval_no_convergence_exit_3(capsys):
@@ -99,6 +109,30 @@ def test_eval_no_convergence_exit_3(capsys):
                          "-x", "0.9", "--max-terms", "5")
     assert code == 3 and out == ""
     assert "terms" in err
+
+
+def test_eval_term_beyond_float_range_exit_3(capsys):
+    # the transformed side's terms pass 1e308 before its majorant drops
+    # below 1, which must leave the bound unmet rather than raise
+    code, out, err = run(capsys, "eval", "--mode", "exact", "-a=-400",
+                         "-b=1/2", "-c=3/2", "-x=9/10", "--max-terms", "3700")
+    assert code == 3 and out == ""
+    assert "terms" in err
+
+
+def test_closed_stdout_ends_cleanly():
+    # the read end closes before the CLI writes, so its write hits EPIPE
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gausshyp.cli", "eval", "-a", "1", "-b", "1",
+         "-c", "2", "-x", "0.5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == ""
 
 
 # ---- verify ----
@@ -119,6 +153,19 @@ def test_verify_all(capsys):
     suites = {chk["suite"] for chk in report["checks"]}
     assert suites == {"binom", "ode", "triple", "integrals"}
     assert report["status"] == "pass"
+
+
+def test_verify_integrals_worst_residual_per_check(capsys):
+    code, out, _ = run(capsys, "verify", "integrals")
+    assert code == 0
+    worst = {chk["check"]: chk.get("worst_residual")
+             for chk in json.loads(out)["checks"]}
+    specs = [IntegralSpec(a, n, i) for a in INTEGRAL_AS for n, i in INTEGRAL_NI]
+    for name, check in (("closed-form-I", check_closed_form_I),
+                        ("closed-form-II", check_closed_form_II)):
+        results = [check(spec) for spec in specs]
+        assert worst[name] == max(abs(r.quadrature - r.closed_form)
+                                  for r in results)
 
 
 def test_verify_looser_tol_still_passes(capsys):

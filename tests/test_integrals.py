@@ -11,14 +11,14 @@ import scipy.integrate
 from gausshyp import (DomainError, IntegralSpec, QuadratureFailureError,
                       U_series, V_series, binom_char, check_closed_form_I,
                       check_closed_form_II, closed_form_I, closed_form_II,
-                      eval_series, HypergeometricParams, kernel, quad_I,
+                      eval_series, HypergeometricParams, quad_I,
                       quad_II, ratio_identity_sides, theta_identity_sides,
                       verify_ratio_identity, verify_sign_bridge,
                       verify_theta_identity)
 from gausshyp.integrals import _adaptive_gauss
 
 
-# ---- validation and kernel ----
+# ---- validation ----
 
 def test_spec_validation():
     for bad in [dict(a_mod=0.0, n=0, i=0), dict(a_mod=1.0, n=0, i=0),
@@ -26,16 +26,6 @@ def test_spec_validation():
                 dict(a_mod=0.5, n=0, i=-2), dict(a_mod=0.5, n=0.5, i=0)]:
         with pytest.raises(DomainError):
             IntegralSpec(**bad)
-
-
-def test_kernel_values():
-    kv = kernel(0.5, 0.0)
-    assert kv.delta == pytest.approx((1 - 0.5) ** 2)
-    assert kv.theta == pytest.approx(0.25 / 0.75)
-    kv = kernel(0.5, math.pi / 2)
-    assert kv.delta == pytest.approx(1.25)
-    with pytest.raises(DomainError):
-        kernel(1.5, 0.0)
 
 
 # ---- quadrature against independent references ----

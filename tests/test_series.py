@@ -30,6 +30,13 @@ def test_invalid_c_is_domain_error():
         P(1, 1, 0)
 
 
+def test_non_finite_params_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ((bad, 1, 2), (1, bad, 2), (1, 1, bad)):
+            with pytest.raises(DomainError):
+                P(*args)
+
+
 def test_non_integer_negative_c_allowed():
     P(1, 1, -2.5)
     P(1, 1, F(-5, 2))

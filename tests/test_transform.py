@@ -10,8 +10,7 @@ import pytest
 from gausshyp import (DomainError, HypergeometricParams, Representation,
                       TripleParams, binom_char, character_series,
                       estimate_terms, eval_series, eval_transformed,
-                      euler_transform_params, negative_params,
-                      params_from_negative, params_from_triple,
+                      euler_transform_params, params_from_triple,
                       select_representation, termination_index, triple_params,
                       triple_sums, verify_triple_relations)
 from oracles import brute_char_sum, brute_series
@@ -37,14 +36,6 @@ def test_transform_is_involution():
         twice = euler_transform_params(euler_transform_params(params).as_params())
         assert twice.as_params() == params
         assert twice.exponent == -euler_transform_params(params).exponent
-
-
-def test_negative_params_roundtrip():
-    params = P(F(-3, 2), 4, F(7, 3))
-    neg = negative_params(params)
-    assert (neg.f, neg.g) == (F(3, 2), -4)
-    assert (neg.zeta, neg.eta) == (params.a - params.c, params.b - params.c)
-    assert params_from_negative(neg) == params
 
 
 def test_triple_params_roundtrip():
