@@ -5,9 +5,10 @@ With Delta = 1 + a**2 - 2a cos(phi), adaptive quadrature of
     cos(i phi) / Delta**(n+1)     and     Delta**n cos(i phi)
 
 over [0, pi] is compared against pi a**i (1-a**2)**(-+(2n+1)) times the
-character series V and U, and the two families are tied to each other by a
-pair of ratio identities whose character coefficients come from the sign
-bridge binom(n+i, i) = (-1)**i binom(-n-1, i).
+character series V and U.  The second family is the first with n reflected
+to -n-1, and the two are tied to each other by a pair of ratio identities
+whose character coefficients come from the sign bridge
+binom(n+i, i) = (-1)**i binom(-n-1, i).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import math
 
 from gausshyp import (IntegralSpec, check_closed_form_I, check_closed_form_II,
-                      quad_II, ratio_identity_sides, theta_identity_sides,
-                      verify_sign_bridge)
+                      quad_I, quad_II, ratio_identity_sides,
+                      theta_identity_sides, verify_sign_bridge)
 
 
 def main():
@@ -49,9 +50,10 @@ def main():
 
     print("\ncross-family ratio identities at (a, n, i) = (0.5, 1, 1):")
     spec = IntegralSpec(0.5, 1, 1)
-    lhs, rhs = ratio_identity_sides(spec)
+    q_I, q_II = quad_I(spec), quad_II(spec)
+    lhs, rhs = ratio_identity_sides(spec, q_I, q_II)
     print(f"  power form:  {lhs:+.12f} vs {rhs:+.12f}")
-    lhs, rhs = theta_identity_sides(spec)
+    lhs, rhs = theta_identity_sides(spec, q_I, q_II)
     print(f"  theta form:  {lhs:+.12f} vs {rhs:+.12f} "
           f"(both equal 4 pi/3 = {4 * math.pi / 3:.12f})")
 

@@ -11,12 +11,10 @@ from __future__ import annotations
 from .binom import binom_char, reflect_char
 from .errors import (DomainError, InvalidCError, NoConvergenceError,
                      QuadratureFailureError)
-from .integrals import (IntegralResult, IntegralSpec, U_series, V_series,
-                        check_closed_form_I, check_closed_form_II,
-                        closed_form_I, closed_form_II, quad_I, quad_II,
+from .integrals import (IntegralResult, IntegralSpec, check_closed_form_I,
+                        check_closed_form_II, quad_I, quad_II,
                         ratio_identity_sides, theta_identity_sides,
-                        verify_ratio_identity, verify_sign_bridge,
-                        verify_theta_identity)
+                        verify_sign_bridge)
 from .scalar import Scalar, is_exact, parse_scalar, power
 from .series import (EXACT_DEGREE_CAP, HypergeometricParams, OdeResidual,
                      SeriesEvaluation, coefficients, eval_series, ode_residual,
@@ -35,11 +33,9 @@ __all__ = [
     "binom_char", "reflect_char",
     "DomainError", "InvalidCError", "NoConvergenceError",
     "QuadratureFailureError",
-    "IntegralResult", "IntegralSpec", "U_series", "V_series",
-    "check_closed_form_I", "check_closed_form_II", "closed_form_I",
-    "closed_form_II", "quad_I", "quad_II", "ratio_identity_sides",
-    "theta_identity_sides", "verify_ratio_identity", "verify_sign_bridge",
-    "verify_theta_identity",
+    "IntegralResult", "IntegralSpec", "check_closed_form_I",
+    "check_closed_form_II", "quad_I", "quad_II", "ratio_identity_sides",
+    "theta_identity_sides", "verify_sign_bridge",
     "Scalar", "is_exact", "parse_scalar", "power",
     "EXACT_DEGREE_CAP", "HypergeometricParams", "OdeResidual",
     "SeriesEvaluation", "coefficients", "eval_series", "ode_residual",

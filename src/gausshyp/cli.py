@@ -298,24 +298,23 @@ def _verify_triple(config: RunConfig) -> list[dict]:
 
 def _verify_integrals(config: RunConfig) -> list[dict]:
     tol = config.identity_tol(1e-8)
-    specs = [IntegralSpec(a, n, i) for a in INTEGRAL_AS for n, i in INTEGRAL_NI]
-
-    def closed_form(check):
-        for spec in specs:
-            r = check(spec)
-            yield (abs(r.quadrature - r.closed_form),
-                   max(tol, 10.0 * r.abs_error_estimate))
-
-    def identity(sides):
-        for spec in specs:
-            lhs, rhs = sides(spec)
-            yield abs(lhs - rhs), tol * (1.0 + abs(lhs))
-
+    closed_I, closed_II, ratio, theta = [], [], [], []
+    for a in INTEGRAL_AS:
+        for n, i in INTEGRAL_NI:
+            spec = IntegralSpec(a, n, i)
+            r_I, r_II = check_closed_form_I(spec), check_closed_form_II(spec)
+            for r, pairs in ((r_I, closed_I), (r_II, closed_II)):
+                pairs.append((abs(r.quadrature - r.closed_form),
+                              max(tol, 10.0 * r.abs_error_estimate)))
+            for sides, pairs in ((ratio_identity_sides, ratio),
+                                 (theta_identity_sides, theta)):
+                lhs, rhs = sides(spec, r_I.quadrature, r_II.quadrature)
+                pairs.append((abs(lhs - rhs), tol * (1.0 + abs(lhs))))
     return [
-        _within("closed-form-I", closed_form(check_closed_form_I)),
-        _within("closed-form-II", closed_form(check_closed_form_II)),
-        _within("ratio-identity", identity(ratio_identity_sides)),
-        _within("theta-identity", identity(theta_identity_sides)),
+        _within("closed-form-I", closed_I),
+        _within("closed-form-II", closed_II),
+        _within("ratio-identity", ratio),
+        _within("theta-identity", theta),
         _sign_bridge(),
     ]
 
@@ -475,7 +474,11 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader closed the pipe early (`| head`).  Point stdout at the
         # null device so the interpreter's flush at exit does not fail too.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
     return code
 
 

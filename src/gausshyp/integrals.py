@@ -5,13 +5,15 @@ For 0 < a < 1 and nonnegative integers n, i the two families
     quad_I  = integral_0^pi cos(i phi) / Delta**(n+1) dphi
     quad_II = integral_0^pi Delta**n cos(i phi) dphi
 
-have closed forms pi a**i (1-a**2)**(-(2n+1)) V and pi a**i (1-a**2)**(2n+1) U,
-where V and U are character series in a**2 (V always terminates, U is an
-infinite series unless its leading character vanishes).  The module computes
-both sides independently: the integrals by adaptive Gauss quadrature, the
-closed forms through the character-series machinery, plus the two
-cross-family ratio identities and the sign bridge between the characters
-they use.
+are one integral of cos(i phi) / Delta**(m+1), at m = n and at the
+reflected m = -n-1 (the reflection of the sign bridge binom(-n-1+i, i) =
+(-1)**i binom(n, i)).  Its closed form pi a**i (1-a**2)**(-(2m+1)) times
+the character series sum_k binom(m-i, k) binom(m+i, i+k) a**(2k) is V at
+m = n (it terminates) and U at m = -n-1 (infinite unless its leading
+character vanishes).  The module computes both sides independently: the
+integrals by adaptive Gauss quadrature, the closed forms through the
+character-series machinery, plus the two cross-family ratio identities
+and the sign bridge between the characters they use.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from .binom import binom_char
 from .errors import DomainError, QuadratureFailureError
+from .scalar import check_index
 from .transform import character_series
 
 #: Absolute error target for every quadrature in this module.  Identity
@@ -49,10 +52,8 @@ class IntegralSpec:
     def __post_init__(self) -> None:
         if not 0.0 < float(self.a_mod) < 1.0:
             raise DomainError(f"a_mod must lie in (0, 1), got {self.a_mod}")
-        for name in ("n", "i"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise DomainError(f"{name} must be a nonnegative integer, got {v!r}")
+        check_index("n", self.n)
+        check_index("i", self.i)
 
 
 @dataclass(frozen=True)
@@ -122,135 +123,77 @@ def _delta(a: float, phi: np.ndarray) -> np.ndarray:
     return (1.0 - a) ** 2 + 4.0 * a * np.sin(0.5 * phi) ** 2
 
 
-def _quad_I_pair(spec: IntegralSpec, abs_tol: float) -> tuple[float, float]:
-    a, n, i = spec.a_mod, spec.n, spec.i
+def _integral(a: float, m: int, i: int, abs_tol: float) -> tuple[float, float]:
+    """Quadrature of cos(i phi) / Delta**(m+1) over [0, pi]: (value, error)."""
 
     def f(phi: np.ndarray) -> np.ndarray:
-        return np.cos(i * phi) / _delta(a, phi) ** (n + 1)
+        return np.cos(i * phi) / _delta(a, phi) ** (m + 1)
 
     return _adaptive_gauss(f, 0.0, math.pi, abs_tol)
 
 
-def _quad_II_pair(spec: IntegralSpec, abs_tol: float) -> tuple[float, float]:
-    a, n, i = spec.a_mod, spec.n, spec.i
-
-    def f(phi: np.ndarray) -> np.ndarray:
-        return _delta(a, phi) ** n * np.cos(i * phi)
-
-    return _adaptive_gauss(f, 0.0, math.pi, abs_tol)
+def _check(spec: IntegralSpec, m: int, tol: float) -> IntegralResult:
+    """cos(i phi) / Delta**(m+1) by quadrature and by its closed form."""
+    a, i = spec.a_mod, spec.i
+    quad, err = _integral(a, m, i, QUAD_ABS_TOL)
+    series = float(character_series(m - i, m + i, i, a ** 2, tol, 100000).value)
+    closed = math.pi * a ** i * (1.0 - a * a) ** (-(2 * m + 1)) * series
+    return IntegralResult(quad, closed, series, err)
 
 
 def quad_I(spec: IntegralSpec, abs_tol: float = QUAD_ABS_TOL) -> float:
     """Adaptive quadrature of cos(i phi) / Delta**(n+1) over [0, pi]."""
-    return _quad_I_pair(spec, abs_tol)[0]
+    return _integral(spec.a_mod, spec.n, spec.i, abs_tol)[0]
 
 
 def quad_II(spec: IntegralSpec, abs_tol: float = QUAD_ABS_TOL) -> float:
     """Adaptive quadrature of Delta**n cos(i phi) over [0, pi]."""
-    return _quad_II_pair(spec, abs_tol)[0]
-
-
-# ---- series sides ----
-
-def V_series(spec: IntegralSpec, tol: float = 1e-12) -> float:
-    """Character series sum_k binom(n-i, k) binom(n+i, i+k) (a**2)**k.
-
-    Terminates for every integer n >= 0: the second character vanishes past
-    k = n, and when i <= n the first vanishes past k = n-i already, so the
-    sum is a polynomial in a**2 with at most n+1 terms.
-    """
-    n, i = spec.n, spec.i
-    out = character_series(n - i, n + i, i, spec.a_mod ** 2, tol)
-    return float(out.value)
-
-
-def U_series(spec: IntegralSpec, tol: float = 1e-12,
-             max_terms: int = 100000) -> float:
-    """Character series sum_k binom(-n-1-i, k) binom(-n-1+i, i+k) (a**2)**k.
-
-    Infinite for i <= n; identically zero for i > n because the leading
-    character binom(i-n-1, i) vanishes (matching the vanishing integral of
-    a pure cosine times a polynomial kernel of lower degree).
-    """
-    n, i = spec.n, spec.i
-    out = character_series(-n - 1 - i, -n - 1 + i, i, spec.a_mod ** 2,
-                           tol, max_terms)
-    return float(out.value)
-
-
-def _prefactor(spec: IntegralSpec, sign: int) -> float:
-    """pi a**i (1-a**2)**(sign (2n+1)): -1 for quad_I, +1 for quad_II."""
-    a = spec.a_mod
-    return math.pi * a ** spec.i * (1.0 - a * a) ** (sign * (2 * spec.n + 1))
-
-
-def closed_form_I(spec: IntegralSpec, tol: float = 1e-12) -> float:
-    """pi a**i (1-a**2)**(-(2n+1)) V: the closed form of quad_I."""
-    return _prefactor(spec, -1) * V_series(spec, tol)
-
-
-def closed_form_II(spec: IntegralSpec, tol: float = 1e-12) -> float:
-    """pi a**i (1-a**2)**(2n+1) U: the closed form of quad_II."""
-    return _prefactor(spec, 1) * U_series(spec, tol)
+    return _integral(spec.a_mod, -spec.n - 1, spec.i, abs_tol)[0]
 
 
 def check_closed_form_I(spec: IntegralSpec, tol: float = 1e-12) -> IntegralResult:
-    quad, err = _quad_I_pair(spec, QUAD_ABS_TOL)
-    v = V_series(spec, tol)
-    return IntegralResult(quad, _prefactor(spec, -1) * v, v, err)
+    """quad_I against pi a**i (1-a**2)**(-(2n+1)) V."""
+    return _check(spec, spec.n, tol)
 
 
 def check_closed_form_II(spec: IntegralSpec, tol: float = 1e-12) -> IntegralResult:
-    quad, err = _quad_II_pair(spec, QUAD_ABS_TOL)
-    u = U_series(spec, tol)
-    return IntegralResult(quad, _prefactor(spec, 1) * u, u, err)
+    """quad_II against pi a**i (1-a**2)**(2n+1) U."""
+    return _check(spec, -spec.n - 1, tol)
 
 
 # ---- cross-family identities ----
 
-def ratio_identity_sides(spec: IntegralSpec) -> tuple[float, float]:
+def ratio_identity_sides(spec: IntegralSpec, q_I: float,
+                         q_II: float) -> tuple[float, float]:
     """Both sides of
 
         binom(n+i, i) (1-a**2)**(-n) quad_II
-            = binom(-n-1+i, i) (1-a**2)**(n+1) quad_I.
+            = binom(-n-1+i, i) (1-a**2)**(n+1) quad_I,
+
+    given the values q_I = quad_I(spec) and q_II = quad_II(spec).
     """
     a, n, i = spec.a_mod, spec.n, spec.i
     one_minus = 1.0 - a * a
-    lhs = float(binom_char(n + i, i)) * one_minus ** (-n) * quad_II(spec)
-    rhs = float(binom_char(-n - 1 + i, i)) * one_minus ** (n + 1) * quad_I(spec)
+    lhs = float(binom_char(n + i, i)) * one_minus ** (-n) * q_II
+    rhs = float(binom_char(-n - 1 + i, i)) * one_minus ** (n + 1) * q_I
     return lhs, rhs
 
 
-def theta_identity_sides(spec: IntegralSpec) -> tuple[float, float]:
+def theta_identity_sides(spec: IntegralSpec, q_I: float,
+                         q_II: float) -> tuple[float, float]:
     """Both sides of the same identity written against theta = Delta/(1-a**2):
 
         binom(n, i) integral cos(i phi)/Theta**(n+1)
             = binom(-n-1, i) integral Theta**n cos(i phi),
 
-    where the theta powers turn into (1-a**2) factors on quad_I/quad_II.
+    where the theta powers turn into (1-a**2) factors on the given values
+    q_I = quad_I(spec) and q_II = quad_II(spec).
     """
     a, n, i = spec.a_mod, spec.n, spec.i
     one_minus = 1.0 - a * a
-    lhs = float(binom_char(n, i)) * one_minus ** (n + 1) * quad_I(spec)
-    rhs = float(binom_char(-n - 1, i)) * one_minus ** (-n) * quad_II(spec)
+    lhs = float(binom_char(n, i)) * one_minus ** (n + 1) * q_I
+    rhs = float(binom_char(-n - 1, i)) * one_minus ** (-n) * q_II
     return lhs, rhs
-
-
-def verify_ratio_identity(spec: IntegralSpec) -> float:
-    """Residual |LHS - RHS| of the ratio identity.
-
-    Callers compare against their own tolerance times (1 + |LHS|);
-    quadrature always runs at QUAD_ABS_TOL so its noise stays far inside
-    that allowance.
-    """
-    lhs, rhs = ratio_identity_sides(spec)
-    return abs(lhs - rhs)
-
-
-def verify_theta_identity(spec: IntegralSpec) -> float:
-    """Residual |LHS - RHS| of the theta-power form of the identity."""
-    lhs, rhs = theta_identity_sides(spec)
-    return abs(lhs - rhs)
 
 
 def verify_sign_bridge(n: int, i: int) -> bool:
@@ -260,9 +203,8 @@ def verify_sign_bridge(n: int, i: int) -> bool:
         binom(n+i, i)  == (-1)**i binom(-n-1, i)
         binom(-n-1+i, i) == (-1)**i binom(n, i)
     """
-    for name, v in (("n", n), ("i", i)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise DomainError(f"{name} must be a nonnegative integer, got {v!r}")
+    check_index("n", n)
+    check_index("i", i)
     sign = -1 if i % 2 else 1
     prop = (binom_char(n, i) * binom_char(n + i, i)
             == binom_char(-n - 1, i) * binom_char(-n - 1 + i, i))

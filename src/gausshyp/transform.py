@@ -21,7 +21,7 @@ from enum import Enum
 
 from .binom import binom_char
 from .errors import DomainError
-from .scalar import Scalar, as_integer, is_exact, power
+from .scalar import Scalar, as_integer, check_index, is_exact, power
 from .series import (HypergeometricParams, SeriesEvaluation, check_budget,
                      check_eval_point, eval_series, termination_index)
 
@@ -54,8 +54,7 @@ class TripleParams:
     h: Scalar
 
     def __post_init__(self) -> None:
-        if not isinstance(self.e, int) or isinstance(self.e, bool) or self.e < 0:
-            raise DomainError(f"e must be a nonnegative integer, got {self.e!r}")
+        check_index("e", self.e)
 
 
 def euler_transform_params(params: HypergeometricParams) -> TransformedParams:
@@ -175,8 +174,7 @@ def character_series(m1: Scalar, m2: Scalar, shift: int, x: Scalar,
     A zero factor terminates the sum exactly; a zero leading character
     makes it vanish.
     """
-    if not isinstance(shift, int) or isinstance(shift, bool) or shift < 0:
-        raise DomainError(f"shift must be a nonnegative integer, got {shift!r}")
+    check_index("shift", shift)
     check_eval_point(x)
     check_budget(tol, max_terms)
     lead: Scalar = binom_char(m2, shift)

@@ -15,9 +15,10 @@ from itertools import product
 from gausshyp import (HypergeometricParams, IntegralSpec, TripleParams,
                       binom_char, check_closed_form_I, check_closed_form_II,
                       coefficients, eval_series, eval_transformed,
-                      ode_residual, ratio_identity_sides, reflect_char,
-                      substitution_residual, theta_identity_sides,
-                      verify_sign_bridge, verify_triple_relations)
+                      ode_residual, quad_I, quad_II, ratio_identity_sides,
+                      reflect_char, substitution_residual,
+                      theta_identity_sides, verify_sign_bridge,
+                      verify_triple_relations)
 from gausshyp.cli import RunConfig, build_parser, cmd_bench
 from oracles import brute_series
 
@@ -147,10 +148,11 @@ def test_criterion_6_ratio_identities():
     failures = []
     for (n, i), a in product(product(range(4), range(4)), (0.1, 0.3, 0.5, 0.7)):
         spec = IntegralSpec(a, n, i)
-        lhs, rhs = ratio_identity_sides(spec)
+        q_I, q_II = quad_I(spec), quad_II(spec)
+        lhs, rhs = ratio_identity_sides(spec, q_I, q_II)
         if abs(lhs - rhs) > 1e-8 * (1 + abs(lhs)):
             failures.append(("ratio", a, n, i))
-        lhs, rhs = theta_identity_sides(spec)
+        lhs, rhs = theta_identity_sides(spec, q_I, q_II)
         if abs(lhs - rhs) > 1e-8 * (1 + abs(lhs)):
             failures.append(("theta", a, n, i))
     _report(6, "both cross-family ratio identities hold to 1e-8 relative "

@@ -12,9 +12,12 @@ import sys
 
 import pytest
 
-from gausshyp import IntegralSpec, check_closed_form_I, check_closed_form_II
-from gausshyp.cli import (INTEGRAL_AS, INTEGRAL_NI, format_float, main,
-                          render_json)
+from gausshyp import (IntegralSpec, check_closed_form_I, check_closed_form_II,
+                      quad_I, quad_II, ratio_identity_sides,
+                      theta_identity_sides)
+from gausshyp import integrals
+from gausshyp.cli import (INTEGRAL_AS, INTEGRAL_NI, RunConfig,
+                          _verify_integrals, format_float, main, render_json)
 
 
 def run(capsys, *argv):
@@ -102,6 +105,16 @@ def test_eval_domain_error_exit_2(capsys):
         code, out, err = run(capsys, "eval", "-a", a, "-b", "1", "-c", c,
                              "-x", "0.5")
         assert code == 2 and out == "" and "finite" in err
+    # values past the float range: an exact prefactor (19/10)**2001, an
+    # exact parameter 1e400, and float prefactors 1.99**2000 and 1.99**2000.5
+    for argv in (["--mode", "exact", "-a=-2000", "-b=1/2", "-c=3/2", "-x=-9/10"],
+                 ["--mode", "exact", "-a=1e400", "-b=1", "-c=2", "-x=1/2"],
+                 ["-a=-2000", "-b=1", "-c=1", "-x=-0.99"],
+                 ["-a=-2000", "-b=1", "-c=1.5", "-x=-0.99"]):
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("domain error:") and err.count("\n") == 1
+        assert "float range" in err and "Traceback" not in err
 
 
 def test_eval_no_convergence_exit_3(capsys):
@@ -135,6 +148,43 @@ def test_closed_stdout_ends_cleanly():
     assert err == ""
 
 
+def test_closed_stdout_closes_the_null_device_fd(monkeypatch, tmp_path):
+    # in process, each broken pipe opens the null device once; that fd must
+    # not stay open after it has been duplicated onto stdout
+    opened = []
+    real_open = os.open
+
+    def recording_open(*args, **kwargs):
+        fd = real_open(*args, **kwargs)
+        opened.append(fd)
+        return fd
+
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(os, "open", recording_open)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(target.fileno()))
+        for _ in range(3):
+            assert main(["eval", "-a", "1", "-b", "1", "-c", "2",
+                         "-x", "0.5"]) == 0
+        monkeypatch.undo()
+    assert len(opened) == 3
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
 # ---- verify ----
 
 @pytest.mark.parametrize("suite", ["binom", "ode", "triple", "integrals"])
@@ -166,6 +216,28 @@ def test_verify_integrals_worst_residual_per_check(capsys):
         results = [check(spec) for spec in specs]
         assert worst[name] == max(abs(r.quadrature - r.closed_form)
                                   for r in results)
+    for name, sides in (("ratio-identity", ratio_identity_sides),
+                        ("theta-identity", theta_identity_sides)):
+        residuals = []
+        for spec in specs:
+            lhs, rhs = sides(spec, quad_I(spec), quad_II(spec))
+            residuals.append(abs(lhs - rhs))
+        assert worst[name] == max(residuals)
+
+
+def test_verify_integrals_runs_each_quadrature_once(monkeypatch):
+    # 64 specs, one quad_I and one quad_II each, shared by all four checks
+    calls = []
+    real = integrals._adaptive_gauss
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(integrals, "_adaptive_gauss", counting)
+    entries = _verify_integrals(RunConfig())
+    assert all(entry["status"] == "pass" for entry in entries)
+    assert len(calls) == 2 * len(INTEGRAL_AS) * len(INTEGRAL_NI) == 128
 
 
 def test_verify_looser_tol_still_passes(capsys):

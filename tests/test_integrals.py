@@ -9,13 +9,26 @@ import pytest
 import scipy.integrate
 
 from gausshyp import (DomainError, IntegralSpec, QuadratureFailureError,
-                      U_series, V_series, binom_char, check_closed_form_I,
-                      check_closed_form_II, closed_form_I, closed_form_II,
-                      eval_series, HypergeometricParams, quad_I,
-                      quad_II, ratio_identity_sides, theta_identity_sides,
-                      verify_ratio_identity, verify_sign_bridge,
-                      verify_theta_identity)
+                      binom_char, check_closed_form_I, check_closed_form_II,
+                      eval_series, HypergeometricParams, quad_I, quad_II,
+                      ratio_identity_sides, theta_identity_sides,
+                      verify_sign_bridge)
 from gausshyp.integrals import _adaptive_gauss
+
+
+def V(spec, tol=1e-12):
+    """The family-I character series, as the closed-form check reports it."""
+    return check_closed_form_I(spec, tol).series_value
+
+
+def U(spec, tol=1e-12):
+    """The family-II character series, as the closed-form check reports it."""
+    return check_closed_form_II(spec, tol).series_value
+
+
+def sides(identity, spec):
+    """Both sides of a cross-family identity at this spec's quadratures."""
+    return identity(spec, quad_I(spec), quad_II(spec))
 
 
 # ---- validation ----
@@ -81,24 +94,24 @@ def test_quadrature_failure():
 # ---- series sides ----
 
 def test_V_examples():
-    assert V_series(IntegralSpec(0.4, 0, 0)) == pytest.approx(1.0)
+    assert V(IntegralSpec(0.4, 0, 0)) == pytest.approx(1.0)
     a = 0.3
-    assert V_series(IntegralSpec(a, 1, 0)) == pytest.approx(1 + a * a)
-    assert V_series(IntegralSpec(a, 1, 1)) == pytest.approx(2.0)
+    assert V(IntegralSpec(a, 1, 0)) == pytest.approx(1 + a * a)
+    assert V(IntegralSpec(a, 1, 1)) == pytest.approx(2.0)
 
 
 def test_U_examples():
     a = 0.45
     y = 1 - a * a
-    assert U_series(IntegralSpec(a, 0, 0)) == pytest.approx(1 / y, rel=1e-10)
-    assert U_series(IntegralSpec(a, 1, 1)) == pytest.approx(-(y ** -3), rel=1e-10)
+    assert U(IntegralSpec(a, 0, 0)) == pytest.approx(1 / y, rel=1e-10)
+    assert U(IntegralSpec(a, 1, 1)) == pytest.approx(-(y ** -3), rel=1e-10)
 
 
 def test_U_vanishes_above_diagonal():
     # i > n makes the leading character zero, matching the zero integral
     for (n, i) in [(0, 1), (1, 2), (2, 3), (0, 3)]:
         spec = IntegralSpec(0.5, n, i)
-        assert U_series(spec) == 0.0
+        assert U(spec) == 0.0
         assert quad_II(spec) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -106,7 +119,7 @@ def test_U_small_modulus_limit():
     # as a -> 0 the sum collapses to its leading character
     for (n, i) in [(0, 0), (2, 1), (3, 3)]:
         lead = float(binom_char(-n - 1 + i, i))
-        assert U_series(IntegralSpec(1e-6, n, i)) == pytest.approx(lead, abs=1e-9)
+        assert U(IntegralSpec(1e-6, n, i)) == pytest.approx(lead, abs=1e-9)
 
 
 def test_V_is_scaled_terminating_series():
@@ -114,7 +127,7 @@ def test_V_is_scaled_terminating_series():
     for (a, n, i) in [(0.3, 2, 1), (0.7, 3, 0), (0.5, 1, 3), (0.9, 0, 0)]:
         base = eval_series(HypergeometricParams(i - n, -n, i + 1), a * a)
         expected = float(binom_char(n + i, i)) * float(base.value)
-        assert V_series(IntegralSpec(a, n, i)) == pytest.approx(expected, rel=1e-12)
+        assert V(IntegralSpec(a, n, i)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_U_is_scaled_transformed_series():
@@ -124,21 +137,23 @@ def test_U_is_scaled_transformed_series():
         base = eval_series(HypergeometricParams(n + 1, n + i + 1, i + 1),
                            a * a, tol=1e-14)
         expected = float(binom_char(i - n - 1, i)) * base.value
-        assert U_series(IntegralSpec(a, n, i), tol=1e-14) == pytest.approx(
+        assert U(IntegralSpec(a, n, i), tol=1e-14) == pytest.approx(
             expected, rel=1e-11)
 
 
 # ---- closed forms ----
 
 def test_closed_form_I_poisson_case():
-    assert closed_form_I(IntegralSpec(0.5, 0, 0)) == pytest.approx(math.pi / 0.75)
+    assert check_closed_form_I(IntegralSpec(0.5, 0, 0)).closed_form == \
+        pytest.approx(math.pi / 0.75)
 
 
 def test_closed_form_examples():
     a = 0.5
     expected = math.pi * a * 2 / 0.75 ** 3
-    assert closed_form_I(IntegralSpec(a, 1, 1)) == pytest.approx(expected)
-    assert closed_form_II(IntegralSpec(a, 1, 1)) == pytest.approx(-math.pi * a)
+    spec = IntegralSpec(a, 1, 1)
+    assert check_closed_form_I(spec).closed_form == pytest.approx(expected)
+    assert check_closed_form_II(spec).closed_form == pytest.approx(-math.pi * a)
 
 
 @pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
@@ -154,20 +169,20 @@ def test_closed_forms_match_quadrature(a, n, i):
 # ---- cross-family identities ----
 
 def test_ratio_identity_sides_value():
-    lhs, rhs = ratio_identity_sides(IntegralSpec(0.5, 1, 1))
+    lhs, rhs = sides(ratio_identity_sides, IntegralSpec(0.5, 1, 1))
     assert lhs == pytest.approx(-2 * math.pi * 0.5 / 0.75, rel=1e-10)
     assert rhs == pytest.approx(lhs, abs=1e-10)
 
 
 def test_theta_identity_sides_value():
-    lhs, rhs = theta_identity_sides(IntegralSpec(0.5, 1, 1))
+    lhs, rhs = sides(theta_identity_sides, IntegralSpec(0.5, 1, 1))
     assert lhs == pytest.approx(4 * math.pi / 3, rel=1e-10)
     assert rhs == pytest.approx(lhs, abs=1e-10)
 
 
 def test_theta_identity_zero_character_case():
     # binom(n, i) = 0 for i > n; the matching integral side vanishes too
-    lhs, rhs = theta_identity_sides(IntegralSpec(0.5, 1, 2))
+    lhs, rhs = sides(theta_identity_sides, IntegralSpec(0.5, 1, 2))
     assert lhs == 0.0
     assert rhs == pytest.approx(0.0, abs=1e-9)
 
@@ -176,10 +191,9 @@ def test_theta_identity_zero_character_case():
 @pytest.mark.parametrize("n,i", [(0, 0), (1, 1), (2, 1), (3, 3), (0, 2)])
 def test_identity_residuals(a, n, i):
     spec = IntegralSpec(a, n, i)
-    lhs, _ = ratio_identity_sides(spec)
-    assert verify_ratio_identity(spec) <= 1e-8 * (1 + abs(lhs))
-    lhs, _ = theta_identity_sides(spec)
-    assert verify_theta_identity(spec) <= 1e-8 * (1 + abs(lhs))
+    for identity in (ratio_identity_sides, theta_identity_sides):
+        lhs, rhs = sides(identity, spec)
+        assert abs(lhs - rhs) <= 1e-8 * (1 + abs(lhs))
 
 
 def test_sign_bridge():
