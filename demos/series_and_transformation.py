@@ -2,7 +2,7 @@
 
 Evaluates s(a, b; c; x) through the raw series and through
 (1-x)**(c-a-b) z, compares term counts across x, and shows the selector
-picking the cheaper side.
+picking the side that took fewer terms.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ def sweep(a, b, c):
     for x in (0.1, 0.3, 0.5, 0.7, 0.9):
         raw = eval_series(params, x)
         tr = eval_transformed(params, x)
-        choice = select_representation(params, x)
+        choice = select_representation(raw, tr)
         print(f"{x:>5} {raw.terms_used:>10} {tr.terms_used:>12} "
               f"{choice.representation.value:>12}   {raw.value:.15g}")
         assert abs(raw.value - tr.value) <= 1e-10 * (1 + abs(raw.value))
@@ -35,11 +35,13 @@ def main():
     # is infinite, so the selector flips
     sweep(-2, 3, 1.5)
 
-    # neither side terminates and the estimates tie; raw wins by default
+    # neither side terminates; raw wins at every x because it takes
+    # fewer terms than the transformed side
     sweep(0.5, 0.5, 1.5)
 
     params = HypergeometricParams(3, 1, 2)
-    choice = select_representation(params, 0.9)
+    choice = select_representation(eval_series(params, 0.9),
+                                   eval_transformed(params, 0.9))
     print(f"\nselector reason at x=0.9 for (3,1,2): {choice.reason}")
 
 

@@ -22,10 +22,10 @@ from .series import (EXACT_DEGREE_CAP, HypergeometricParams, OdeResidual,
                      termination_index)
 from .transform import (Representation, RepresentationChoice,
                         TransformedParams, TripleParams, TripleRelationCheck,
-                        TripleSums, character_series, estimate_terms,
-                        eval_transformed, euler_transform_params,
-                        params_from_triple, select_representation,
-                        triple_params, triple_sums, verify_triple_relations)
+                        TripleSums, character_series, eval_transformed,
+                        euler_transform_params, params_from_triple,
+                        select_representation, triple_params, triple_sums,
+                        verify_triple_relations)
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,7 @@ __all__ = [
     "termination_index",
     "Representation", "RepresentationChoice", "TransformedParams",
     "TripleParams", "TripleRelationCheck", "TripleSums", "character_series",
-    "estimate_terms", "eval_transformed", "euler_transform_params",
-    "params_from_triple", "select_representation", "triple_params",
-    "triple_sums", "verify_triple_relations",
+    "eval_transformed", "euler_transform_params", "params_from_triple",
+    "select_representation", "triple_params", "triple_sums",
+    "verify_triple_relations",
 ]

@@ -30,7 +30,7 @@ from .errors import (DomainError, NoConvergenceError, QuadratureFailureError)
 from .integrals import (IntegralSpec, check_closed_form_I,
                         check_closed_form_II, ratio_identity_sides,
                         theta_identity_sides, verify_sign_bridge)
-from .scalar import Scalar, parse_scalar
+from .scalar import Scalar, check_finite, parse_scalar
 from .series import (HypergeometricParams, coefficients, eval_series,
                      ode_residual, operator_identity_residual)
 from .transform import (TripleParams, eval_transformed, select_representation,
@@ -172,7 +172,9 @@ def cmd_eval(args, config: RunConfig):
 
     raw = eval_series(params, x, config.tol, config.max_terms)
     trans = eval_transformed(params, x, config.tol, config.max_terms)
-    choice = select_representation(params, x, config.tol)
+    check_finite("raw value", raw.value)
+    check_finite("transformed value", trans.value)
+    choice = select_representation(raw, trans)
     residual = abs(float(raw.value) - float(trans.value))
     allowance = 100.0 * config.tol * (1.0 + abs(float(raw.value)))
     ok = residual <= allowance
@@ -374,14 +376,12 @@ def cmd_bench(args, config: RunConfig):
             try:
                 raw = eval_series(params, x, config.tol, config.max_terms)
                 trans = eval_transformed(params, x, config.tol, config.max_terms)
-                choice = select_representation(params, x, config.tol)
+                choice = select_representation(raw, trans)
                 row.update({
                     "raw_terms": raw.terms_used,
                     "raw_terminated": raw.terminated,
                     "transformed_terms": trans.terms_used,
                     "transformed_terminated": trans.terminated,
-                    "raw_estimate": choice.raw_estimate,
-                    "transformed_estimate": choice.transformed_estimate,
                     "selected": choice.representation.value,
                     "status": "ok",
                 })
@@ -389,7 +389,6 @@ def cmd_bench(args, config: RunConfig):
                 row.update({
                     "raw_terms": None, "raw_terminated": None,
                     "transformed_terms": None, "transformed_terminated": None,
-                    "raw_estimate": None, "transformed_estimate": None,
                     "selected": None, "status": "no-convergence",
                 })
             rows.append(row)

@@ -55,10 +55,11 @@ def check_index(name: str, value: int) -> None:
 def check_finite(name: str, value: Scalar) -> None:
     """Reject a float inf or nan, and an exact value past the float range."""
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-    elif abs(value.numerator) > _FLOAT_MAX * value.denominator:
-        raise DomainError(f"{name} must lie inside the float range")
+        inside = math.isfinite(value)
+    else:
+        inside = abs(value.numerator) <= _FLOAT_MAX * value.denominator
+    if not inside:
+        raise DomainError(f"{name} must be finite, inside the float range")
 
 
 def parse_scalar(text: str, exact: bool) -> Scalar:

@@ -15,7 +15,6 @@ pairings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,7 +22,7 @@ from .binom import binom_char
 from .errors import DomainError
 from .scalar import Scalar, as_integer, check_index, is_exact, power
 from .series import (HypergeometricParams, SeriesEvaluation, check_budget,
-                     check_eval_point, eval_series, termination_index)
+                     check_eval_point, eval_series)
 
 
 # ---- parameter maps ----
@@ -109,56 +108,34 @@ class Representation(str, Enum):
 
 @dataclass(frozen=True)
 class RepresentationChoice:
+    """The representation to report for one point, and why."""
+
     representation: Representation
     reason: str
-    raw_estimate: int
-    transformed_estimate: int
 
 
-def estimate_terms(params: HypergeometricParams, x: Scalar,
-                   tol: float = 1e-12) -> int:
-    """Geometric-model term count at x.
+def select_representation(raw: SeriesEvaluation,
+                          transformed: SeriesEvaluation) -> RepresentationChoice:
+    """Pick the cheaper of two sums of the same s(a, b; c; x).
 
-    Exact for terminating series; otherwise ceil(log tol / log |x|), since
-    the term ratio tends to |x|.  A heuristic, not a certified count.
+    A side that terminated wins over one that did not; otherwise the side
+    that took fewer terms wins, with ties going to raw.
     """
-    m = termination_index(params)
-    if m is not None:
-        return m + 1
-    xf = abs(float(x))
-    if xf == 0.0:
-        return 1
-    return max(1, math.ceil(math.log(tol) / math.log(xf)))
-
-
-def select_representation(params: HypergeometricParams, x: Scalar,
-                          tol: float = 1e-12) -> RepresentationChoice:
-    """Pick the cheaper of the raw and transformed representations.
-
-    A terminating side always wins over a non-terminating one; otherwise
-    the smaller estimated term count wins, with ties going to raw.
-    """
-    zp = euler_transform_params(params).as_params()
-    m_raw = termination_index(params)
-    m_z = termination_index(zp)
-    est_raw = estimate_terms(params, x, tol)
-    est_z = estimate_terms(zp, x, tol)
-    if m_z is not None and m_raw is None:
-        choice, reason = Representation.TRANSFORMED, (
-            f"transformed series terminates after {m_z + 1} terms; raw does not")
-    elif m_raw is not None and m_z is None:
-        choice, reason = Representation.RAW, (
-            f"raw series terminates after {m_raw + 1} terms; transformed does not")
-    elif est_z < est_raw:
-        choice, reason = Representation.TRANSFORMED, (
-            f"estimated {est_z} terms vs {est_raw} raw")
-    elif est_raw < est_z:
-        choice, reason = Representation.RAW, (
-            f"estimated {est_raw} terms vs {est_z} transformed")
-    else:
-        choice, reason = Representation.RAW, (
-            f"both sides estimate {est_raw} terms; tie goes to raw")
-    return RepresentationChoice(choice, reason, est_raw, est_z)
+    n_raw, n_tr = raw.terms_used, transformed.terms_used
+    if transformed.terminated and not raw.terminated:
+        return RepresentationChoice(Representation.TRANSFORMED,
+            f"transformed series terminates after {n_tr} terms; raw does not")
+    if raw.terminated and not transformed.terminated:
+        return RepresentationChoice(Representation.RAW,
+            f"raw series terminates after {n_raw} terms; transformed does not")
+    if n_tr < n_raw:
+        return RepresentationChoice(Representation.TRANSFORMED,
+                                    f"{n_tr} terms vs {n_raw} raw")
+    if n_raw < n_tr:
+        return RepresentationChoice(Representation.RAW,
+                                    f"{n_raw} terms vs {n_tr} transformed")
+    return RepresentationChoice(Representation.RAW,
+                                f"both sides take {n_raw} terms; tie goes to raw")
 
 
 # ---- character series ----

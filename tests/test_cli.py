@@ -106,15 +106,28 @@ def test_eval_domain_error_exit_2(capsys):
                              "-x", "0.5")
         assert code == 2 and out == "" and "finite" in err
     # values past the float range: an exact prefactor (19/10)**2001, an
-    # exact parameter 1e400, and float prefactors 1.99**2000 and 1.99**2000.5
+    # exact parameter 1e400, float prefactors 1.99**2000 and 1.99**2000.5,
+    # and a raw polynomial whose float and exact sums pass the float range
     for argv in (["--mode", "exact", "-a=-2000", "-b=1/2", "-c=3/2", "-x=-9/10"],
                  ["--mode", "exact", "-a=1e400", "-b=1", "-c=2", "-x=1/2"],
                  ["-a=-2000", "-b=1", "-c=1", "-x=-0.99"],
-                 ["-a=-2000", "-b=1", "-c=1.5", "-x=-0.99"]):
+                 ["-a=-2000", "-b=1", "-c=1.5", "-x=-0.99"],
+                 ["-a=-1020", "-b=3", "-c=1", "-x=-0.99"],
+                 ["--mode", "exact", "-a=-1020", "-b=3", "-c=1", "-x=-99/100"]):
         code, out, err = run(capsys, "eval", *argv)
         assert code == 2 and out == ""
         assert err.startswith("domain error:") and err.count("\n") == 1
         assert "float range" in err and "Traceback" not in err
+
+
+def test_eval_selects_the_side_with_fewer_terms(capsys):
+    # neither side terminates: raw takes 56 terms, transformed 21
+    code, out, _ = run(capsys, "eval", "-a", "1.5", "-b", "2.5", "-c", "0.6",
+                       "-x", "0.5")
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["selected_representation"] == "transformed"
+    assert outputs["transformed_terms_used"] < outputs["terms_used"]
 
 
 def test_eval_no_convergence_exit_3(capsys):
@@ -270,6 +283,9 @@ def test_bench_csv_default_grid(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     header, data = rows[0], rows[1:]
+    assert header == ["a", "b", "c", "x", "raw_terms", "raw_terminated",
+                      "transformed_terms", "transformed_terminated",
+                      "selected", "status"]
     assert len(data) == 25  # 5 parameter sets x 5 points
     sel = header.index("selected")
     raw_terms = header.index("raw_terms")

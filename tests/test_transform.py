@@ -9,7 +9,7 @@ import pytest
 
 from gausshyp import (DomainError, HypergeometricParams, Representation,
                       TripleParams, binom_char, character_series,
-                      estimate_terms, eval_series, eval_transformed,
+                      eval_series, eval_transformed,
                       euler_transform_params, params_from_triple,
                       select_representation, termination_index, triple_params,
                       triple_sums, verify_triple_relations)
@@ -107,30 +107,48 @@ def test_transformed_matches_product_oracle():
 
 # ---- representation choice ----
 
+def select(params, x):
+    """The selector's choice at (params, x), with the two sums it compared."""
+    raw, tr = eval_series(params, x), eval_transformed(params, x)
+    return select_representation(raw, tr), raw, tr
+
+
 def test_select_transformed_only_terminating():
-    choice = select_representation(P(3, 1, 2), 0.5)
+    choice, raw, tr = select(P(3, 1, 2), 0.5)
     assert choice.representation is Representation.TRANSFORMED
-    assert choice.transformed_estimate == 2
+    assert tr.terms_used == 2 and not raw.terminated
+    assert "terminates after 2 terms" in choice.reason
 
 
 def test_select_raw_only_terminating():
-    choice = select_representation(P(-2, 3, F(3, 2)), 0.5)
+    choice, raw, tr = select(P(-2, 3, F(3, 2)), 0.5)
     assert choice.representation is Representation.RAW
-    assert choice.raw_estimate == 3
+    assert raw.terms_used == 3 and not tr.terminated
+    assert "terminates after 3 terms" in choice.reason
 
 
 def test_select_tie_goes_to_raw():
-    both = select_representation(P(-2, 3, 1), 0.5)    # both terminate at 3
+    both, raw, tr = select(P(-2, 3, 1), 0.5)         # both terminate: 3 and 3
+    assert (raw.terms_used, tr.terms_used) == (3, 3)
     assert both.representation is Representation.RAW
-    neither = select_representation(P(1, 1, 2), 0.5)  # symmetric estimates
+    neither, raw, tr = select(P(1, 1, 2), 0.5)       # neither: 36 and 36
+    assert (raw.terms_used, tr.terms_used) == (36, 36)
     assert neither.representation is Representation.RAW
     assert "tie" in neither.reason
 
 
-def test_estimate_terms():
-    assert estimate_terms(P(-2, 3, 1), 0.9) == 3
-    assert estimate_terms(P(1, 1, 2), F(0)) == 1
-    assert estimate_terms(P(1, 1, 2), 0.1, tol=1e-12) == 12
+def test_select_never_takes_the_costlier_side():
+    rng = random.Random(20120)
+    for _ in range(300):
+        params = P(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0.5, 5))
+        x = rng.choice((-0.9, -0.5, 0.2, 0.5, 0.9))
+        choice, raw, tr = select(params, x)
+        chosen, other = ((tr, raw)
+                         if choice.representation is Representation.TRANSFORMED
+                         else (raw, tr))
+        if chosen.terminated and not other.terminated:
+            continue
+        assert chosen.terms_used <= other.terms_used, (params, x, choice)
 
 
 # ---- character series ----
