@@ -30,7 +30,7 @@ from .errors import (DomainError, NoConvergenceError, QuadratureFailureError)
 from .integrals import (IntegralSpec, check_closed_form_I,
                         check_closed_form_II, ratio_identity_sides,
                         theta_identity_sides, verify_sign_bridge)
-from .scalar import Scalar, check_finite, parse_scalar
+from .scalar import Scalar, check_finite, check_printable, parse_scalar
 from .series import (HypergeometricParams, coefficients, eval_series,
                      ode_residual, operator_identity_residual)
 from .transform import (TripleParams, eval_transformed, select_representation,
@@ -172,11 +172,14 @@ def cmd_eval(args, config: RunConfig):
 
     raw = eval_series(params, x, config.tol, config.max_terms)
     trans = eval_transformed(params, x, config.tol, config.max_terms)
-    check_finite("raw value", raw.value)
-    check_finite("transformed value", trans.value)
+    for name, value in (("raw value", raw.value),
+                        ("transformed value", trans.value)):
+        check_finite(name, value)
+        check_printable(name, value)
     choice = select_representation(raw, trans)
     residual = abs(float(raw.value) - float(trans.value))
     allowance = 100.0 * config.tol * (1.0 + abs(float(raw.value)))
+    check_finite("agreement allowance", allowance)
     ok = residual <= allowance
 
     report = {

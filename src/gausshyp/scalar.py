@@ -62,6 +62,24 @@ def check_finite(name: str, value: Scalar) -> None:
         raise DomainError(f"{name} must be finite, inside the float range")
 
 
+def check_printable(name: str, value: Scalar) -> None:
+    """Reject an exact value with a numerator or denominator of more decimal
+    digits than the interpreter converts to text (sys.get_int_max_str_digits,
+    no limit when zero)."""
+    limit = sys.get_int_max_str_digits()
+    if isinstance(value, float) or not limit:
+        return
+    for part in (abs(value.numerator), value.denominator):
+        if part.bit_length() > 3 * limit:  # 2**(3 limit) < 10**limit
+            digits = int((part.bit_length() - 1) * math.log10(2))
+            while part >= 10 ** digits:
+                digits += 1
+            if digits > limit:
+                raise DomainError(f"{name} has a {digits}-digit numerator or "
+                                  f"denominator, past the {limit}-digit limit "
+                                  "for printing an integer")
+
+
 def parse_scalar(text: str, exact: bool) -> Scalar:
     """Parse a command-line number.
 
@@ -74,6 +92,7 @@ def parse_scalar(text: str, exact: bool) -> Scalar:
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse number {text!r}: {exc}") from None
     check_finite("number", value)
+    check_printable("number", value)
     return value
 
 

@@ -11,7 +11,9 @@ through the coefficient recurrence
 in exact rational arithmetic or in doubles, depending on the inputs.  When a
 or b is a nonpositive integer the series is a polynomial and is summed
 completely; otherwise summation stops once a geometric tail bound falls
-below the requested tolerance.
+below the requested tolerance.  An exact sum steps one integer numerator
+and one integer denominator per term and is normalized to lowest terms
+once, when it is returned.
 """
 
 from __future__ import annotations
@@ -90,9 +92,9 @@ def check_eval_point(x: Scalar) -> None:
 
 
 def check_budget(tol: float, max_terms: int) -> None:
-    """Reject a nonpositive tol or a term budget below one."""
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    """Reject a tol that is not positive and finite, or a budget below one."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     if max_terms < 1:
         raise DomainError(f"max_terms must be >= 1, got {max_terms}")
 
@@ -164,12 +166,19 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     inputs are exact).  Otherwise terms accumulate until the geometric
     majorant bound on the remaining tail drops to tol; a term beyond the
     float range leaves the bound unmet.
+
+    Exact sums run on integers: with a = na/da, b = nb/db, c = nc/dc and
+    x = nx/dx, term k is P/Q and the partial sum T/Q, and each step
+    multiplies in p(k) = (na + k da)(nb + k db) nx dc and
+    q(k) = (k+1)(nc + k dc) da db dx.  No gcd is taken until the sum is
+    returned as Fraction(T, Q), so the value is the one a Fraction term
+    loop gives, and since P/Q rounds to the same double as the reduced
+    term, so are terms_used and tail_bound.
     """
     check_eval_point(x)
     check_budget(tol, max_terms)
     a, b, c = params.a, params.b, params.c
     exact = params.exact() and is_exact(x)
-    one: Scalar = Fraction(1) if exact else 1.0
 
     # a terminating sum runs to its last term without a majorant check;
     # any other sum checks its majorant from term k0 on
@@ -180,31 +189,45 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
                 f"series terminates after {stop + 1} terms but max_terms={max_terms}")
         last, k0 = stop, max_terms
     elif x == 0:
-        return SeriesEvaluation(one, 1, False, 0.0)
+        return SeriesEvaluation(Fraction(1) if exact else 1.0, 1, False, 0.0)
     else:
         af, bf, cf, xf = float(a), float(b), float(c), float(x)
         last, k0 = max_terms - 1, _positivity_index(af, bf, cf)
 
-    term = one
-    total = one
+    if exact:
+        na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+        nc, dc = c.numerator, c.denominator
+        nx_dc, dabx = x.numerator * dc, da * db * x.denominator
+        P = Q = T = 1
+    else:
+        term = total = 1.0
+    terminated = False
     for k in range(last + 1):
         if k >= k0:
             rho = _ratio_majorant(af, bf, cf, xf, k)
             if rho < 1.0:
                 try:
-                    bound = abs(float(term)) * rho / (1.0 - rho)
+                    bound = abs(P / Q if exact else term) * rho / (1.0 - rho)
                 except OverflowError:  # an exact term past the float range
                     bound = math.inf
                 if bound <= tol:
-                    return SeriesEvaluation(total, k + 1, False, bound)
+                    break
         if k == last:
+            if stop is None:
+                raise NoConvergenceError(
+                    f"tail bound still above tol={tol} after {max_terms} terms")
+            terminated, bound = True, 0.0
             break
-        term = term * (a + k) * (b + k) / ((k + 1) * (c + k)) * x
-        total = total + term
-    if stop is not None:
-        return SeriesEvaluation(total, stop + 1, True, 0.0)
-    raise NoConvergenceError(
-        f"tail bound still above tol={tol} after {max_terms} terms")
+        if exact:
+            q = (k + 1) * (nc + k * dc) * dabx
+            P *= (na + k * da) * (nb + k * db) * nx_dc
+            Q *= q
+            T = T * q + P
+        else:
+            term = term * (a + k) * (b + k) / ((k + 1) * (c + k)) * x
+            total = total + term
+    return SeriesEvaluation(Fraction(T, Q) if exact else total, k + 1,
+                            terminated, bound)
 
 
 # ---- polynomial helpers (dense coefficient lists, index = power) ----

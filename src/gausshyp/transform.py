@@ -20,7 +20,8 @@ from enum import Enum
 
 from .binom import binom_char
 from .errors import DomainError
-from .scalar import Scalar, as_integer, check_index, is_exact, power
+from .scalar import (Scalar, as_integer, check_finite, check_index, is_exact,
+                     power)
 from .series import (HypergeometricParams, SeriesEvaluation, check_budget,
                      check_eval_point, eval_series)
 
@@ -93,6 +94,8 @@ def eval_transformed(params: HypergeometricParams, x: Scalar,
     factor_mag = abs(float(factor))
     z_tol = tol / factor_mag if factor_mag > 0.0 else tol
     z = eval_series(tp.as_params(), x, z_tol, max_terms)
+    if not is_exact(factor):  # an exact z takes float() in the product
+        check_finite("transformed series value", z.value)
     return SeriesEvaluation(
         value=factor * z.value,
         terms_used=z.terms_used,

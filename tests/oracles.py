@@ -2,13 +2,19 @@
 
 Everything here recomputes values from explicit closed-form products, never
 through the library's recurrences, so agreement is a genuine cross-check
-rather than the same code run twice.  Exact inputs only.
+rather than the same code run twice.  Exact inputs only.  The one exception
+is ``fraction_eval_series``, which keeps the library's stopping rule and
+steps every term in ``Fraction`` arithmetic, as a reference for the integer
+arithmetic of ``eval_series``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from gausshyp import NoConvergenceError, termination_index
+from gausshyp.series import _positivity_index, _ratio_majorant
 
 
 def brute_binom(m, k: int) -> Fraction:
@@ -44,3 +50,40 @@ def brute_char_sum(m1, m2, shift: int, x, terms: int) -> Fraction:
     x = Fraction(x)
     return sum((brute_binom(m1, k) * brute_binom(m2, shift + k) * x ** k
                 for k in range(terms)), Fraction(0))
+
+
+def fraction_eval_series(params, x, tol: float, max_terms: int):
+    """(value, terms_used, terminated, tail_bound) of a Fraction term loop.
+
+    The stopping rule of ``eval_series``, with each term reduced to lowest
+    terms as it is formed and added; raises NoConvergenceError where it does.
+    """
+    a, b, c = params.a, params.b, params.c
+    stop = termination_index(params)
+    if stop is not None:
+        if stop + 1 > max_terms:
+            raise NoConvergenceError("terminating sum over budget")
+        last, k0 = stop, max_terms
+    elif x == 0:
+        return Fraction(1), 1, False, 0.0
+    else:
+        af, bf, cf, xf = float(a), float(b), float(c), float(x)
+        last, k0 = max_terms - 1, _positivity_index(af, bf, cf)
+    term = total = Fraction(1)
+    for k in range(last + 1):
+        if k >= k0:
+            rho = _ratio_majorant(af, bf, cf, xf, k)
+            if rho < 1.0:
+                try:
+                    bound = abs(float(term)) * rho / (1.0 - rho)
+                except OverflowError:
+                    bound = math.inf
+                if bound <= tol:
+                    return total, k + 1, False, bound
+        if k == last:
+            break
+        term = term * (a + k) * (b + k) / ((k + 1) * (c + k)) * x
+        total = total + term
+    if stop is not None:
+        return total, stop + 1, True, 0.0
+    raise NoConvergenceError("tail bound still above tol")

@@ -107,17 +107,33 @@ def test_eval_domain_error_exit_2(capsys):
         assert code == 2 and out == "" and "finite" in err
     # values past the float range: an exact prefactor (19/10)**2001, an
     # exact parameter 1e400, float prefactors 1.99**2000 and 1.99**2000.5,
-    # and a raw polynomial whose float and exact sums pass the float range
+    # a raw polynomial whose float and exact sums pass the float range, an
+    # exact z times a prefactor (1/2)**2000.2 that underflows to 0.0, and
+    # an agreement allowance 100 tol (1 + |value|) at tol = 1e307
     for argv in (["--mode", "exact", "-a=-2000", "-b=1/2", "-c=3/2", "-x=-9/10"],
                  ["--mode", "exact", "-a=1e400", "-b=1", "-c=2", "-x=1/2"],
                  ["-a=-2000", "-b=1", "-c=1", "-x=-0.99"],
                  ["-a=-2000", "-b=1", "-c=1.5", "-x=-0.99"],
                  ["-a=-1020", "-b=3", "-c=1", "-x=-0.99"],
-                 ["--mode", "exact", "-a=-1020", "-b=3", "-c=1", "-x=-99/100"]):
+                 ["--mode", "exact", "-a=-1020", "-b=3", "-c=1", "-x=-99/100"],
+                 ["--mode", "exact", "-a=-2000", "-b=1/3", "-c=5/9", "-x=1/2"],
+                 ["-a", "1", "-b", "1", "-c", "2", "-x", "0.5", "--tol", "1e307"]):
         code, out, err = run(capsys, "eval", *argv)
         assert code == 2 and out == ""
         assert err.startswith("domain error:") and err.count("\n") == 1
         assert "float range" in err and "Traceback" not in err
+    # a tol of inf, an exact sum and an exact input with more digits than
+    # the interpreter converts to text (9236 and 5001 against 4300)
+    for argv, word in ((["-a", "1", "-b", "1", "-c", "2", "-x", "0.5",
+                         "--tol", "inf"], "tol"),
+                       (["--mode", "exact", "-a=1/3", "-b=2/7", "-c=5/9",
+                         "-x=99/100"], "digit"),
+                       (["--mode", "exact", "-a=1", "-b=1", "-c=2",
+                         "-x=1e-5000"], "digit")):
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("domain error:") and err.count("\n") == 1
+        assert word in err and "Traceback" not in err
 
 
 def test_eval_selects_the_side_with_fewer_terms(capsys):

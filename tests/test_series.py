@@ -7,12 +7,14 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from gausshyp import (EXACT_DEGREE_CAP, DomainError, HypergeometricParams,
                       InvalidCError, NoConvergenceError, coefficients,
                       eval_series, ode_residual, operator_identity_residual,
                       substitution_residual, termination_index)
-from oracles import brute_coefficient, brute_series
+from oracles import brute_coefficient, brute_series, fraction_eval_series
 
 P = HypergeometricParams
 
@@ -177,6 +179,65 @@ def test_against_mpmath(a, b, c, x):
     out = eval_series(P(a, b, c), x, tol=1e-13, max_terms=100000)
     expected = float(mpmath.hyp2f1(a, b, c, x))
     assert abs(out.value - expected) <= 5e-12 * (1 + abs(expected))
+
+
+# ---- exact sums against the Fraction term loop ----
+
+exact_scalars = st.one_of(
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+    st.integers(-40, 40), st.integers(-40, 40).map(F))
+exact_points = st.fractions(min_value=F(-11, 12), max_value=F(11, 12),
+                            max_denominator=12)
+
+
+@st.composite
+def exact_triples(draw):
+    """(a, b, c), forced in some draws to terminate raw or transformed."""
+    a, b, c = draw(exact_scalars), draw(exact_scalars), draw(exact_scalars)
+    if F(c).denominator == 1 and c <= 0:
+        c -= F(1, 2)  # c may not be zero or a negative integer
+    n = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["generic", "raw stops", "transformed stops"]))
+    if kind == "raw stops":
+        a = -n
+    elif kind == "transformed stops":
+        b = c + n
+    return a, b, c
+
+
+def _outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except NoConvergenceError:
+        return None
+
+
+@seed(1998)
+@settings(max_examples=100, deadline=None)
+@given(exact_triples(), exact_points,
+       st.sampled_from([1e-3, 1e-8, 1e-12, 1e-16]), st.integers(1, 1500))
+@example((F(7, 3), F(-5, 2), F(-37, 4)), F(5, 6), 1e-12, 300)  # q(k) < 0 first
+@example((3, 5, 7), F(-2, 3), 1e-12, 300)                      # plain ints, x < 0
+@example((F(4), F(9), F(2)), F(1, 2), 1e-8, 300)               # integer Fractions
+@example((F(5, 2), F(1, 3), F(-7, 2)), 0, 1e-12, 10)           # x = 0
+@example((-30, F(7, 5), F(-3, 2)), F(-11, 12), 1e-12, 300)     # raw terminates
+@example((F(1, 3), F(17, 4), F(5, 4)), F(3, 4), 1e-12, 300)    # transformed terminates
+@example((F(39, 2), F(77, 3), F(1, 12)), F(11, 12), 1e-12, 50)  # budget runs out
+@example((-40, 1, 1), F(1, 2), 1e-12, 10)                      # polynomial over budget
+def test_exact_sum_matches_the_fraction_loop(abc, x, tol, max_terms):
+    # the integer numerator/denominator loop must give the Fraction loop's
+    # value, term count, termination and tail bound bit for bit, on the
+    # raw and the Euler-transformed parameters
+    a, b, c = abc
+    for params in (P(a, b, c), P(c - a, c - b, c)):
+        got = _outcome(eval_series, params, x, tol, max_terms)
+        want = _outcome(fraction_eval_series, params, x, tol, max_terms)
+        if want is None:
+            assert got is None
+        else:
+            assert type(got.value) is F
+            assert (got.value, got.terms_used, got.terminated,
+                    got.tail_bound) == want
 
 
 # ---- differential-operator residuals ----
