@@ -1,13 +1,15 @@
 """Generalized binomial coefficients with arbitrary real upper index.
 
-``binom_char(m, k)`` is the coefficient of v**k in (1+v)**m, computed by the
-running product m(m-1)...(m-k+1)/k!.  No factorials are ever formed, so
-negative and fractional upper indices work the same way as integers, and
-exact inputs give exact rational outputs.
+``binom_char(m, k)`` is the coefficient of v**k in (1+v)**m, the falling
+factorial m(m-1)...(m-k+1) over k!.  Negative and fractional upper indices
+work the same way as integers.  An exact m = p/q gives the exact rational
+(p)(p-q)...(p-(k-1)q) / (q**k k!), formed on integers and reduced once; a
+float m gives the running product of (m-j+1)/j in doubles.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .scalar import Scalar, check_index, is_exact
@@ -16,10 +18,16 @@ from .scalar import Scalar, check_index, is_exact
 def binom_char(m: Scalar, k: int) -> Scalar:
     """Coefficient of v**k in (1+v)**m: the product of (m-j+1)/j for j=1..k."""
     check_index("lower index", k)
-    value: Scalar = Fraction(1) if is_exact(m) else 1.0
-    for j in range(1, k + 1):
-        value = value * (m - j + 1) / j
-    return value
+    if not is_exact(m):
+        value = 1.0
+        for j in range(1, k + 1):
+            value = value * (m - j + 1) / j
+        return value
+    p, q = m.numerator, m.denominator
+    num = 1
+    for j in range(k):
+        num *= p - j * q
+    return Fraction(num, q ** k * math.factorial(k))
 
 
 def reflect_char(m: Scalar, k: int) -> Scalar:

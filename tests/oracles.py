@@ -2,10 +2,14 @@
 
 Everything here recomputes values from explicit closed-form products, never
 through the library's recurrences, so agreement is a genuine cross-check
-rather than the same code run twice.  Exact inputs only.  The one exception
-is ``fraction_eval_series``, which keeps the library's stopping rule and
-steps every term in ``Fraction`` arithmetic, as a reference for the integer
-arithmetic of ``eval_series``.
+rather than the same code run twice.  Exact inputs only.  The exceptions
+are the references for the library's integer arithmetic:
+``fraction_eval_series``, which keeps the library's stopping rule and steps
+every term in ``Fraction`` arithmetic; ``fraction_coefficients``,
+``fraction_ode_residual`` and ``fraction_operator_identity_residual``, which
+build the coefficients and the operator residuals one ``Fraction``
+operation at a time (floats too); and ``float_binom``, the running product
+of (m-j+1)/j in doubles.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ import math
 from fractions import Fraction
 
 from gausshyp import NoConvergenceError, termination_index
-from gausshyp.series import _positivity_index, _ratio_majorant
+from gausshyp.series import (_poly_derivative, _poly_mul, _poly_scale,
+                             _poly_sum, _positivity_index, _ratio_majorant,
+                             _shift)
 
 
 def brute_binom(m, k: int) -> Fraction:
@@ -23,6 +29,15 @@ def brute_binom(m, k: int) -> Fraction:
     for j in range(k):
         num *= Fraction(m) - j
     return num / math.factorial(k)
+
+
+def float_binom(m: float, k: int) -> float:
+    """Coefficient of v**k in (1+v)**m for a float m: the product of
+    (m-j+1)/j for j = 1..k, in that order."""
+    value = 1.0
+    for j in range(1, k + 1):
+        value = value * (m - j + 1) / j
+    return value
 
 
 def brute_coefficient(a, b, c, k: int) -> Fraction:
@@ -87,3 +102,48 @@ def fraction_eval_series(params, x, tol: float, max_terms: int):
     if stop is not None:
         return total, stop + 1, True, 0.0
     raise NoConvergenceError("tail bound still above tol")
+
+
+def fraction_coefficients(params, degree: int) -> list:
+    """c_0 .. c_degree by the recurrence, one Fraction (or float) per step."""
+    a, b, c = params.a, params.b, params.c
+    coeffs = [Fraction(1) if params.exact() else 1.0]
+    for k in range(degree):
+        coeffs.append(coeffs[k] * (a + k) * (b + k) / ((k + 1) * (c + k)))
+    return coeffs
+
+
+def fraction_ode_residual(params, degree: int) -> list:
+    """Coefficients of x(1-x) s'' + [c-(a+b+1)x] s' - ab s on the
+    degree-N truncation, through x**(N+1)."""
+    coeffs = fraction_coefficients(params, degree)
+    a, b, c = params.a, params.b, params.c
+    d1 = _poly_derivative(coeffs)
+    d2 = _poly_derivative(d1)
+    return _poly_sum(
+        _poly_mul([0, 1, -1], d2),
+        _poly_mul([c, -(a + b + 1)], d1),
+        _poly_scale(coeffs, -(a * b)),
+        length=degree + 2,
+    )
+
+
+def fraction_operator_identity_residual(params, degree: int) -> list:
+    """Left minus right side of the pre-division operator identity on the
+    basis x**(b-1+j), j = 0..degree."""
+    coeffs = fraction_coefficients(params, degree)
+    a, b, c = params.a, params.b, params.c
+    d1 = _poly_derivative(coeffs)
+    d2 = _poly_derivative(d1)
+    lhs = _poly_sum(
+        _shift(d2, 2),
+        _poly_scale(_shift(d1, 1), a + b + 1),
+        _poly_scale(coeffs, a * b),
+        length=degree + 1,
+    )
+    rhs = _poly_sum(
+        _shift(d2, 1),
+        _poly_scale(d1, c),
+        length=degree + 1,
+    )
+    return [lv - rv for lv, rv in zip(lhs, rhs)]

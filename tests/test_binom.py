@@ -6,11 +6,11 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
 from gausshyp import DomainError, binom_char, reflect_char
-from oracles import brute_binom
+from oracles import brute_binom, float_binom
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
 
@@ -68,9 +68,27 @@ def test_bad_lower_index():
         reflect_char(3, -2)
 
 
-@given(rationals, st.integers(0, 25))
+@seed(1998)
+@given(st.one_of(st.fractions(min_value=-50, max_value=50, max_denominator=12),
+                 st.integers(-50, 50)),
+       st.integers(0, 60))
+@example(7, 12)            # integer m < k: zero
+@example(F(50), 60)
+@example(F(-49, 12), 60)
 def test_matches_brute_product(m, k):
-    assert binom_char(m, k) == brute_binom(m, k)
+    got = binom_char(m, k)
+    assert type(got) is F
+    assert got == brute_binom(m, k)
+
+
+@seed(1998)
+@given(st.floats(min_value=-50, max_value=50), st.integers(0, 60))
+@example(3.0, 5)
+@example(-0.5, 60)
+def test_float_char_keeps_its_double(m, k):
+    got = binom_char(m, k)
+    assert type(got) is float
+    assert repr(got) == repr(float_binom(m, k))
 
 
 @given(rationals, st.integers(0, 25))

@@ -229,9 +229,33 @@ def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
     report = json.loads(out)
-    suites = {chk["suite"] for chk in report["checks"]}
-    assert suites == {"binom", "ode", "triple", "integrals"}
     assert report["status"] == "pass"
+    table = [(chk["suite"], chk["check"], chk["cases"], chk["failures"],
+              chk.get("not_applicable", 0)) for chk in report["checks"]]
+    assert table == [
+        ("binom", "reflection", 325, 0, 0),
+        ("binom", "pascal-recurrence", 300, 0, 0),
+        ("binom", "integer-agreement", 169, 0, 0),
+        ("binom", "sign-bridge", 49, 0, 0),
+        ("ode", "residual-zeros", 1078, 0, 0),
+        ("ode", "residual-tip", 98, 0, 0),
+        ("ode", "operator-identity", 1078, 0, 0),
+        ("triple", "three-series-relations", 189, 0, 54),
+        ("integrals", "closed-form-I", 64, 0, 0),
+        ("integrals", "closed-form-II", 64, 0, 0),
+        ("integrals", "ratio-identity", 64, 0, 0),
+        ("integrals", "theta-identity", 64, 0, 0),
+        ("integrals", "sign-bridge", 49, 0, 0),
+    ]
+
+
+def test_verify_tol_must_be_positive_and_finite(capsys):
+    for argv in (["binom", "--tol", "inf"], ["ode", "--tol", "nan"],
+                 ["binom", "--tol", "-1"], ["binom", "--tol", "0"]):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("domain error:") and err.count("\n") == 1
+        assert "tol" in err and "Traceback" not in err
 
 
 def test_verify_integrals_worst_residual_per_check(capsys):

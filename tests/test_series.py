@@ -14,7 +14,9 @@ from gausshyp import (EXACT_DEGREE_CAP, DomainError, HypergeometricParams,
                       InvalidCError, NoConvergenceError, coefficients,
                       eval_series, ode_residual, operator_identity_residual,
                       substitution_residual, termination_index)
-from oracles import brute_coefficient, brute_series, fraction_eval_series
+from oracles import (brute_coefficient, brute_series, fraction_coefficients,
+                     fraction_eval_series, fraction_ode_residual,
+                     fraction_operator_identity_residual)
 
 P = HypergeometricParams
 
@@ -258,15 +260,55 @@ def test_ode_residual_tip():
 
 @pytest.mark.parametrize("a,b,c", [
     (1, 1, 2), (F(1, 2), F(1, 2), F(3, 2)), (F(-7, 3), 4, F(5, 2)),
-    (2, -5, F(1, 4)),
+    (2, -5, F(1, 4)), (F(1, 3), F(2, 7), F(5, 9)),
 ])
-@pytest.mark.parametrize("deg", [2, 7, 11])
+@pytest.mark.parametrize("deg", [2, 7, 11, 256])
 def test_ode_residual_structure(a, b, c, deg):
     r = ode_residual(P(a, b, c), deg).residual_coefficients
     assert len(r) == deg + 2
     assert all(v == 0 for v in r[:deg])
     assert r[deg] == -(F(a) + deg) * (F(b) + deg) * brute_coefficient(a, b, c, deg)
     assert r[deg + 1] == 0
+
+
+float_scalars = st.floats(min_value=-40, max_value=40)
+
+
+@st.composite
+def float_triples(draw):
+    a, b, c = draw(float_scalars), draw(float_scalars), draw(float_scalars)
+    if c <= 0 and c.is_integer():
+        c -= 0.5  # c may not be zero or a negative integer
+    return a, b, c
+
+
+@seed(1998)
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(exact_triples(), float_triples()),
+       st.integers(2, EXACT_DEGREE_CAP))
+@example((F(7, 3), F(-5, 2), F(-37, 4)), 40)       # q(k) < 0 first
+@example((3, 5, 7), 12)                            # plain ints
+@example((-6, F(7, 5), F(-3, 2)), 20)              # terminates below the degree
+@example((F(1, 3), F(2, 7), F(5, 9)), EXACT_DEGREE_CAP)
+@example((1, 1.0, 2), 10)                          # an int beside a float
+@example((-3.0, 2.5, -1.5), 9)                     # float polynomial
+def test_polynomial_work_matches_the_fraction_reference(abc, degree):
+    # the integer forms of coefficients and of both residuals must give the
+    # Fraction loop's values; floats must keep their bits and their types
+    params = P(*abc)
+    got = [coefficients(params, degree),
+           ode_residual(params, degree).residual_coefficients]
+    want = [fraction_coefficients(params, degree),
+            fraction_ode_residual(params, degree)]
+    if params.exact():
+        got.append(operator_identity_residual(params, degree))
+        want.append(fraction_operator_identity_residual(params, degree))
+        for g, w in zip(got, want):
+            assert g == w
+            assert all(type(v) is F for v in g)
+    else:
+        for g, w in zip(got, want):
+            assert [repr(v) for v in g] == [repr(v) for v in w]
 
 
 def test_ode_residual_degree_guard():
