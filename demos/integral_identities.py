@@ -1,6 +1,6 @@
 """Kernel integrals against their closed forms.
 
-With Delta = 1 + a**2 - 2a cos(phi), adaptive quadrature of
+With Delta = 1 + a**2 - 2a cos(phi), the periodic trapezoid rule for
 
     cos(i phi) / Delta**(n+1)     and     Delta**n cos(i phi)
 

@@ -31,7 +31,7 @@ from .integrals import (IntegralSpec, check_closed_form_I,
                         check_closed_form_II, ratio_identity_sides,
                         theta_identity_sides, verify_sign_bridge)
 from .scalar import Scalar, check_finite, check_printable, parse_scalar
-from .series import (HypergeometricParams, check_tol, coefficients,
+from .series import (HypergeometricParams, check_budget, coefficients,
                      eval_series, ode_residual, operator_identity_residual)
 from .transform import (TripleParams, eval_transformed, select_representation,
                         verify_triple_relations)
@@ -457,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
         tol_overridden=args.tol is not None,
     )
     try:
-        check_tol(config.tol)
+        check_budget(config.tol, config.max_terms)
         report, csv_data, code = _COMMANDS[args.command](args, config)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

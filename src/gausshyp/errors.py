@@ -17,5 +17,5 @@ class NoConvergenceError(RuntimeError):
 
 
 class QuadratureFailureError(RuntimeError):
-    """Adaptive subdivision exhausted its panel budget before meeting the
-    requested error estimate."""
+    """The trapezoid rule would need more points than its cap to meet the
+    requested error bound, or a bound past the float range."""

@@ -11,9 +11,10 @@ reflected m = -n-1 (the reflection of the sign bridge binom(-n-1+i, i) =
 the character series sum_k binom(m-i, k) binom(m+i, i+k) a**(2k) is V at
 m = n (it terminates) and U at m = -n-1 (infinite unless its leading
 character vanishes).  The module computes both sides independently: the
-integrals by adaptive Gauss quadrature, the closed forms through the
-character-series machinery, plus the two cross-family ratio identities
-and the sign bridge between the characters they use.
+integrals by the periodic trapezoid rule with a proven a priori error
+bound, the closed forms through the character-series machinery, plus the
+two cross-family ratio identities and the sign bridge between the
+characters they use.
 """
 
 from __future__ import annotations
@@ -33,12 +34,7 @@ from .transform import character_series
 #: dominates a verdict.
 QUAD_ABS_TOL = 1e-10
 
-_MAX_PANELS = 4096
-
-# Gauss-Legendre node/weight pairs for the embedded low/high rule; the
-# difference of the two estimates drives panel refinement.
-_NODES_LOW, _WEIGHTS_LOW = np.polynomial.legendre.leggauss(10)
-_NODES_HIGH, _WEIGHTS_HIGH = np.polynomial.legendre.leggauss(21)
+_MAX_POINTS = 2 ** 20  # samples per quadrature, checked before any is taken
 
 
 @dataclass(frozen=True)
@@ -60,9 +56,9 @@ class IntegralSpec:
 class IntegralResult:
     """Quadrature vs closed form for one integral.
 
-    abs_error_estimate is the accumulated quadrature panel estimate; the
-    agreement contract is |quadrature - closed_form| <=
-    max(1e-8, 10 * abs_error_estimate).
+    abs_error_estimate is a proven bound on |quadrature - integral|: the
+    trapezoid rule's a priori error bound plus a rounding term.  The
+    agreement contract is |quadrature - closed_form| <= max(1e-8, 10 * it).
     """
 
     quadrature: float
@@ -71,50 +67,10 @@ class IntegralResult:
     abs_error_estimate: float
 
 
-# ---- adaptive quadrature ----
+# ---- periodic trapezoid rule ----
 
 _EPS = float(np.finfo(float).eps)
-
-
-def _panel_pair(f, lo: float, hi: float) -> tuple[float, float, float]:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    low = half * float(np.dot(_WEIGHTS_LOW, f(mid + half * _NODES_LOW)))
-    f_high = f(mid + half * _NODES_HIGH)
-    high = half * float(np.dot(_WEIGHTS_HIGH, f_high))
-    # |G21 - G10| cannot resolve below rounding noise in the panel sum
-    noise = 16.0 * _EPS * half * float(np.dot(_WEIGHTS_HIGH, np.abs(f_high)))
-    return high, abs(high - low), noise
-
-
-def _adaptive_gauss(f, lo: float, hi: float, abs_tol: float,
-                    max_panels: int = _MAX_PANELS) -> tuple[float, float]:
-    """Deterministic depth-first bisection with a 10/21-point Gauss pair.
-
-    Each panel inherits half its parent's error budget, so the accepted
-    panel estimates sum to at most abs_tol plus accumulated rounding noise
-    (a panel is also accepted once its estimate sits at machine level for
-    its own magnitude, where further splitting proves nothing).  Returns
-    (value, error estimate); raises QuadratureFailureError when the panel
-    budget runs out.
-    """
-    used = 0
-
-    def recurse(p_lo: float, p_hi: float, budget: float) -> tuple[float, float]:
-        nonlocal used
-        used += 1
-        if used > max_panels:
-            raise QuadratureFailureError(
-                f"more than {max_panels} panels needed for abs_tol={abs_tol}")
-        value, err, noise = _panel_pair(f, p_lo, p_hi)
-        if err <= max(budget, noise):
-            return value, max(err, noise)
-        mid = 0.5 * (p_lo + p_hi)
-        v1, e1 = recurse(p_lo, mid, 0.5 * budget)
-        v2, e2 = recurse(mid, p_hi, 0.5 * budget)
-        return v1 + v2, e1 + e2
-
-    return recurse(lo, hi, abs_tol)
+_LOG_MAX = math.log(float(np.finfo(float).max))
 
 
 def _delta(a: float, phi: np.ndarray) -> np.ndarray:
@@ -123,13 +79,60 @@ def _delta(a: float, phi: np.ndarray) -> np.ndarray:
     return (1.0 - a) ** 2 + 4.0 * a * np.sin(0.5 * phi) ** 2
 
 
+def _points(a: float, m: int, i: int, abs_tol: float) -> tuple[int, float]:
+    """Points N for cos(i phi) / Delta**(m+1) and the log of the bound on
+    the error of its N-point trapezoid sum, both fixed before any sample."""
+    if m + 1 <= 0:
+        # Delta**n cos(i phi), n = -m-1, is a trigonometric polynomial of
+        # degree n+i, which any N > n+i integrates exactly
+        return i - m, -math.inf
+    # The integrand is analytic in |Im phi| < log(1/a).  On the strip of
+    # half-width sigma = log(1/a)/2, |Delta| >= (1-sqrt a)(1-a sqrt a) and
+    # |cos(i phi)| <= cosh(i sigma); with M their quotient the error on
+    # [0, pi] is at most 2 pi M / expm1(sigma N) (Trefethen & Weideman,
+    # SIAM Review 56 (2014), Thm 3.2).  In logs: M overflows for tiny a
+    # with large i, or for a near 1.
+    sigma, root = -0.5 * math.log(a), math.sqrt(a)
+    log_2pi_m = (math.log(math.pi) + i * sigma
+                 + math.log1p(math.exp(-2.0 * i * sigma))
+                 - (m + 1) * (math.log1p(-root) + math.log1p(-a * root)))
+    # below the rounding level of the largest sample, pi/(1-a)**(2(m+1)), a
+    # smaller bound proves nothing
+    log_tol = math.log(_EPS * math.pi) - 2 * (m + 1) * math.log1p(-a)
+    if abs_tol > 0.0:
+        log_tol = max(log_tol, math.log(abs_tol))
+    # the smallest N with expm1(sigma N) >= 2 pi M / tol
+    gap = log_2pi_m - log_tol
+    n_pts = max(1, math.ceil(
+        (max(gap, 0.0) + math.log1p(math.exp(-abs(gap)))) / sigma))
+    y = sigma * n_pts
+    return n_pts, log_2pi_m - y - math.log1p(-math.exp(-y))
+
+
 def _integral(a: float, m: int, i: int, abs_tol: float) -> tuple[float, float]:
-    """Quadrature of cos(i phi) / Delta**(m+1) over [0, pi]: (value, error)."""
+    """Trapezoid sum of cos(i phi) / Delta**(m+1) over [0, pi]: (value, error).
 
-    def f(phi: np.ndarray) -> np.ndarray:
-        return np.cos(i * phi) / _delta(a, phi) ** (m + 1)
-
-    return _adaptive_gauss(f, 0.0, math.pi, abs_tol)
+    The integrand is even and 2 pi-periodic, so the integral is pi times its
+    mean over N equispaced angles of one period.
+    """
+    n_pts, log_bound = _points(a, m, i, abs_tol)
+    if n_pts > _MAX_POINTS or log_bound > _LOG_MAX:
+        raise QuadratureFailureError(
+            f"{n_pts} points (at most {_MAX_POINTS}) for an error bound of "
+            f"e**{log_bound:.6g} at a={a}, m={m}, i={i}, abs_tol={abs_tol}")
+    k = np.arange(n_pts)
+    # angle k or its mirror N-k, whichever lies in [0, pi], where sin(phi/2)
+    # is well conditioned
+    phi = (2.0 * math.pi / n_pts) * np.minimum(k, n_pts - k)
+    size = _delta(a, phi) ** -(m + 1)
+    value = math.pi * float(np.mean(np.cos(i * phi) * size))
+    # Rounding, relative to size = |Delta**-(m+1)|: phi carries 2 eps, so
+    # Delta at most 10 eps and its power (10|m+1| + 1) eps; cos(i phi) is off
+    # by at most (10 i + 1) eps absolute, the product by one more; numpy's
+    # pairwise sum adds at most log2 N + 20 roundings per sample.
+    rounding = ((10 * (abs(m + 1) + i) + math.log2(n_pts) + 25)
+                * _EPS * math.pi * float(np.mean(size)))
+    return value, math.exp(log_bound) + rounding
 
 
 def _check(spec: IntegralSpec, m: int, tol: float) -> IntegralResult:
@@ -142,12 +145,12 @@ def _check(spec: IntegralSpec, m: int, tol: float) -> IntegralResult:
 
 
 def quad_I(spec: IntegralSpec, abs_tol: float = QUAD_ABS_TOL) -> float:
-    """Adaptive quadrature of cos(i phi) / Delta**(n+1) over [0, pi]."""
+    """Trapezoid quadrature of cos(i phi) / Delta**(n+1) over [0, pi]."""
     return _integral(spec.a_mod, spec.n, spec.i, abs_tol)[0]
 
 
 def quad_II(spec: IntegralSpec, abs_tol: float = QUAD_ABS_TOL) -> float:
-    """Adaptive quadrature of Delta**n cos(i phi) over [0, pi]."""
+    """Trapezoid quadrature of Delta**n cos(i phi) over [0, pi]."""
     return _integral(spec.a_mod, -spec.n - 1, spec.i, abs_tol)[0]
 
 

@@ -95,15 +95,10 @@ def check_eval_point(x: Scalar) -> None:
         raise DomainError(f"x = {x} is outside the open interval (-1, 1)")
 
 
-def check_tol(tol: float) -> None:
-    """Reject a tol that is not positive and finite."""
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
-
-
 def check_budget(tol: float, max_terms: int) -> None:
     """Reject a tol that is not positive and finite, or a budget below one."""
-    check_tol(tol)
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     if max_terms < 1:
         raise DomainError(f"max_terms must be >= 1, got {max_terms}")
 

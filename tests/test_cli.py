@@ -258,6 +258,16 @@ def test_verify_tol_must_be_positive_and_finite(capsys):
         assert "tol" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("suite", ["binom", "ode", "integrals"])
+def test_verify_max_terms_must_be_positive(capsys, suite):
+    # these suites never reach a term budget of their own, so the option is
+    # checked once for every command
+    code, out, err = run(capsys, "verify", suite, "--max-terms", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("domain error:") and err.count("\n") == 1
+    assert "max_terms" in err and "Traceback" not in err
+
+
 def test_verify_integrals_worst_residual_per_check(capsys):
     code, out, _ = run(capsys, "verify", "integrals")
     assert code == 0
@@ -281,13 +291,13 @@ def test_verify_integrals_worst_residual_per_check(capsys):
 def test_verify_integrals_runs_each_quadrature_once(monkeypatch):
     # 64 specs, one quad_I and one quad_II each, shared by all four checks
     calls = []
-    real = integrals._adaptive_gauss
+    real = integrals._integral
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(integrals, "_adaptive_gauss", counting)
+    monkeypatch.setattr(integrals, "_integral", counting)
     entries = _verify_integrals(RunConfig())
     assert all(entry["status"] == "pass" for entry in entries)
     assert len(calls) == 2 * len(INTEGRAL_AS) * len(INTEGRAL_NI) == 128

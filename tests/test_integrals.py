@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -13,7 +16,7 @@ from gausshyp import (DomainError, IntegralSpec, QuadratureFailureError,
                       eval_series, HypergeometricParams, quad_I, quad_II,
                       ratio_identity_sides, theta_identity_sides,
                       verify_sign_bridge)
-from gausshyp.integrals import _adaptive_gauss
+from gausshyp import integrals
 
 
 def V(spec, tol=1e-12):
@@ -60,7 +63,7 @@ def test_quad_I_geometric_cases():
 
 
 @pytest.mark.parametrize("a,n,i", [(0.2, 0, 0), (0.5, 2, 1), (0.7, 3, 3),
-                                   (0.9, 1, 2)])
+                                   (0.9, 1, 2), (1e-300, 3, 8)])
 def test_quad_against_scipy(a, n, i):
     spec = IntegralSpec(a, n, i)
 
@@ -78,17 +81,66 @@ def test_quad_against_scipy(a, n, i):
 
 def test_full_period_is_twice_half_period():
     a, n, i = 0.6, 1, 2
+
     def f(phi):
-        return (1 + a * a - 2 * a * np.cos(phi)) ** n * np.cos(i * phi)
-    full, _ = _adaptive_gauss(f, 0.0, 2 * math.pi, 1e-10)
+        return (1 + a * a - 2 * a * math.cos(phi)) ** n * math.cos(i * phi)
+
+    full, _ = scipy.integrate.quad(f, 0.0, 2 * math.pi, epsabs=1e-12)
     assert full == pytest.approx(2 * quad_II(IntegralSpec(a, n, i)), abs=1e-9)
 
 
 def test_quadrature_failure():
-    def f(phi):
-        return 1.0 / (1e-8 + phi * phi)
-    with pytest.raises(QuadratureFailureError):
-        _adaptive_gauss(f, 0.0, math.pi, 1e-12, max_panels=4)
+    # about 7.6e8 points at a = 1 - 1e-7, and samples near 4**601 at
+    # a = 0.5, n = 600: refused before any sample is taken
+    tracemalloc.start()
+    try:
+        for spec in (IntegralSpec(1 - 1e-7, 3, 0), IntegralSpec(0.5, 600, 0)):
+            with pytest.raises(QuadratureFailureError):
+                quad_I(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def mp_integral(a, m, i):
+    """cos(i phi) / Delta**(m+1) over [0, pi] by mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(a)
+
+        def f(phi):
+            delta = (1 - a) ** 2 + 4 * a * mpmath.sin(phi / 2) ** 2
+            return mpmath.cos(i * phi) / delta ** (m + 1)
+
+        # split where the kernel's peak at phi = 0 falls off
+        return float(mpmath.quad(f, [0, 1 - a, mpmath.pi]))
+
+
+def test_error_estimate_bounds_the_error(monkeypatch):
+    points = []
+    real = integrals._delta
+
+    def counting(a, phi):
+        points.append(phi.size)
+        return real(a, phi)
+
+    monkeypatch.setattr(integrals, "_delta", counting)
+    rng = random.Random(2014)
+    for _ in range(30):
+        a, n, i = rng.uniform(0.02, 0.95), rng.randint(0, 8), rng.randint(0, 8)
+        spec = IntegralSpec(a, n, i)
+        for m, quad in ((n, quad_I), (-n - 1, quad_II)):
+            exact = mp_integral(a, m, i)
+            for abs_tol in (integrals.QUAD_ABS_TOL, 1e-6):
+                value, estimate = integrals._integral(a, m, i, abs_tol)
+                assert value == quad(spec, abs_tol)
+                assert abs(value - exact) <= estimate, (a, m, i, abs_tol)
+                if m < 0:
+                    # a trigonometric polynomial of degree n+i: exact at
+                    # n+i+1 points, so only rounding is left
+                    assert points[-1] == n + i + 1
+                    assert estimate <= 1e3 * np.finfo(float).eps * math.pi * (
+                        1 + a) ** (2 * n)
 
 
 # ---- series sides ----
