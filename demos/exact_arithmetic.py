@@ -27,9 +27,8 @@ def main():
     # the operator x(1-x)s'' + [c-(a+b+1)x]s' - ab s annihilates the series;
     # on a degree-10 truncation the residual is zero except at x**10
     params = HypergeometricParams(1, 1, 2)
-    res = ode_residual(params, 10)
     print("\noperator residual on the degree-10 truncation of s(1, 1; 2; x):")
-    print("  coefficients:", res.residual_coefficients)
+    print("  coefficients:", ode_residual(params, 10))
     print("  (the single survivor is -(a+10)(b+10) c_10 = -121/11 = -11)")
 
     # the same content before dividing by the x**(b-1) monomial: both sides

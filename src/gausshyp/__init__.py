@@ -16,16 +16,15 @@ from .integrals import (IntegralResult, IntegralSpec, check_closed_form_I,
                         ratio_identity_sides, theta_identity_sides,
                         verify_sign_bridge)
 from .scalar import Scalar, is_exact, parse_scalar, power
-from .series import (EXACT_DEGREE_CAP, HypergeometricParams, OdeResidual,
-                     SeriesEvaluation, coefficients, eval_series, ode_residual,
+from .series import (EXACT_DEGREE_CAP, HypergeometricParams, SeriesEvaluation,
+                     coefficients, eval_series, ode_residual,
                      operator_identity_residual, substitution_residual,
                      termination_index)
-from .transform import (Representation, RepresentationChoice,
-                        TransformedParams, TripleParams, TripleRelationCheck,
-                        TripleSums, character_series, eval_transformed,
-                        euler_transform_params, params_from_triple,
-                        select_representation, triple_params, triple_sums,
-                        verify_triple_relations)
+from .transform import (Representation, RepresentationChoice, TripleParams,
+                        TripleRelationCheck, TripleSums, character_series,
+                        eval_transformed, euler_transform_params,
+                        params_from_triple, select_representation,
+                        triple_params, triple_sums, verify_triple_relations)
 
 __version__ = "0.1.0"
 
@@ -37,12 +36,12 @@ __all__ = [
     "check_closed_form_II", "quad_I", "quad_II", "ratio_identity_sides",
     "theta_identity_sides", "verify_sign_bridge",
     "Scalar", "is_exact", "parse_scalar", "power",
-    "EXACT_DEGREE_CAP", "HypergeometricParams", "OdeResidual",
-    "SeriesEvaluation", "coefficients", "eval_series", "ode_residual",
+    "EXACT_DEGREE_CAP", "HypergeometricParams", "SeriesEvaluation",
+    "coefficients", "eval_series", "ode_residual",
     "operator_identity_residual", "substitution_residual",
     "termination_index",
-    "Representation", "RepresentationChoice", "TransformedParams",
-    "TripleParams", "TripleRelationCheck", "TripleSums", "character_series",
+    "Representation", "RepresentationChoice", "TripleParams",
+    "TripleRelationCheck", "TripleSums", "character_series",
     "eval_transformed", "euler_transform_params", "params_from_triple",
     "select_representation", "triple_params", "triple_sums",
     "verify_triple_relations",

@@ -272,7 +272,7 @@ def _verify_ode(config: RunConfig) -> list[dict]:
     for a, b, c in ODE_GRID:
         params = HypergeometricParams(a, b, c)
         tip = (a + degree) * (b + degree) * coefficients(params, degree)[degree]
-        res = ode_residual(params, degree).residual_coefficients
+        res = ode_residual(params, degree)
         zeros += [v == 0 for v in res[:degree] + res[degree + 1:]]
         tips.append(res[degree] == -tip)
         diff = operator_identity_residual(params, degree)

@@ -75,18 +75,6 @@ class SeriesEvaluation:
     tail_bound: float
 
 
-@dataclass(frozen=True)
-class OdeResidual:
-    """Residual polynomial of the second-order equation on a truncation.
-
-    residual_coefficients[j] multiplies x**j; the list runs through degree
-    N+1 for a degree-N truncation.
-    """
-
-    residual_coefficients: list[Scalar]
-    degree_checked: int
-
-
 # ---- validation helpers ----
 
 def check_eval_point(x: Scalar) -> None:
@@ -266,6 +254,28 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
                             terminated, bound)
 
 
+def scaled_sum(scale: Scalar, params: HypergeometricParams, x: Scalar,
+               tol: float, max_terms: int) -> SeriesEvaluation:
+    """scale * s(params; x) with its tail bound, tol applying to the product.
+
+    The series is summed to tol / |scale| (to tol when |scale| underflows
+    to 0.0) and its tail bound scaled back by |scale|.  A float scale
+    takes float() of an exact sum in the product, so the sum must then be
+    finite inside the float range.
+    """
+    check_finite("prefactor", scale)
+    mag = abs(float(scale))
+    inner_tol = tol / mag if mag > 0.0 else tol
+    if not 0.0 < inner_tol < math.inf:
+        raise DomainError(f"tol {tol} over the prefactor magnitude {mag} "
+                          "leaves the positive float range")
+    out = eval_series(params, x, inner_tol, max_terms)
+    if not is_exact(scale):
+        check_finite("scaled series value", out.value)
+    return SeriesEvaluation(scale * out.value, out.terms_used, out.terminated,
+                            out.tail_bound * mag)
+
+
 # ---- polynomial helpers (dense coefficient lists, index = power) ----
 
 def _poly_derivative(p: list[Scalar]) -> list[Scalar]:
@@ -317,10 +327,11 @@ def _scaled_operator(params: HypergeometricParams, degree: int):
             na * nb * dc)
 
 
-def ode_residual(params: HypergeometricParams, degree: int) -> OdeResidual:
+def ode_residual(params: HypergeometricParams, degree: int) -> list[Scalar]:
     """Apply x(1-x) d2 + [c-(a+b+1)x] d1 - ab to the degree-N truncation.
 
-    Returns every coefficient of the residual polynomial through x**(N+1).
+    Returns the coefficients of the residual polynomial, entry j
+    multiplying x**j, through x**(N+1).
     Built from explicit polynomial arithmetic rather than the recurrence
     identity, so exact zeros genuinely cross-check the coefficients: entries
     0..N-1 must vanish, entry N is -(a+N)(b+N) c_N, and entry N+1 vanishes
@@ -338,8 +349,8 @@ def ode_residual(params: HypergeometricParams, degree: int) -> OdeResidual:
         length=degree + 2,
     )
     if params.exact():
-        residual = [Fraction(v, scale) for v in residual]
-    return OdeResidual(residual, degree)
+        return [Fraction(v, scale) for v in residual]
+    return residual
 
 
 def operator_identity_residual(params: HypergeometricParams,
@@ -392,9 +403,9 @@ def substitution_residual(params: HypergeometricParams, n_exp: Scalar,
         z''/z = s''/s + 2n s'/(s (1-x)) + n(n+1)/(1-x)**2,
 
     so no power of (1-x) is ever formed.  The derivatives come from DLMF
-    15.5.1, s^(d) = (a)_d (b)_d / (c)_d * s(a+d, b+d; c+d; x), each summed
-    to tol.  Returns the numerical residual, which is zero up to rounding
-    and series truncation.
+    15.5.1, s^(d) = (a)_d (b)_d / (c)_d * s(a+d, b+d; c+d; x), each
+    product summed to tol.  Returns the numerical residual, which is zero
+    up to rounding and series truncation; a point where s = 0 is rejected.
     """
     xf = float(x)
     if not 0.0 < xf < 0.9:
@@ -409,9 +420,13 @@ def substitution_residual(params: HypergeometricParams, n_exp: Scalar,
         if scale == 0.0:
             return 0.0
         shifted = HypergeometricParams(a + d, b + d, c + d)
-        return scale * eval_series(shifted, xf, tol / abs(scale), max_terms).value
+        return scaled_sum(scale, shifted, xf, tol, max_terms).value
 
-    s0, s1, s2 = derivative(0), derivative(1), derivative(2)
+    s0 = derivative(0)
+    if s0 == 0.0:
+        raise DomainError(f"s = 0 at x = {x}; the transformed equation "
+                          "divides by s")
+    s1, s2 = derivative(1), derivative(2)
     u = 1.0 - xf
     zr1 = s1 / s0 + n / u
     zr2 = s2 / s0 + 2.0 * n * s1 / (s0 * u) + n * (n + 1.0) / (u * u)

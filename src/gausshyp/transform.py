@@ -20,26 +20,13 @@ from enum import Enum
 
 from .binom import binom_char
 from .errors import DomainError
-from .scalar import (Scalar, as_integer, check_finite, check_index, is_exact,
-                     power)
+from .scalar import Scalar, as_integer, check_index, is_exact, power
 from .series import (HypergeometricParams, SeriesEvaluation, check_budget,
-                     check_eval_point, eval_series)
+                     check_eval_point, scaled_sum)
+from .series import eval_series  # noqa: F401  (perfbench looks it up here)
 
 
 # ---- parameter maps ----
-
-@dataclass(frozen=True)
-class TransformedParams:
-    """Parameters of the transformed series plus the prefactor exponent."""
-
-    alpha: Scalar
-    beta: Scalar
-    c: Scalar
-    exponent: Scalar
-
-    def as_params(self) -> HypergeometricParams:
-        return HypergeometricParams(self.alpha, self.beta, self.c)
-
 
 @dataclass(frozen=True)
 class TripleParams:
@@ -57,10 +44,11 @@ class TripleParams:
         check_index("e", self.e)
 
 
-def euler_transform_params(params: HypergeometricParams) -> TransformedParams:
-    """Map (a, b, c) to (c-a, c-b, c) with prefactor exponent c-a-b."""
+def euler_transform_params(
+        params: HypergeometricParams) -> tuple[HypergeometricParams, Scalar]:
+    """Map (a, b, c) to (c-a, c-b, c) and the prefactor exponent c-a-b."""
     a, b, c = params.a, params.b, params.c
-    return TransformedParams(c - a, c - b, c, c - a - b)
+    return HypergeometricParams(c - a, c - b, c), c - a - b
 
 
 def triple_params(params: HypergeometricParams) -> TripleParams:
@@ -84,24 +72,11 @@ def eval_transformed(params: HypergeometricParams, x: Scalar,
 
     Sums z with parameters (c-a, c-b, c) and multiplies by (1-x)**(c-a-b).
     Integer exponents keep exact inputs exact; otherwise the prefactor is a
-    double.  tol applies to the returned value: the z series is summed to
-    tol divided by the prefactor magnitude, so the scaled tail bound still
-    lands under tol even when the prefactor is large.
+    double.  tol applies to the returned value, as in scaled_sum.
     """
     check_eval_point(x)
-    tp = euler_transform_params(params)
-    factor = power(1 - x, tp.exponent)
-    factor_mag = abs(float(factor))
-    z_tol = tol / factor_mag if factor_mag > 0.0 else tol
-    z = eval_series(tp.as_params(), x, z_tol, max_terms)
-    if not is_exact(factor):  # an exact z takes float() in the product
-        check_finite("transformed series value", z.value)
-    return SeriesEvaluation(
-        value=factor * z.value,
-        terms_used=z.terms_used,
-        terminated=z.terminated,
-        tail_bound=z.tail_bound * factor_mag,
-    )
+    z_params, exponent = euler_transform_params(params)
+    return scaled_sum(power(1 - x, exponent), z_params, x, tol, max_terms)
 
 
 class Representation(str, Enum):
@@ -150,9 +125,8 @@ def character_series(m1: Scalar, m2: Scalar, shift: int, x: Scalar,
     The term ratio (m1-k)(m2-shift-k) x / ((k+1)(shift+k+1)) is the
     hypergeometric one with a = -m1, b = shift-m2, c = shift+1, so the sum
     is binom(m2, shift) * s(-m1, shift-m2; shift+1; x), summed by
-    eval_series to tol divided by the magnitude of the leading character.
-    A zero factor terminates the sum exactly; a zero leading character
-    makes it vanish.
+    scaled_sum with the leading character as the scale.  A zero factor
+    terminates the sum exactly; a zero leading character makes it vanish.
     """
     check_index("shift", shift)
     check_eval_point(x)
@@ -162,11 +136,8 @@ def character_series(m1: Scalar, m2: Scalar, shift: int, x: Scalar,
         lead = float(lead)
     if lead == 0:
         return SeriesEvaluation(lead, 1, True, 0.0)
-    lead_mag = abs(float(lead))
-    out = eval_series(HypergeometricParams(-m1, shift - m2, shift + 1), x,
-                      tol / lead_mag, max_terms)
-    return SeriesEvaluation(lead * out.value, out.terms_used, out.terminated,
-                            out.tail_bound * lead_mag)
+    return scaled_sum(lead, HypergeometricParams(-m1, shift - m2, shift + 1),
+                      x, tol, max_terms)
 
 
 # ---- the three proportional sums ----

@@ -92,7 +92,7 @@ def test_criterion_3_ode_residual_structure():
     grid += [(1, 1, 2), (F(1, 2), F(1, 2), F(3, 2))]
     for a, b, c in grid:
         params = P(a, b, c)
-        r = ode_residual(params, 10).residual_coefficients
+        r = ode_residual(params, 10)
         c10 = coefficients(params, 10)[10]
         if any(r[j] != 0 for j in range(10)):
             failures.append(("zeros", a, b, c))

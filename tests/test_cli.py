@@ -122,10 +122,13 @@ def test_eval_domain_error_exit_2(capsys):
         assert code == 2 and out == ""
         assert err.startswith("domain error:") and err.count("\n") == 1
         assert "float range" in err and "Traceback" not in err
-    # a tol of inf, an exact sum and an exact input with more digits than
-    # the interpreter converts to text (9236 and 5001 against 4300)
+    # a tol of inf, a tol that underflows once divided by the prefactor
+    # 1.9**299.5, an exact sum and an exact input with more digits than the
+    # interpreter converts to text (9236 and 5001 against 4300)
     for argv, word in ((["-a", "1", "-b", "1", "-c", "2", "-x", "0.5",
                          "--tol", "inf"], "tol"),
+                       (["-a=-300", "-b=1.5", "-c=1", "-x=-0.9",
+                         "--tol", "1e-300"], "1e-300"),
                        (["--mode", "exact", "-a=1/3", "-b=2/7", "-c=5/9",
                          "-x=99/100"], "digit"),
                        (["--mode", "exact", "-a=1", "-b=1", "-c=2",

@@ -21,10 +21,9 @@ P = HypergeometricParams
 # ---- parameter maps ----
 
 def test_transform_params_examples():
-    t = euler_transform_params(P(1, 2, 4))
-    assert (t.alpha, t.beta, t.c, t.exponent) == (3, 2, 4, 1)
-    t = euler_transform_params(P(F(1, 2), F(1, 2), F(3, 2)))
-    assert (t.alpha, t.beta, t.c, t.exponent) == (1, 1, F(3, 2), F(1, 2))
+    assert euler_transform_params(P(1, 2, 4)) == (P(3, 2, 4), 1)
+    assert (euler_transform_params(P(F(1, 2), F(1, 2), F(3, 2)))
+            == (P(1, 1, F(3, 2)), F(1, 2)))
 
 
 def test_transform_is_involution():
@@ -33,9 +32,10 @@ def test_transform_is_involution():
         params = P(F(rng.randint(-40, 40), rng.randint(1, 8)),
                    F(rng.randint(-40, 40), rng.randint(1, 8)),
                    F(rng.randint(1, 40), rng.randint(1, 8)))
-        twice = euler_transform_params(euler_transform_params(params).as_params())
-        assert twice.as_params() == params
-        assert twice.exponent == -euler_transform_params(params).exponent
+        once, exponent = euler_transform_params(params)
+        twice, back = euler_transform_params(once)
+        assert twice == params
+        assert back == -exponent
 
 
 def test_triple_params_roundtrip():
@@ -56,10 +56,10 @@ def test_triple_params_need_integer_c():
 
 def test_termination_trades_sides():
     # a nonpositive integer terminates raw; c-a nonpositive terminates z
-    zp = euler_transform_params(P(3, 1, 2)).as_params()
+    zp, _ = euler_transform_params(P(3, 1, 2))
     assert termination_index(P(3, 1, 2)) is None
     assert termination_index(zp) == 1
-    zp = euler_transform_params(P(-2, 3, F(3, 2))).as_params()
+    zp, _ = euler_transform_params(P(-2, 3, F(3, 2)))
     assert termination_index(zp) is None
 
 
@@ -178,6 +178,52 @@ def test_character_series_validation():
         character_series(1, 1, -1, F(1, 2))
     with pytest.raises(DomainError):
         character_series(1, 1, 1, 2)
+
+
+def test_character_series_lead_past_the_float_range():
+    # binom(10**300, 2) is about 5e599
+    with pytest.raises(DomainError, match="prefactor"):
+        character_series(F(1, 2), 10**300, 2, F(1, 2))
+
+
+# ---- tail bounds of prefactor x series ----
+
+def _rational(rng):
+    return F(rng.randint(-45, 45), rng.randint(1, 9))
+
+
+def _point(rng):
+    return F(rng.choice((-9, -7, -5, -3, 3, 5, 7, 9)), 10)
+
+
+def _check_scaled_bound(evaluate, tol):
+    # tol applies to the product, and the tail bound covers the distance to
+    # the same sum taken a million times tighter, up to that sum's own bound
+    out, ref = evaluate(tol), evaluate(tol * 1e-6)
+    assert type(out.value) is F
+    assert out.tail_bound <= tol * (1 + 1e-12)
+    err = abs(float(out.value - ref.value))
+    assert err <= out.tail_bound * (1 + 1e-9) + ref.tail_bound
+
+
+def test_transformed_tail_bound_scales_with_the_prefactor():
+    rng = random.Random(2019)
+    for _ in range(400):
+        a, b = _rational(rng), _rational(rng)
+        c = a + b + rng.randint(-8, 8)  # |(1-x)**(c-a-b)| from 1e-8 to 1e8
+        if c.denominator == 1 and c <= 0:
+            continue
+        x, tol = _point(rng), 10.0 ** rng.uniform(-14, -6)
+        _check_scaled_bound(lambda t: eval_transformed(P(a, b, c), x, t), tol)
+
+
+def test_character_tail_bound_scales_with_the_leading_character():
+    rng = random.Random(2019)
+    for _ in range(400):
+        m1, m2, shift = _rational(rng), _rational(rng), rng.randint(0, 12)
+        x, tol = _point(rng), 10.0 ** rng.uniform(-14, -6)
+        _check_scaled_bound(
+            lambda t: character_series(m1, m2, shift, x, t), tol)
 
 
 # ---- three proportional sums ----
