@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -35,22 +34,6 @@ from .series import (HypergeometricParams, check_budget, coefficients,
                      eval_series, ode_residual, operator_identity_residual)
 from .transform import (TripleParams, eval_transformed, select_representation,
                         verify_triple_relations)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str = "float"
-    tol: float = 1e-12
-    max_terms: int = 10000
-    output: str = "json"
-    tol_overridden: bool = False
-
-    def identity_tol(self, default: float) -> float:
-        """Comparison tolerance for inexact identity checks.
-
-        The per-suite default unless the user passed --tol explicitly.
-        """
-        return self.tol if self.tol_overridden else default
 
 
 # ---- canonical serialization ----
@@ -99,12 +82,13 @@ def _cell(v) -> str:
     return str(v)
 
 
-def render_csv(header: list[str], rows: list[list]) -> str:
+def render_csv(columns: list[str], records: list[dict]) -> str:
+    """One row per record, holding its values under columns (empty if absent)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    writer.writerow(columns)
+    for record in records:
+        writer.writerow([_cell(record.get(k)) for k in columns])
     return buf.getvalue()
 
 
@@ -160,32 +144,44 @@ BENCH_PARAMS: tuple[tuple[Scalar, Scalar, Scalar], ...] = (
 BENCH_XS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
+def _tol(args, default: float = 1e-12) -> float:
+    """--tol if it was given, else default: the series tol of eval and
+    bench, or the comparison tol a verify suite names."""
+    return default if args.tol is None else args.tol
+
+
 # ---- eval ----
 
-def cmd_eval(args, config: RunConfig):
-    exact = config.mode == "exact"
+EVAL_COLUMNS = ["a", "b", "c", "x", "value", "terms_used", "terminated",
+                "tail_bound", "transformed_value", "transformed_terms_used",
+                "agreement_residual", "selected_representation", "status"]
+
+
+def cmd_eval(args):
+    exact = args.mode == "exact"
     a = parse_scalar(args.a, exact)
     b = parse_scalar(args.b, exact)
     c = parse_scalar(args.c, exact)
     x = parse_scalar(args.x, exact)
     params = HypergeometricParams(a, b, c)
+    tol = _tol(args)
 
-    raw = eval_series(params, x, config.tol, config.max_terms)
-    trans = eval_transformed(params, x, config.tol, config.max_terms)
+    raw = eval_series(params, x, tol, args.max_terms)
+    trans = eval_transformed(params, x, tol, args.max_terms)
     for name, value in (("raw value", raw.value),
                         ("transformed value", trans.value)):
         check_finite(name, value)
         check_printable(name, value)
     choice = select_representation(raw, trans)
     residual = abs(float(raw.value) - float(trans.value))
-    allowance = 100.0 * config.tol * (1.0 + abs(float(raw.value)))
+    allowance = 100.0 * tol * (1.0 + abs(float(raw.value)))
     check_finite("agreement allowance", allowance)
     ok = residual <= allowance
 
     report = {
         "command": "eval",
-        "inputs": {"a": a, "b": b, "c": c, "x": x, "mode": config.mode,
-                   "tol": config.tol, "max_terms": config.max_terms},
+        "inputs": {"a": a, "b": b, "c": c, "x": x, "mode": args.mode,
+                   "tol": tol, "max_terms": args.max_terms},
         "outputs": {
             "value": raw.value,
             "terms_used": raw.terms_used,
@@ -204,46 +200,30 @@ def cmd_eval(args, config: RunConfig):
         "error": None if ok else
         f"raw and transformed values disagree by {residual:.3e}",
     }
-    header = ["a", "b", "c", "x", "value", "terms_used", "terminated",
-              "tail_bound", "transformed_value", "transformed_terms_used",
-              "agreement_residual", "selected_representation", "status"]
-    row = [a, b, c, x, raw.value, raw.terms_used, raw.terminated,
-           raw.tail_bound, trans.value, trans.terms_used, residual,
-           choice.representation.value, report["status"]]
-    return report, (header, [row]), (0 if ok else 1)
+    record = {**report["inputs"], **report["outputs"], "status": report["status"]}
+    return report, EVAL_COLUMNS, [record], (0 if ok else 1)
 
 
 # ---- verify ----
 
-def _check_entry(name: str, cases: int, failures: int,
-                 worst_residual: float | None = None,
-                 not_applicable: int = 0) -> dict:
-    entry = {
-        "check": name,
-        "cases": cases,
-        "failures": failures,
-        "status": "pass" if failures == 0 else "fail",
-    }
-    if worst_residual is not None:
-        entry["worst_residual"] = worst_residual
-    if not_applicable:
-        entry["not_applicable"] = not_applicable
-    return entry
-
-
 def _passes(name: str, outcomes) -> dict:
     """Entry of a check whose cases each pass (True) or fail (False)."""
     outcomes = list(outcomes)
-    return _check_entry(name, len(outcomes), outcomes.count(False))
+    failures = outcomes.count(False)
+    return {"check": name, "cases": len(outcomes), "failures": failures,
+            "status": "pass" if failures == 0 else "fail"}
 
 
 def _within(name: str, pairs, not_applicable: int = 0) -> dict:
     """Entry of a check whose cases are (residual, allowance) pairs."""
     pairs = list(pairs)
-    failures = sum(residual > allowance for residual, allowance in pairs)
-    worst = max((residual for residual, _ in pairs), default=0.0)
-    return _check_entry(name, len(pairs), failures, worst_residual=worst,
-                        not_applicable=not_applicable)
+    entry = _passes(name, (not residual > allowance
+                           for residual, allowance in pairs))
+    entry["worst_residual"] = max((residual for residual, _ in pairs),
+                                  default=0.0)
+    if not_applicable:
+        entry["not_applicable"] = not_applicable
+    return entry
 
 
 def _sign_bridge() -> dict:
@@ -251,7 +231,7 @@ def _sign_bridge() -> dict:
                                    in product(SIGN_RANGE, SIGN_RANGE)))
 
 
-def _verify_binom(config: RunConfig) -> list[dict]:
+def _verify_binom(args) -> list[dict]:
     return [
         _passes("reflection", (binom_char(-m, k) == reflect_char(m, k)
                                for m in BINOM_MS for k in BINOM_KS)),
@@ -266,7 +246,7 @@ def _verify_binom(config: RunConfig) -> list[dict]:
     ]
 
 
-def _verify_ode(config: RunConfig) -> list[dict]:
+def _verify_ode(args) -> list[dict]:
     degree = 10
     zeros, tips, ops = [], [], []
     for a, b, c in ODE_GRID:
@@ -284,15 +264,15 @@ def _verify_ode(config: RunConfig) -> list[dict]:
     ]
 
 
-def _verify_triple(config: RunConfig) -> list[dict]:
-    tol = config.identity_tol(1e-10)
+def _verify_triple(args) -> list[dict]:
+    tol = _tol(args, 1e-10)
     pairs = []
     skipped = 0
     for e, f, h in TRIPLE_EFH:
         tp = TripleParams(e, f, h)
         for x in TRIPLE_XS:
             out = verify_triple_relations(tp, x, tol=tol,
-                                          max_terms=config.max_terms)
+                                          max_terms=args.max_terms)
             for residual, allowance in zip(out.residuals, out.allowances):
                 if residual is None:
                     skipped += 1
@@ -301,8 +281,8 @@ def _verify_triple(config: RunConfig) -> list[dict]:
     return [_within("three-series-relations", pairs, not_applicable=skipped)]
 
 
-def _verify_integrals(config: RunConfig) -> list[dict]:
-    tol = config.identity_tol(1e-8)
+def _verify_integrals(args) -> list[dict]:
+    tol = _tol(args, 1e-8)
     closed_I, closed_II, ratio, theta = [], [], [], []
     for a in INTEGRAL_AS:
         for n, i in INTEGRAL_NI:
@@ -332,26 +312,24 @@ _SUITES = {
 }
 
 
-def cmd_verify(args, config: RunConfig):
+VERIFY_COLUMNS = ["suite", "check", "cases", "failures", "worst_residual",
+                  "status"]
+
+
+def cmd_verify(args):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    checks: list[dict] = []
-    for name in names:
-        for entry in _SUITES[name](config):
-            entry = {"suite": name, **entry}
-            checks.append(entry)
+    checks = [{"suite": name, **entry}
+              for name in names for entry in _SUITES[name](args)]
     ok = all(entry["status"] == "pass" for entry in checks)
     report = {
         "command": "verify",
         "suite": args.suite,
-        "tol": config.tol if config.tol_overridden else None,
+        "tol": args.tol,
         "checks": checks,
         "status": "pass" if ok else "fail",
         "error": None if ok else "one or more identity checks failed",
     }
-    header = ["suite", "check", "cases", "failures", "worst_residual", "status"]
-    rows = [[e["suite"], e["check"], e["cases"], e["failures"],
-             e.get("worst_residual"), e["status"]] for e in checks]
-    return report, (header, rows), (0 if ok else 1)
+    return report, VERIFY_COLUMNS, checks, (0 if ok else 1)
 
 
 # ---- bench ----
@@ -366,8 +344,9 @@ def _parse_grid(text: str, exact: bool) -> list[tuple[Scalar, Scalar, Scalar]]:
     return triples
 
 
-def cmd_bench(args, config: RunConfig):
-    exact = config.mode == "exact"
+def cmd_bench(args):
+    exact = args.mode == "exact"
+    tol = _tol(args)
     grid = (_parse_grid(args.grid, exact) if args.grid else list(BENCH_PARAMS))
     xs = ([parse_scalar(p, False) for p in args.x_list.split(",")]
           if args.x_list else list(BENCH_XS))
@@ -377,8 +356,8 @@ def cmd_bench(args, config: RunConfig):
         for x in xs:
             row = {"a": a, "b": b, "c": c, "x": x}
             try:
-                raw = eval_series(params, x, config.tol, config.max_terms)
-                trans = eval_transformed(params, x, config.tol, config.max_terms)
+                raw = eval_series(params, x, tol, args.max_terms)
+                trans = eval_transformed(params, x, tol, args.max_terms)
                 choice = select_representation(raw, trans)
                 row.update({
                     "raw_terms": raw.terms_used,
@@ -395,11 +374,9 @@ def cmd_bench(args, config: RunConfig):
                     "selected": None, "status": "no-convergence",
                 })
             rows.append(row)
-    report = {"command": "bench", "mode": config.mode, "tol": config.tol,
-              "max_terms": config.max_terms, "rows": rows}
-    header = list(rows[0]) if rows else []
-    csv_rows = [[row[k] for k in header] for row in rows]
-    return report, (header, csv_rows), 0
+    report = {"command": "bench", "mode": args.mode, "tol": tol,
+              "max_terms": args.max_terms, "rows": rows}
+    return report, list(rows[0]), rows, 0
 
 
 # ---- entry point ----
@@ -449,26 +426,19 @@ _COMMANDS = {"eval": cmd_eval, "verify": cmd_verify, "bench": cmd_bench}
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        mode=args.mode,
-        tol=args.tol if args.tol is not None else 1e-12,
-        max_terms=args.max_terms,
-        output=args.output,
-        tol_overridden=args.tol is not None,
-    )
     try:
-        check_budget(config.tol, config.max_terms)
-        report, csv_data, code = _COMMANDS[args.command](args, config)
+        check_budget(_tol(args), args.max_terms)
+        report, columns, records, code = _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
     except (NoConvergenceError, QuadratureFailureError) as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return 3
-    if config.output == "json":
+    if args.output == "json":
         text = render_json(report) + "\n"
-    elif config.output == "csv":
-        text = render_csv(*csv_data)
+    elif args.output == "csv":
+        text = render_csv(columns, records)
     else:
         text = render_text(report) + "\n"
     try:

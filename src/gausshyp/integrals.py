@@ -26,7 +26,7 @@ import numpy as np
 
 from .binom import binom_char
 from .errors import DomainError, QuadratureFailureError
-from .scalar import check_index
+from .scalar import check_index, power
 from .transform import character_series
 
 #: Absolute error target for every quadrature in this module.  Identity
@@ -177,8 +177,8 @@ def ratio_identity_sides(spec: IntegralSpec, q_I: float,
     """
     a, n, i = spec.a_mod, spec.n, spec.i
     one_minus = 1.0 - a * a
-    lhs = float(binom_char(n + i, i)) * one_minus ** (-n) * q_II
-    rhs = float(binom_char(-n - 1 + i, i)) * one_minus ** (n + 1) * q_I
+    lhs = float(binom_char(n + i, i)) * power(one_minus, -n) * q_II
+    rhs = float(binom_char(-n - 1 + i, i)) * power(one_minus, n + 1) * q_I
     return lhs, rhs
 
 
@@ -194,8 +194,8 @@ def theta_identity_sides(spec: IntegralSpec, q_I: float,
     """
     a, n, i = spec.a_mod, spec.n, spec.i
     one_minus = 1.0 - a * a
-    lhs = float(binom_char(n, i)) * one_minus ** (n + 1) * q_I
-    rhs = float(binom_char(-n - 1, i)) * one_minus ** (-n) * q_II
+    lhs = float(binom_char(n, i)) * power(one_minus, n + 1) * q_I
+    rhs = float(binom_char(-n - 1, i)) * power(one_minus, -n) * q_II
     return lhs, rhs
 
 

@@ -259,9 +259,9 @@ def scaled_sum(scale: Scalar, params: HypergeometricParams, x: Scalar,
     """scale * s(params; x) with its tail bound, tol applying to the product.
 
     The series is summed to tol / |scale| (to tol when |scale| underflows
-    to 0.0) and its tail bound scaled back by |scale|.  A float scale
-    takes float() of an exact sum in the product, so the sum must then be
-    finite inside the float range.
+    to 0.0) and its tail bound scaled back by |scale|.  A product that is
+    a float needs the sum finite, inside the float range: a float scale
+    takes float() of an exact sum, and a float sum may have overflowed.
     """
     check_finite("prefactor", scale)
     mag = abs(float(scale))
@@ -270,7 +270,7 @@ def scaled_sum(scale: Scalar, params: HypergeometricParams, x: Scalar,
         raise DomainError(f"tol {tol} over the prefactor magnitude {mag} "
                           "leaves the positive float range")
     out = eval_series(params, x, inner_tol, max_terms)
-    if not is_exact(scale):
+    if not (is_exact(scale) and is_exact(out.value)):
         check_finite("scaled series value", out.value)
     return SeriesEvaluation(scale * out.value, out.terms_used, out.terminated,
                             out.tail_bound * mag)

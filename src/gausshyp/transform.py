@@ -20,7 +20,8 @@ from enum import Enum
 
 from .binom import binom_char
 from .errors import DomainError
-from .scalar import Scalar, as_integer, check_index, is_exact, power
+from .scalar import (Scalar, as_integer, check_finite, check_index,
+                     is_exact, power)
 from .series import (HypergeometricParams, SeriesEvaluation, check_budget,
                      check_eval_point, scaled_sum)
 from .series import eval_series  # noqa: F401  (perfbench looks it up here)
@@ -132,6 +133,7 @@ def character_series(m1: Scalar, m2: Scalar, shift: int, x: Scalar,
     check_eval_point(x)
     check_budget(tol, max_terms)
     lead: Scalar = binom_char(m2, shift)
+    check_finite("prefactor", lead)
     if not (is_exact(m1) and is_exact(x)):
         lead = float(lead)
     if lead == 0:

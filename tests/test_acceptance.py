@@ -19,7 +19,7 @@ from gausshyp import (HypergeometricParams, IntegralSpec, TripleParams,
                       reflect_char, substitution_residual,
                       theta_identity_sides, verify_sign_bridge,
                       verify_triple_relations)
-from gausshyp.cli import RunConfig, build_parser, cmd_bench
+from gausshyp.cli import build_parser, cmd_bench
 from oracles import brute_series
 
 P = HypergeometricParams
@@ -187,7 +187,7 @@ def test_criterion_8_triple_relations():
 
 def test_criterion_9_bench_selector():
     args = build_parser().parse_args(["bench"])
-    report, _, code = cmd_bench(args, RunConfig())
+    report, _, _, code = cmd_bench(args)
     failures = []
     if code != 0:
         failures.append(("exit", code))

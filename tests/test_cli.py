@@ -16,8 +16,8 @@ from gausshyp import (IntegralSpec, check_closed_form_I, check_closed_form_II,
                       quad_I, quad_II, ratio_identity_sides,
                       theta_identity_sides)
 from gausshyp import integrals
-from gausshyp.cli import (INTEGRAL_AS, INTEGRAL_NI, RunConfig,
-                          _verify_integrals, format_float, main, render_json)
+from gausshyp.cli import (INTEGRAL_AS, INTEGRAL_NI, _verify_integrals,
+                          build_parser, format_float, main, render_json)
 
 
 def run(capsys, *argv):
@@ -301,7 +301,8 @@ def test_verify_integrals_runs_each_quadrature_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(integrals, "_integral", counting)
-    entries = _verify_integrals(RunConfig())
+    args = build_parser().parse_args(["verify", "integrals"])
+    entries = _verify_integrals(args)
     assert all(entry["status"] == "pass" for entry in entries)
     assert len(calls) == 2 * len(INTEGRAL_AS) * len(INTEGRAL_NI) == 128
 
@@ -369,3 +370,19 @@ def test_bench_custom_grid(capsys):
 def test_bench_bad_grid_exit_2(capsys):
     code, _, err = run(capsys, "bench", "--grid", "1,2")
     assert code == 2 and "triple" in err
+
+
+# ---- report contract ----
+#
+# The exact stdout of argv lists whose reports use no libm function, so the
+# bytes do not depend on the platform's math library.  Regenerate the file
+# only for a deliberate change of the report contract.
+
+CONTRACT = json.loads(
+    (pathlib.Path(__file__).resolve().parent / "cli_contract.json").read_text())
+
+
+@pytest.mark.parametrize("case", CONTRACT,
+                         ids=[" ".join(c["argv"]) for c in CONTRACT])
+def test_report_contract_bytes(capsys, case):
+    assert run(capsys, *case["argv"]) == (0, case["stdout"], "")

@@ -248,6 +248,14 @@ def test_identity_residuals(a, n, i):
         assert abs(lhs - rhs) <= 1e-8 * (1 + abs(lhs))
 
 
+def test_identity_sides_reject_a_power_past_the_float_range():
+    # 0.75**-3000 is about 1e375
+    spec = IntegralSpec(0.5, 3000, 0)
+    for identity in (ratio_identity_sides, theta_identity_sides):
+        with pytest.raises(DomainError, match="past the float range"):
+            identity(spec, 1.0, 1.0)
+
+
 def test_sign_bridge():
     for n in range(7):
         for i in range(7):

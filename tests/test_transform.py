@@ -105,6 +105,13 @@ def test_transformed_matches_product_oracle():
     assert tr.value == z * (1 - F(1, 5)) ** -5
 
 
+def test_eval_transformed_exact_prefactor_times_an_overflowed_float_sum():
+    # the exponent -1202.0 is an integer, so the prefactor (199/100)**-1202
+    # stays exact, while the terminating float sum overflows to nan
+    with pytest.raises(DomainError, match="scaled series value"):
+        eval_transformed(P(1200.5, 3.0, 1.5), F(-99, 100))
+
+
 # ---- representation choice ----
 
 def select(params, x):
@@ -184,6 +191,15 @@ def test_character_series_lead_past_the_float_range():
     # binom(10**300, 2) is about 5e599
     with pytest.raises(DomainError, match="prefactor"):
         character_series(F(1, 2), 10**300, 2, F(1, 2))
+
+
+def test_character_series_exact_lead_past_the_float_range_in_float_mode():
+    # a float m1 or x makes the sum a float; binom(2000, 1000) is about
+    # 2e600 and must be rejected before it is converted
+    with pytest.raises(DomainError, match="prefactor"):
+        character_series(0.5, 2000, 1000, 0.5)
+    zero = character_series(0.5, 3, 10, 0.5)
+    assert zero.value == 0.0 and isinstance(zero.value, float)
 
 
 # ---- tail bounds of prefactor x series ----
