@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -381,6 +382,7 @@ def cmd_bench(args):
 
 # ---- entry point ----
 
+@functools.cache  # built on the first call; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gausshyp",

@@ -26,7 +26,7 @@ import numpy as np
 
 from .binom import binom_char
 from .errors import DomainError, QuadratureFailureError
-from .scalar import check_index, power
+from .scalar import check_finite, check_index, power
 from .transform import character_series
 
 #: Absolute error target for every quadrature in this module.  Identity
@@ -84,7 +84,11 @@ def _points(a: float, m: int, i: int, abs_tol: float) -> tuple[int, float]:
     the error of its N-point trapezoid sum, both fixed before any sample."""
     if m + 1 <= 0:
         # Delta**n cos(i phi), n = -m-1, is a trigonometric polynomial of
-        # degree n+i, which any N > n+i integrates exactly
+        # degree n+i, which any N > n+i integrates exactly; pi times the sum
+        # of its N samples, each at most (1+a)**(2n), must stay a float
+        if math.log(math.pi * (i - m)) - 2 * (m + 1) * math.log1p(a) > _LOG_MAX:
+            raise DomainError(f"Delta**{-m - 1} at a={a} reaches "
+                              f"(1+a)**{-2 * (m + 1)}, past the float range")
         return i - m, -math.inf
     # The integrand is analytic in |Im phi| < log(1/a).  On the strip of
     # half-width sigma = log(1/a)/2, |Delta| >= (1-sqrt a)(1-a sqrt a) and
@@ -166,6 +170,13 @@ def check_closed_form_II(spec: IntegralSpec, tol: float = 1e-12) -> IntegralResu
 
 # ---- cross-family identities ----
 
+def _float_char(m: int, i: int) -> float:
+    """binom_char(m, i) as a float, rejected past the float range."""
+    value = binom_char(m, i)
+    check_finite("binomial character", value)
+    return float(value)
+
+
 def ratio_identity_sides(spec: IntegralSpec, q_I: float,
                          q_II: float) -> tuple[float, float]:
     """Both sides of
@@ -177,8 +188,8 @@ def ratio_identity_sides(spec: IntegralSpec, q_I: float,
     """
     a, n, i = spec.a_mod, spec.n, spec.i
     one_minus = 1.0 - a * a
-    lhs = float(binom_char(n + i, i)) * power(one_minus, -n) * q_II
-    rhs = float(binom_char(-n - 1 + i, i)) * power(one_minus, n + 1) * q_I
+    lhs = _float_char(n + i, i) * power(one_minus, -n) * q_II
+    rhs = _float_char(-n - 1 + i, i) * power(one_minus, n + 1) * q_I
     return lhs, rhs
 
 
@@ -194,8 +205,8 @@ def theta_identity_sides(spec: IntegralSpec, q_I: float,
     """
     a, n, i = spec.a_mod, spec.n, spec.i
     one_minus = 1.0 - a * a
-    lhs = float(binom_char(n, i)) * power(one_minus, n + 1) * q_I
-    rhs = float(binom_char(-n - 1, i)) * power(one_minus, -n) * q_II
+    lhs = _float_char(n, i) * power(one_minus, n + 1) * q_I
+    rhs = _float_char(-n - 1, i) * power(one_minus, -n) * q_II
     return lhs, rhs
 
 

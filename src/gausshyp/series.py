@@ -173,12 +173,6 @@ def _positivity_index(a: float, b: float, c: float) -> int:
     return int(math.floor(-worst)) + 1
 
 
-def _ratio_majorant(a: float, b: float, c: float, x: float, k: int) -> float:
-    f1 = (a + k) / (1.0 + k)
-    f2 = (b + k) / (c + k)
-    return abs(x) * max(1.0, f1) * max(1.0, f2)
-
-
 # ---- evaluation ----
 
 def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
@@ -215,7 +209,7 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     elif x == 0:
         return SeriesEvaluation(Fraction(1) if exact else 1.0, 1, False, 0.0)
     else:
-        af, bf, cf, xf = float(a), float(b), float(c), float(x)
+        af, bf, cf, ax = float(a), float(b), float(c), abs(float(x))
         last, k0 = max_terms - 1, _positivity_index(af, bf, cf)
 
     if exact:
@@ -228,7 +222,10 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     terminated = False
     for k in range(last + 1):
         if k >= k0:
-            rho = _ratio_majorant(af, bf, cf, xf, k)
+            # rho_k of the tail majorant, written without a call per term
+            f1 = (af + k) / (1.0 + k)
+            f2 = (bf + k) / (cf + k)
+            rho = ax * (f1 if f1 > 1.0 else 1.0) * (f2 if f2 > 1.0 else 1.0)
             if rho < 1.0:
                 try:
                     bound = abs(P / Q if exact else term) * rho / (1.0 - rho)

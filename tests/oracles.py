@@ -3,13 +3,14 @@
 Everything here recomputes values from explicit closed-form products, never
 through the library's recurrences, so agreement is a genuine cross-check
 rather than the same code run twice.  Exact inputs only.  The exceptions
-are the references for the library's integer arithmetic:
+are the references for the library's own arithmetic:
 ``fraction_eval_series``, which keeps the library's stopping rule and steps
-every term in ``Fraction`` arithmetic; ``fraction_coefficients``,
-``fraction_ode_residual`` and ``fraction_operator_identity_residual``, which
-build the coefficients and the operator residuals one ``Fraction``
-operation at a time (floats too); and ``float_binom``, the running product
-of (m-j+1)/j in doubles.
+every term in ``Fraction`` arithmetic; ``float_eval_series``, the same
+stopping rule stepped in doubles with the majorant as its own function;
+``fraction_coefficients``, ``fraction_ode_residual`` and
+``fraction_operator_identity_residual``, which build the coefficients and
+the operator residuals one ``Fraction`` operation at a time (floats too);
+and ``float_binom``, the running product of (m-j+1)/j in doubles.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from fractions import Fraction
 
 from gausshyp import NoConvergenceError, termination_index
 from gausshyp.series import (_poly_derivative, _poly_mul, _poly_scale,
-                             _poly_sum, _positivity_index, _ratio_majorant,
-                             _shift)
+                             _poly_sum, _shift)
 
 
 def brute_binom(m, k: int) -> Fraction:
@@ -65,6 +65,57 @@ def brute_char_sum(m1, m2, shift: int, x, terms: int) -> Fraction:
     x = Fraction(x)
     return sum((brute_binom(m1, k) * brute_binom(m2, shift + k) * x ** k
                 for k in range(terms)), Fraction(0))
+
+
+def _positivity_index(a: float, b: float, c: float) -> int:
+    """First k with a+k, b+k and c+k all positive."""
+    worst = min(a, b, c)
+    if worst > 0.0:
+        return 0
+    return int(math.floor(-worst)) + 1
+
+
+def _ratio_majorant(a: float, b: float, c: float, x: float, k: int) -> float:
+    """|x| max(1, (a+k)/(1+k)) max(1, (b+k)/(c+k)): every later term ratio."""
+    f1 = (a + k) / (1.0 + k)
+    f2 = (b + k) / (c + k)
+    return abs(x) * max(1.0, f1) * max(1.0, f2)
+
+
+def float_eval_series(params, x: float, tol: float, max_terms: int):
+    """(value, terms_used, terminated, tail_bound) of a float term loop.
+
+    The float path of ``eval_series`` with its majorant as a separate
+    function call; raises NoConvergenceError where it does.
+    """
+    a, b, c = params.a, params.b, params.c
+    stop = termination_index(params)
+    if stop is not None:
+        if stop + 1 > max_terms:
+            raise NoConvergenceError("terminating sum over budget")
+        last, k0 = stop, max_terms
+    elif x == 0:
+        return 1.0, 1, False, 0.0
+    else:
+        af, bf, cf, xf = float(a), float(b), float(c), float(x)
+        last, k0 = max_terms - 1, _positivity_index(af, bf, cf)
+    term = total = 1.0
+    terminated = False
+    for k in range(last + 1):
+        if k >= k0:
+            rho = _ratio_majorant(af, bf, cf, xf, k)
+            if rho < 1.0:
+                bound = abs(term) * rho / (1.0 - rho)
+                if bound <= tol:
+                    break
+        if k == last:
+            if stop is None:
+                raise NoConvergenceError("tail bound still above tol")
+            terminated, bound = True, 0.0
+            break
+        term = term * (a + k) * (b + k) / ((k + 1) * (c + k)) * x
+        total = total + term
+    return total, k + 1, terminated, bound
 
 
 def fraction_eval_series(params, x, tol: float, max_terms: int):

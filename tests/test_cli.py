@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -386,3 +387,40 @@ CONTRACT = json.loads(
                          ids=[" ".join(c["argv"]) for c in CONTRACT])
 def test_report_contract_bytes(capsys, case):
     assert run(capsys, *case["argv"]) == (0, case["stdout"], "")
+
+
+# ---- one parser per process ----
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    argvs = [["eval", "-a", "1", "-b", "1", "-c", "2", "-x", "0.5"],
+             ["eval", "--mode", "exact", "-a=-2", "-b=3", "-c=1", "-x=1/4"],
+             ["verify", "binom", "--output", "csv"]]
+    main(argvs[0])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    codes = [main(argvs[k % len(argvs)]) for k in range(20)]
+    capsys.readouterr()
+    assert codes == [0] * 20
+    assert built == []
+
+
+def test_repeated_main_calls_print_the_contract_bytes(capsys):
+    # the cached parser must fill a fresh namespace on every call, after a
+    # rejected argv and a --help as well, in either order of the runs
+    for case in CONTRACT:
+        assert run(capsys, *case["argv"]) == (0, case["stdout"], "")
+    with pytest.raises(SystemExit) as rejected:
+        main(["eval", "-a", "1"])
+    assert rejected.value.code == 2
+    with pytest.raises(SystemExit) as helped:
+        main(["eval", "--help"])
+    assert helped.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gausshyp eval")
+    for case in reversed(CONTRACT):
+        assert run(capsys, *case["argv"]) == (0, case["stdout"], "")

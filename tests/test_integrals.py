@@ -256,6 +256,27 @@ def test_identity_sides_reject_a_power_past_the_float_range():
             identity(spec, 1.0, 1.0)
 
 
+def test_identity_sides_reject_a_character_past_the_float_range():
+    # binom(3000, 1500) is about 1e901
+    spec = IntegralSpec(0.5, 1500, 1500)
+    for identity in (ratio_identity_sides, theta_identity_sides):
+        with pytest.raises(DomainError, match="binomial character"):
+            identity(spec, 1.0, 1.0)
+
+
+def test_family_II_rejects_samples_past_the_float_range(monkeypatch):
+    # Delta**3000 reaches 2.25**3000, about 1e1056: refused before any
+    # sample is taken and before the closed form's series runs
+    def no_samples(a, phi):
+        raise AssertionError("sampled the kernel")
+
+    monkeypatch.setattr(integrals, "_delta", no_samples)
+    spec = IntegralSpec(0.5, 3000, 0)
+    for check in (check_closed_form_II, quad_II):
+        with pytest.raises(DomainError, match="past the float range"):
+            check(spec)
+
+
 def test_sign_bridge():
     for n in range(7):
         for i in range(7):

@@ -14,9 +14,9 @@ from gausshyp import (EXACT_DEGREE_CAP, DomainError, HypergeometricParams,
                       InvalidCError, NoConvergenceError, coefficients,
                       eval_series, ode_residual, operator_identity_residual,
                       substitution_residual, termination_index)
-from oracles import (brute_coefficient, brute_series, fraction_coefficients,
-                     fraction_eval_series, fraction_ode_residual,
-                     fraction_operator_identity_residual)
+from oracles import (brute_coefficient, brute_series, float_eval_series,
+                     fraction_coefficients, fraction_eval_series,
+                     fraction_ode_residual, fraction_operator_identity_residual)
 
 P = HypergeometricParams
 
@@ -240,6 +240,34 @@ def test_exact_sum_matches_the_fraction_loop(abc, x, tol, max_terms):
             assert type(got.value) is F
             assert (got.value, got.terms_used, got.terminated,
                     got.tail_bound) == want
+
+
+@seed(1998)
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-30, 30), st.floats(-30, 30), st.floats(0.5, 30),
+       st.one_of(st.sampled_from([0.98, -0.9]),
+                 st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True)),
+       st.floats(-15, -3).map(lambda e: 10.0 ** e), st.integers(1, 10000))
+@example(0.3, 0.7, 1.5, 0.98, 1e-12, 10000)     # 978 terms
+@example(10.0, -30.5, 1.5, -0.9, 1e-15, 10000)  # f1 > 1 past k0 = 31
+@example(-25.5, 30.0, 0.5, -0.9, 1e-12, 10000)  # f2 > 1 past k0 = 26
+@example(-4.0, 2.5, 0.5, 0.98, 1e-3, 10000)     # float polynomial
+@example(-4, 3, 2, 0.5, 1e-12, 10)              # ints beside a float x
+@example(-40.0, 1.0, 1.0, 0.5, 1e-12, 10)       # polynomial over budget
+@example(29.0, 29.0, 0.5, 0.98, 1e-15, 200)     # budget runs out
+@example(1.0, 1.0, 2.0, 0.0, 1e-12, 1)          # x = 0
+def test_float_sum_matches_the_reference_loop(a, b, c, x, tol, max_terms):
+    # the float loop, with its majorant written inline, must give the
+    # reference loop's value, term count, termination and tail bound bit
+    # for bit, and fail to converge exactly where it does
+    params = P(a, b, c)
+    got = _outcome(eval_series, params, x, tol, max_terms)
+    want = _outcome(float_eval_series, params, x, tol, max_terms)
+    if want is None:
+        assert got is None
+    else:
+        assert (got.value.hex(), got.terms_used, got.terminated,
+                got.tail_bound) == (want[0].hex(), *want[1:])
 
 
 # ---- differential-operator residuals ----
