@@ -20,7 +20,9 @@ denominator, each returned value reduced once.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +35,9 @@ from .scalar import (Scalar, as_integer, check_finite, is_exact,
 #: exact ode_residual at (1/3, 2/7; 5/9) takes about 4 ms at this cap and
 #: 0.4 ms at 64 on a 2-core x86 host.
 EXACT_DEGREE_CAP = 256
+
+#: The largest double, as a float: a term above it is inf or nan.
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -165,12 +170,41 @@ def termination_index(params: HypergeometricParams) -> int | None:
 # bounds every later term ratio, and the tail after term k is at most
 # |t_k| * rho_k / (1 - rho_k) once rho_k < 1.  rho_k -> |x| < 1, so the
 # stopping rule always fires eventually.
+#
+# The gate.  rho_k >= |x| holds in doubles too, since each max is >= 1.0
+# and rounding is monotone; so fl(1 - rho_k) <= fl(1 - |x|), and the
+# computed bound fl(fl(|t_k| rho_k) / fl(1 - rho_k)) is at least
+# fl(fl(g |x|) / fl(1 - |x|)) whenever |t_k| >= g.  A g that makes the
+# latter exceed tol is a gate: no term at or above it can stop the sum,
+# so such a term needs neither rho_k nor the bound.  Any larger g is a
+# gate too, inf included, so the gate need only be sound, not least.
 
 def _positivity_index(a: float, b: float, c: float) -> int:
     worst = min(a, b, c)
     if worst > 0.0:
         return 0
     return int(math.floor(-worst)) + 1
+
+
+def _tail_gate(ax: float, tol: float) -> float:
+    """A gate g for |x| = ax: fl(fl(g ax) / fl(1 - ax)) > tol, or inf.
+
+    The first try is tol (1 - ax) / ax nudged up by a few ulps, which
+    passes unless a product underflows into the subnormals and loses bits
+    there; each further try doubles g.  Four tries keep the search O(1)
+    for every tol and ax.  Where they all miss, or where ax is 0.0 or so
+    small that no double passes, the gate is inf, which leaves every term
+    to the full check.
+    """
+    if not ax > 0.0:
+        return math.inf
+    d = 1.0 - ax
+    g = max(tol / ax * d * (1.0 + 2.0 ** -49), 5e-324)
+    for _ in range(4):
+        if g * ax / d > tol:
+            return g
+        g *= 2.0
+    return math.inf
 
 
 # ---- evaluation ----
@@ -182,8 +216,12 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     The one loop in the package that steps the term recurrence to a sum.
     Terminating parameter sets are summed completely (exactly when all
     inputs are exact).  Otherwise terms accumulate until the geometric
-    majorant bound on the remaining tail drops to tol; a term beyond the
-    float range leaves the bound unmet.
+    majorant bound on the remaining tail drops to tol.  Only a term below
+    the gate of _tail_gate can meet tol, so only such a term pays for
+    rho_k and the bound; the terms, the stop, the value and the bound are
+    those of a loop that checks every term.  A float term past the float
+    range (inf or nan) never comes back, so a sum that is not a polynomial
+    raises NoConvergenceError at the first such term it checks.
 
     Exact sums run on integers: with a = na/da, b = nb/db, c = nc/dc and
     x = nx/dx, term k is P/Q and the partial sum T/Q, and each step
@@ -191,7 +229,9 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     q(k) = (k+1)(nc + k dc) da db dx.  No gcd is taken until the sum is
     returned as Fraction(T, Q), so the value is the one a Fraction term
     loop gives, and since P/Q rounds to the same double as the reduced
-    term, so are terms_used and tail_bound.
+    term, so are terms_used and tail_bound.  The exact gate test reads
+    bit lengths alone, since |P/Q| > 2**(bl(P) - bl(Q) - 1), so P / Q is
+    only formed for a term that may lie below the gate.
     """
     check_eval_point(x)
     check_budget(tol, max_terms)
@@ -199,40 +239,56 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     exact = params.exact() and is_exact(x)
 
     # a terminating sum runs to its last term without a majorant check;
-    # any other sum checks its majorant from term k0 on
+    # any other sum checks its majorant from term k0 on, on terms below
+    # the gate
     stop = termination_index(params)
     if stop is not None:
         if stop + 1 > max_terms:
             raise NoConvergenceError(
                 f"series terminates after {stop + 1} terms but max_terms={max_terms}")
-        last, k0 = stop, max_terms
+        last, k0, gate = stop, max_terms, math.inf
     elif x == 0:
         return SeriesEvaluation(Fraction(1) if exact else 1.0, 1, False, 0.0)
     else:
         af, bf, cf, ax = float(a), float(b), float(c), abs(float(x))
         last, k0 = max_terms - 1, _positivity_index(af, bf, cf)
+        gate = _tail_gate(ax, tol)
 
     if exact:
         na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
         nc, dc = c.numerator, c.denominator
         nx_dc, dabx = x.numerator * dc, da * db * x.denominator
         P = Q = T = 1
+        # gate < 2**gate_exp, so bl(P) - bl(Q) > gate_exp puts P/Q above it
+        gate_exp = math.frexp(gate)[1] if gate < math.inf else math.inf
     else:
         term = total = 1.0
+    # beside float parameters the counter is a float: every k < 2**53 is
+    # a double, so float + float gives the bits that float + int did
+    kf = 0.0 if type(a) is type(b) is type(c) is float else 0
     terminated = False
-    for k in range(last + 1):
+    for k, kf in zip(range(last + 1), itertools.count(kf)):
         if k >= k0:
-            # rho_k of the tail majorant, written without a call per term
-            f1 = (af + k) / (1.0 + k)
-            f2 = (bf + k) / (cf + k)
-            rho = ax * (f1 if f1 > 1.0 else 1.0) * (f2 if f2 > 1.0 else 1.0)
-            if rho < 1.0:
-                try:
-                    bound = abs(P / Q if exact else term) * rho / (1.0 - rho)
-                except OverflowError:  # an exact term past the float range
-                    bound = math.inf
-                if bound <= tol:
-                    break
+            # only a term below the gate can meet tol; a float inf or nan
+            # fails the range test too, and stops the sum here
+            if (P.bit_length() - Q.bit_length() <= gate_exp if exact
+                    else not gate <= abs(term) <= _FLOAT_MAX):
+                if not (exact or abs(term) <= _FLOAT_MAX):
+                    raise NoConvergenceError(
+                        f"term {k} is {term}, outside the float range")
+                # rho_k of the tail majorant, written without a call per term
+                f1 = (af + k) / (1.0 + k)
+                f2 = (bf + k) / (cf + k)
+                rho = (ax * (f1 if f1 > 1.0 else 1.0)
+                       * (f2 if f2 > 1.0 else 1.0))
+                if rho < 1.0:
+                    try:
+                        bound = (abs(P / Q if exact else term) * rho
+                                 / (1.0 - rho))
+                    except OverflowError:  # an exact term past the float range
+                        bound = math.inf
+                    if bound <= tol:
+                        break
         if k == last:
             if stop is None:
                 raise NoConvergenceError(
@@ -245,7 +301,7 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
             Q *= q
             T = T * q + P
         else:
-            term = term * (a + k) * (b + k) / ((k + 1) * (c + k)) * x
+            term = term * (a + kf) * (b + kf) / ((kf + 1) * (c + kf)) * x
             total = total + term
     return SeriesEvaluation(Fraction(T, Q) if exact else total, k + 1,
                             terminated, bound)

@@ -166,6 +166,14 @@ def test_eval_term_beyond_float_range_exit_3(capsys):
     assert "terms" in err
 
 
+def test_eval_float_term_past_the_float_range_exit_3(capsys):
+    # raw term 1 is inf: the sum stops there, not after the whole budget
+    code, out, err = run(capsys, "eval", "-a=1e308", "-b=1e308", "-c=1",
+                         "-x=0.5")
+    assert code == 3 and out == ""
+    assert err == "no convergence: term 1 is inf, outside the float range\n"
+
+
 def test_closed_stdout_ends_cleanly():
     # the read end closes before the CLI writes, so its write hits EPIPE
     src = pathlib.Path(__file__).resolve().parents[1] / "src"

@@ -14,6 +14,7 @@ from gausshyp import (EXACT_DEGREE_CAP, DomainError, HypergeometricParams,
                       InvalidCError, NoConvergenceError, coefficients,
                       eval_series, ode_residual, operator_identity_residual,
                       substitution_residual, termination_index)
+from gausshyp.series import _tail_gate
 from oracles import (brute_coefficient, brute_series, float_eval_series,
                      fraction_coefficients, fraction_eval_series,
                      fraction_ode_residual, fraction_operator_identity_residual)
@@ -268,6 +269,83 @@ def test_float_sum_matches_the_reference_loop(a, b, c, x, tol, max_terms):
     else:
         assert (got.value.hex(), got.terms_used, got.terminated,
                 got.tail_bound) == (want[0].hex(), *want[1:])
+
+
+# ---- the tail gate ----
+
+EDGE_TOLS = (5e-324, 1e-320, 1e-12)
+EDGE_XS = (5e-324, 1e-300, 1e-20, 0.99, -0.99)
+EDGE_TRIPLES = ((F(1, 3), F(2, 7), F(5, 9)),     # k0 = 0
+                (10, F(-61, 2), F(3, 2)),        # f1 > 1 past k0 = 31
+                (F(-51, 2), 30, F(1, 2)))        # f2 > 1 past k0 = 26
+
+
+def test_tail_gate_is_sound_at_the_float_edges():
+    # every term at or above the gate has a computed bound above tol, for
+    # any rho_k >= |x|; the search ends at once even where products
+    # underflow, and the gate is inf, sound but of no use, only where |x|
+    # is tiny or tol is huge
+    axes = (0.0, 5e-324, 1e-320, 1e-310, 1e-300, 1e-20, 1e-5, 0.5, 0.98,
+            0.99, 1.0 - 2.0 ** -53)
+    tols = (5e-324, 1e-320, 1e-318, 1e-300, 1e-16, 1e-12, 1.0, 1e300)
+    for ax in axes:
+        for tol in tols:
+            gate = _tail_gate(ax, tol)
+            if gate < math.inf:
+                assert gate * ax / (1.0 - ax) > tol, (ax, tol)
+            else:
+                assert ax < 1e-300 or tol > 1.0, (ax, tol)
+    assert _tail_gate(0.98, 1e-12) < 2.05e-14
+
+
+def test_gated_sums_match_the_reference_loops_at_the_float_edges():
+    # the gate and the float counter leave every outcome bit for bit as
+    # the reference loops give it: the least tols, points down to the
+    # least subnormal, k0 > 0, f1 or f2 above 1 past k0, and parameters
+    # that are not floats beside a float x
+    for abc in EDGE_TRIPLES:
+        for params in (P(*map(float, abc)), P(*abc)):
+            for x in EDGE_XS:
+                for tol in EDGE_TOLS:
+                    got = _outcome(eval_series, params, x, tol, 3000)
+                    want = _outcome(float_eval_series, params, x, tol, 3000)
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        assert (got.value.hex(), got.terms_used, got.terminated,
+                                got.tail_bound) == (want[0].hex(), *want[1:])
+        params = P(*abc)
+        for x in (F(1, 2 ** 1074), F(1, 10 ** 300), F(1, 10 ** 20),
+                  F(99, 100), F(-99, 100)):
+            for tol in EDGE_TOLS[:2]:
+                got = _outcome(eval_series, params, x, tol, 300)
+                want = _outcome(fraction_eval_series, params, x, tol, 300)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert (got.value, got.terms_used, got.terminated,
+                            got.tail_bound) == want
+    # exact terms past the float range and back: they peak near 1e425 and
+    # stop after 3863 terms; and a point whose double is 0.0, where the gate
+    # is inf and term 1, near 8e314, reaches the OverflowError branch
+    for params, x, terms in ((P(F(801, 2), F(801, 2), F(1, 2)), F(1, 2), 3863),
+                             (P(F(-1, 2), 10 ** 308, F(1, 2 ** 1100)),
+                              F(1, 2 ** 1076), 3)):
+        got = eval_series(params, x, 1e-12, 10000)
+        assert (got.value, got.terms_used, got.terminated, got.tail_bound) \
+            == fraction_eval_series(params, x, 1e-12, 10000)
+        assert got.terms_used == terms
+    # the gate search stays O(1) where g |x| lies among the subnormals
+    assert eval_series(P(0.3, 0.7, 1.5), 1e-20, 1e-320).terms_used == 16
+
+
+def test_a_float_term_past_the_float_range_stops_the_sum():
+    # inf and nan terms stay past the float range, so the sum cannot
+    # converge; it stops at the first such term instead of the budget
+    with pytest.raises(NoConvergenceError,
+                       match=r"^term 1 is inf, outside the float range$"):
+        eval_series(P(1e308, 1e308, 1.0), 0.5)
+    with pytest.raises(NoConvergenceError,
+                       match=r"^term 2 is nan, outside the float range$"):
+        eval_series(P(1.5, 1e308, 1e308), 0.9)
 
 
 # ---- differential-operator residuals ----
