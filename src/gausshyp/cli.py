@@ -41,36 +41,61 @@ from .transform import (TripleParams, eval_transformed, select_representation,
 #
 # The JSON renderer is the output contract: insertion-ordered keys, floats
 # at 17 significant digits (so render(parse(render(x))) is byte-identical),
-# exact rationals as "p/q" strings, -0.0 normalized to 0.0.
+# exact rationals as "p/q" strings, -0.0 normalized to 0.0.  A value is
+# rendered by the entry for its exact type, strings escaped by the function
+# json.dumps uses, so the bytes are those of the isinstance chain in
+# tests/oracles.py.
 
 def format_float(v: float) -> str:
-    if math.isnan(v) or math.isinf(v):
+    if not math.isfinite(v):
         raise ValueError("non-finite float in report")
     if v == 0.0:
         v = 0.0
     return format(v, ".17g")
 
 
-def render_json(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, Fraction):
-        return json.dumps(str(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{render_json(v)}"
-                         for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(render_json(v) for v in value) + "]"
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps(str) calls
+
+
+def _render_dict(value: dict) -> str:
+    get = _RENDERERS.get
+    return "{" + ",".join([
+        f"{_quote(str(k))}:{get(type(v), _render_instance)(v)}"
+        for k, v in value.items()]) + "}"
+
+
+def _render_sequence(value) -> str:
+    get = _RENDERERS.get
+    return "[" + ",".join([get(type(v), _render_instance)(v)
+                           for v in value]) + "]"
+
+
+def _render_instance(value) -> str:
+    """Render a value whose exact type has no entry: the first entry whose
+    type it is an instance of (numpy.float64 is a float), else TypeError."""
+    for kind, render in _RENDERERS.items():
+        if isinstance(value, kind):
+            return render(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+# keyed on the exact type; the order is that of the isinstance fallback,
+# so bool is tried before int
+_RENDERERS = {
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+    int: str,
+    float: format_float,
+    Fraction: lambda value: _quote(str(value)),
+    str: _quote,
+    dict: _render_dict,
+    list: _render_sequence,
+    tuple: _render_sequence,
+}
+
+
+def render_json(value) -> str:
+    return _RENDERERS.get(type(value), _render_instance)(value)
 
 
 def _cell(v) -> str:
@@ -399,6 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", choices=("json", "csv", "text"),
                         default="json", help="report format")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its own parser
 
     p_eval = sub.add_parser("eval", parents=[common],
                             help="evaluate the series at one point")
@@ -427,7 +453,19 @@ _COMMANDS = {"eval": cmd_eval, "verify": cmd_verify, "bench": cmd_bench}
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # The full parser scans every word before handing the rest to the
+    # command's parser; an argv that names a command is parsed by that
+    # parser alone.  Anything else, or words it leaves over, takes the full
+    # parser, which prints the top-level usage and errors.
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if command is None or extras:
+        args = parser.parse_args(argv)
     try:
         check_budget(_tol(args), args.max_terms)
         report, columns, records, code = _COMMANDS[args.command](args)

@@ -221,7 +221,9 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     rho_k and the bound; the terms, the stop, the value and the bound are
     those of a loop that checks every term.  A float term past the float
     range (inf or nan) never comes back, so a sum that is not a polynomial
-    raises NoConvergenceError at the first such term it checks.
+    raises NoConvergenceError at the first such term it checks.  A sum
+    that is not a polynomial and whose majorant applies only from a term
+    k0 >= max_terms can never stop, so it raises before its first term.
 
     Exact sums run on integers: with a = na/da, b = nb/db, c = nc/dc and
     x = nx/dx, term k is P/Q and the partial sum T/Q, and each step
@@ -252,6 +254,10 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     else:
         af, bf, cf, ax = float(a), float(b), float(c), abs(float(x))
         last, k0 = max_terms - 1, _positivity_index(af, bf, cf)
+        if k0 > last:
+            raise NoConvergenceError(
+                f"the tail bound applies from term {k0} on, past "
+                f"max_terms={max_terms}")
         gate = _tail_gate(ax, tol)
 
     if exact:

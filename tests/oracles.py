@@ -10,15 +10,19 @@ stopping rule stepped in doubles with the majorant as its own function;
 ``fraction_coefficients``, ``fraction_ode_residual`` and
 ``fraction_operator_identity_residual``, which build the coefficients and
 the operator residuals one ``Fraction`` operation at a time (floats too);
-and ``float_binom``, the running product of (m-j+1)/j in doubles.
+``float_binom``, the running product of (m-j+1)/j in doubles; and
+``isinstance_render_json``, the report renderer as a chain of isinstance
+tests with ``json.dumps`` for every string.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
 from gausshyp import NoConvergenceError, termination_index
+from gausshyp.cli import format_float
 from gausshyp.series import (_poly_derivative, _poly_mul, _poly_scale,
                              _poly_sum, _shift)
 
@@ -198,3 +202,26 @@ def fraction_operator_identity_residual(params, degree: int) -> list:
         length=degree + 1,
     )
     return [lv - rv for lv, rv in zip(lhs, rhs)]
+
+
+def isinstance_render_json(value) -> str:
+    """Canonical JSON of a report: the first isinstance test that holds."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, Fraction):
+        return json.dumps(str(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        inner = ",".join(f"{json.dumps(str(k))}:{isinstance_render_json(v)}"
+                         for k, v in value.items())
+        return "{" + inner + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(isinstance_render_json(v) for v in value) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -6,19 +6,24 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from gausshyp import (IntegralSpec, check_closed_form_I, check_closed_form_II,
                       quad_I, quad_II, ratio_identity_sides,
                       theta_identity_sides)
-from gausshyp import integrals
+from gausshyp import cli, integrals
 from gausshyp.cli import (INTEGRAL_AS, INTEGRAL_NI, _verify_integrals,
                           build_parser, format_float, main, render_json)
+from oracles import isinstance_render_json
 
 
 def run(capsys, *argv):
@@ -42,6 +47,50 @@ def test_render_json_round_trip():
            "f": -0.0, "g": 1e22, "h": "quote\"and\\slash"}
     s = render_json(doc)
     assert render_json(json.loads(s)) == s
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1.7e308, -1.7e308, sys.float_info.max)
+report_leaves = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(-10 ** 400, 10 ** 400),
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(),
+    st.text(st.one_of(st.characters(),
+                      st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800'))),
+    st.one_of(st.sampled_from(EDGE_FLOATS),
+              st.floats(allow_nan=False, allow_infinity=False)).map(np.float64),
+)
+reports = st.recursive(
+    report_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers()), inner,
+                        max_size=4)),
+    max_leaves=24)
+
+
+@seed(1748)
+@settings(max_examples=200, deadline=None)
+@given(reports)
+def test_render_json_matches_the_isinstance_renderer(value):
+    assert render_json(value) == isinstance_render_json(value)
+
+
+def test_render_json_rejects_what_the_isinstance_renderer_rejects():
+    for bad in (math.inf, -math.inf, math.nan, np.float64("inf"),
+                np.float64("nan")):
+        for value in (bad, [1, {"v": bad}], {"k": (bad,)}):
+            for render in (render_json, isinstance_render_json):
+                with pytest.raises(ValueError):
+                    render(value)
+    for unknown in (object(), {1, 2}, 1j, b"bytes", np.int64(3)):
+        for value in (unknown, {"k": [unknown]}):
+            for render in (render_json, isinstance_render_json):
+                with pytest.raises(TypeError, match="cannot serialize"):
+                    render(value)
 
 
 # ---- eval ----
@@ -172,6 +221,16 @@ def test_eval_float_term_past_the_float_range_exit_3(capsys):
                          "-x=0.5")
     assert code == 3 and out == ""
     assert err == "no convergence: term 1 is inf, outside the float range\n"
+
+
+def test_eval_majorant_past_the_budget_exit_3(capsys):
+    # a+k > 0 only from k0 = 20001 on, past the 10000-term budget: the sum
+    # fails before its first term, so the inf term 1 is never formed
+    code, out, err = run(capsys, "eval", "-a=-20000.5", "-b=1e308", "-c=1",
+                         "-x=0.5")
+    assert code == 3 and out == ""
+    assert err == ("no convergence: the tail bound applies from term 20001 "
+                   "on, past max_terms=10000\n")
 
 
 def test_closed_stdout_ends_cleanly():
@@ -432,3 +491,72 @@ def test_repeated_main_calls_print_the_contract_bytes(capsys):
     assert capsys.readouterr().out.startswith("usage: gausshyp eval")
     for case in reversed(CONTRACT):
         assert run(capsys, *case["argv"]) == (0, case["stdout"], "")
+
+
+# ---- one parse per argv ----
+#
+# An argv whose first word names a command is parsed by that command's
+# parser alone; the full parser must see no difference.  Emptying the
+# parser's command table sends every argv through the full parser.
+
+EVAL_ARGV = ["eval", "-a=1", "-b=1", "-c=2", "-x=0.5"]
+DISPATCH_ARGVS = [
+    [], ["--help"], ["-h", "eval"], ["nosuch"], ["Eval", "-a=1"],
+    ["--mode", "exact", *EVAL_ARGV],
+    EVAL_ARGV, ["eval", "--help"], ["eval"], ["eval", "-a", "1"],
+    [*EVAL_ARGV, "--bogus"], [*EVAL_ARGV, "extra"], [*EVAL_ARGV, "--", "1"],
+    [*EVAL_ARGV, "--bogus", "--help"], [*EVAL_ARGV, "--tol", "abc"],
+    [*EVAL_ARGV, "--out", "csv"], [*EVAL_ARGV, "--max", "5"],
+    [*EVAL_ARGV, "--output=text", "--mode=exact"],
+    ["eval", "-a", "-3", "-b", "1", "-c", "2", "-x", "0.5"],
+    ["eval", "-a", "1", "-b", "1", "-c", "2", "-x", "-3/4"],
+    ["eval", "-x=-0.5", "-a=1", "-a=2", "-b=1/2", "-c=3/2", "--mode", "exact"],
+    ["verify", "nosuch"], ["verify", "binom", "ode"],
+    ["verify", "binom", "--output", "csv", "--tol", "1e-6"],
+    ["bench", "--grid", "3,1,2;1,1,2", "-x", "0.5,0.9"],
+    ["bench", "--grid", "1,2"], ["bench", "--help"],
+]
+
+
+def _dispatch(capsys, monkeypatch, argvs):
+    """(code or SystemExit code, stdout, stderr, parsed namespace) per argv."""
+    parsed = []
+    for name, command in list(cli._COMMANDS.items()):
+        def recording(args, command=command):
+            parsed.append(vars(args).copy())
+            return command(args)
+        monkeypatch.setitem(cli._COMMANDS, name, recording)
+    outcomes = []
+    for argv in argvs:
+        parsed.clear()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out, err = capsys.readouterr()
+        outcomes.append((code, out, err, parsed[:]))
+    return outcomes
+
+
+def test_command_parser_matches_the_full_parser(capsys, monkeypatch):
+    direct = _dispatch(capsys, monkeypatch, DISPATCH_ARGVS)
+    monkeypatch.setattr(build_parser(), "commands", {})
+    full = _dispatch(capsys, monkeypatch, DISPATCH_ARGVS)
+    for argv, got, want in zip(DISPATCH_ARGVS, direct, full):
+        assert got == want, argv
+    accepted = [argv for argv, (*_, parsed) in zip(DISPATCH_ARGVS, full)
+                if parsed]
+    assert len(accepted) == 9
+    assert full[DISPATCH_ARGVS.index([*EVAL_ARGV, "--bogus"])][2].startswith(
+        "usage: gausshyp [-h] {eval,verify,bench} ...\n")
+
+
+def test_a_command_argv_skips_the_full_parser(capsys, monkeypatch):
+    scans = []
+    parser = build_parser()
+    monkeypatch.setattr(parser, "parse_known_args",
+                        lambda *args: scans.append(args))
+    assert main(EVAL_ARGV) == 0
+    assert main(["verify", "binom", "--output", "csv"]) == 0
+    capsys.readouterr()
+    assert scans == []

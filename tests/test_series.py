@@ -348,6 +348,25 @@ def test_a_float_term_past_the_float_range_stops_the_sum():
         eval_series(P(1.5, 1e308, 1e308), 0.9)
 
 
+def test_a_majorant_past_the_budget_fails_before_the_first_term():
+    # the majorant applies from k0 on, the first k with a+k, b+k, c+k all
+    # positive; with k0 >= max_terms no term can stop the sum
+    message = r"^the tail bound applies from term {} on, past max_terms={}$"
+    for params, x in ((P(F(-40001, 2), F(3, 2), 1), F(1, 2)),
+                      (P(-20000.5, 1e308, 1.0), 0.5)):
+        with pytest.raises(NoConvergenceError,
+                           match=message.format(20001, 10000)):
+            eval_series(params, x)
+    with pytest.raises(NoConvergenceError, match=message.format(5, 5)):
+        eval_series(P(-4.5, 1.0, 1.0), 1e-3, max_terms=5)
+    # k0 = max_terms - 1 is the last term, which may still stop the sum
+    got = eval_series(P(-4.5, 1.0, 1.0), 1e-3, max_terms=6)
+    want = float_eval_series(P(-4.5, 1.0, 1.0), 1e-3, 1e-12, 6)
+    assert (got.value, got.terms_used, got.terminated,
+            got.tail_bound) == want
+    assert got.terms_used == 6
+
+
 # ---- differential-operator residuals ----
 
 def test_ode_residual_terminating_all_zero():
