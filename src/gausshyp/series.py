@@ -13,7 +13,9 @@ or b is a nonpositive integer the series is a polynomial and is summed
 completely; otherwise summation stops once a geometric tail bound falls
 below the requested tolerance.  An exact sum steps one integer numerator
 and one integer denominator per term and is normalized to lowest terms
-once, when it is returned.  The exact coefficients and the two operator
+once, when it is returned; an exact sum whose double is all a float
+prefactor uses is summed in fixed point with a running error bound
+instead, and rounded once.  The exact coefficients and the two operator
 residuals work the same way: integer numerators over one common
 denominator, each returned value reduced once.
 """
@@ -38,6 +40,7 @@ EXACT_DEGREE_CAP = 256
 
 #: The largest double, as a float: a term above it is inf or nan.
 _FLOAT_MAX = sys.float_info.max
+_FLOAT_MAX_INT = int(_FLOAT_MAX)
 
 
 @dataclass(frozen=True)
@@ -207,13 +210,62 @@ def _tail_gate(ax: float, tol: float) -> float:
     return math.inf
 
 
+def _ratio_majorant(k: int, af: float, bf: float, cf: float,
+                    ax: float) -> float:
+    """rho_k, which bounds every term ratio past term k once k >= k0."""
+    f1 = (af + k) / (1.0 + k)
+    f2 = (bf + k) / (cf + k)
+    return ax * (f1 if f1 > 1.0 else 1.0) * (f2 if f2 > 1.0 else 1.0)
+
+
+def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
+               max_terms: int):
+    """Check x and the budget and set up the stop rule of one sum, shared
+    by every summation loop.
+
+    Returns (last, polynomial, k0, gate, af, bf, cf, ax): the index of
+    the last term the sum may reach; True when that term ends the series,
+    which then needs no majorant, False when reaching it spends the
+    budget; the first term whose majorant is checked; the gate of
+    _tail_gate; and the parameters as doubles and |x|, for rho_k.  A sum
+    that is not a polynomial at x = 0 is its first term alone, with a
+    zero tail: None.  A polynomial over budget, and a sum whose majorant
+    applies only from a term k0 past the budget, can never be summed, so
+    they raise here, before the first term.  An exact x whose double is
+    0.0 takes |x| as the least double 5e-324, which is at least |x|:
+    rho_k = 0 would call its nonzero tail 0.
+    """
+    check_eval_point(x)
+    check_budget(tol, max_terms)
+    af, bf, cf = float(params.a), float(params.b), float(params.c)
+    stop = termination_index(params)
+    if stop is not None:
+        if stop + 1 > max_terms:
+            raise NoConvergenceError(
+                f"series terminates after {stop + 1} terms but max_terms={max_terms}")
+        return stop, True, max_terms, math.inf, af, bf, cf, 0.0
+    if x == 0:
+        return None
+    k0 = _positivity_index(af, bf, cf)
+    if k0 > max_terms - 1:
+        raise NoConvergenceError(
+            f"the tail bound applies from term {k0} on, past "
+            f"max_terms={max_terms}")
+    ax = abs(float(x)) or 5e-324
+    return max_terms - 1, False, k0, _tail_gate(ax, tol), af, bf, cf, ax
+
+
+def _budget_spent(tol: float, max_terms: int) -> NoConvergenceError:
+    return NoConvergenceError(
+        f"tail bound still above tol={tol} after {max_terms} terms")
+
+
 # ---- evaluation ----
 
 def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
                 max_terms: int = 10000) -> SeriesEvaluation:
     """Sum the series at x, |x| < 1.
 
-    The one loop in the package that steps the term recurrence to a sum.
     Terminating parameter sets are summed completely (exactly when all
     inputs are exact).  Otherwise terms accumulate until the geometric
     majorant bound on the remaining tail drops to tol.  Only a term below
@@ -221,9 +273,7 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     rho_k and the bound; the terms, the stop, the value and the bound are
     those of a loop that checks every term.  A float term past the float
     range (inf or nan) never comes back, so a sum that is not a polynomial
-    raises NoConvergenceError at the first such term it checks.  A sum
-    that is not a polynomial and whose majorant applies only from a term
-    k0 >= max_terms can never stop, so it raises before its first term.
+    raises NoConvergenceError at the first such term it checks.
 
     Exact sums run on integers: with a = na/da, b = nb/db, c = nc/dc and
     x = nx/dx, term k is P/Q and the partial sum T/Q, and each step
@@ -235,31 +285,12 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     bit lengths alone, since |P/Q| > 2**(bl(P) - bl(Q) - 1), so P / Q is
     only formed for a term that may lie below the gate.
     """
-    check_eval_point(x)
-    check_budget(tol, max_terms)
-    a, b, c = params.a, params.b, params.c
+    rule = _stop_rule(params, x, tol, max_terms)
     exact = params.exact() and is_exact(x)
-
-    # a terminating sum runs to its last term without a majorant check;
-    # any other sum checks its majorant from term k0 on, on terms below
-    # the gate
-    stop = termination_index(params)
-    if stop is not None:
-        if stop + 1 > max_terms:
-            raise NoConvergenceError(
-                f"series terminates after {stop + 1} terms but max_terms={max_terms}")
-        last, k0, gate = stop, max_terms, math.inf
-    elif x == 0:
+    if rule is None:
         return SeriesEvaluation(Fraction(1) if exact else 1.0, 1, False, 0.0)
-    else:
-        af, bf, cf, ax = float(a), float(b), float(c), abs(float(x))
-        last, k0 = max_terms - 1, _positivity_index(af, bf, cf)
-        if k0 > last:
-            raise NoConvergenceError(
-                f"the tail bound applies from term {k0} on, past "
-                f"max_terms={max_terms}")
-        gate = _tail_gate(ax, tol)
-
+    last, polynomial, k0, gate, af, bf, cf, ax = rule
+    a, b, c = params.a, params.b, params.c
     if exact:
         na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
         nc, dc = c.numerator, c.denominator
@@ -282,11 +313,7 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
                 if not (exact or abs(term) <= _FLOAT_MAX):
                     raise NoConvergenceError(
                         f"term {k} is {term}, outside the float range")
-                # rho_k of the tail majorant, written without a call per term
-                f1 = (af + k) / (1.0 + k)
-                f2 = (bf + k) / (cf + k)
-                rho = (ax * (f1 if f1 > 1.0 else 1.0)
-                       * (f2 if f2 > 1.0 else 1.0))
+                rho = _ratio_majorant(k, af, bf, cf, ax)
                 if rho < 1.0:
                     try:
                         bound = (abs(P / Q if exact else term) * rho
@@ -296,9 +323,8 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
                     if bound <= tol:
                         break
         if k == last:
-            if stop is None:
-                raise NoConvergenceError(
-                    f"tail bound still above tol={tol} after {max_terms} terms")
+            if not polynomial:
+                raise _budget_spent(tol, max_terms)
             terminated, bound = True, 0.0
             break
         if exact:
@@ -313,6 +339,104 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
                             terminated, bound)
 
 
+# ---- exact sums rounded once ----
+#
+# Where only the double of an exact sum is wanted, the sum runs in W-bit
+# fixed point: U_k stands for 2**W t_k, within e_k units.  U_0 = 2**W and
+# e_0 = 0; then U_{k+1} = floor(U_k p(k) / q(k)) with eval_series's
+# integer p(k) and q(k), and since the floor moves the exact product by
+# less than one unit, e_{k+1} = ceil(e_k |p(k)| / |q(k)|) + 1 bounds the
+# error again.  A step costs O(W + log|t_k|) bits, where the integer
+# loop's P, Q and T grow by every factor.  The stop rule reads fl(|t_k|)
+# and the result is fl(sum t_k); each is taken only where both ends of
+# its interval round to the same double, which is then the exact one, so
+# the outcome is the integer loop's bit for bit.
+
+def _start_width(tol: float, max_terms: int) -> int:
+    """W of a first try: 64 bits below tol and 2 per bit of the budget,
+    since the error of a k-term sum grows about as k**2 units."""
+    return 64 + 2 * max_terms.bit_length() + max(0, -math.frexp(tol)[1])
+
+
+def _term_double(n: int, one: int) -> float:
+    """fl(n / one) for n >= 0, inf where it lies past the float range."""
+    try:
+        return n / one
+    except OverflowError:
+        return math.inf
+
+
+def _sum_double(lo: int, hi: int, one: int) -> float | None:
+    """The double of every value in [lo, hi] / one, or None.
+
+    A value past the float range, as check_finite counts it, is inf of
+    its sign; an interval that straddles that edge, or a double, is None.
+    """
+    limit = _FLOAT_MAX_INT * one
+    if lo > limit:
+        return math.inf
+    if hi < -limit:
+        return -math.inf
+    if lo < -limit or limit < hi or (lo <= 0 <= hi and lo != hi):
+        return None
+    value = lo / one
+    return value if value == hi / one else None
+
+
+def _rounded_sum(params: HypergeometricParams, x: Scalar, tol: float,
+                 max_terms: int, width: int) -> SeriesEvaluation | None:
+    """eval_series for exact params and x, with the value rounded to a
+    double, from a width-bit fixed-point sum; None where it cannot decide.
+
+    A value past the float range comes back as inf of its sign, which
+    check_finite rejects as it rejects the exact sum; NoConvergenceError
+    is raised where eval_series raises it.
+    """
+    rule = _stop_rule(params, x, tol, max_terms)
+    if rule is None:
+        return SeriesEvaluation(1.0, 1, False, 0.0)
+    last, polynomial, k0, gate, af, bf, cf, ax = rule
+    a, b, c = params.a, params.b, params.c
+    na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+    nc, dc = c.numerator, c.denominator
+    nx_dc, dabx = x.numerator * dc, da * db * x.denominator
+    one = 1 << width
+    U = S = one
+    e = E = 0
+    # |U| - e >= 2**gate_bits puts |t_k| at or above 2**gate_exp > gate
+    gate_bits = width + math.frexp(gate)[1] if gate < math.inf else math.inf
+    terminated = False
+    for k in range(last + 1):
+        if k >= k0:
+            # with e < 2**(n-2), |U| - e > 2**(n-2) for n = bl(U)
+            n = U.bit_length()
+            if n - 2 < gate_bits or e.bit_length() > n - 2:
+                rho = _ratio_majorant(k, af, bf, cf, ax)
+                if rho < 1.0:
+                    u = abs(U)
+                    t = _term_double(max(u - e, 0), one)
+                    if t != _term_double(u + e, one):
+                        return None
+                    bound = t * rho / (1.0 - rho)
+                    if bound <= tol:
+                        break
+        if k == last:
+            if not polynomial:
+                raise _budget_spent(tol, max_terms)
+            terminated, bound = True, 0.0
+            break
+        p = (na + k * da) * (nb + k * db) * nx_dc
+        q = (k + 1) * (nc + k * dc) * dabx
+        U = U * p // q
+        e = -(-e * abs(p) // abs(q)) + 1
+        S += U
+        E += e
+    value = _sum_double(S - E, S + E, one)
+    if value is None:
+        return None
+    return SeriesEvaluation(value, k + 1, terminated, bound)
+
+
 def scaled_sum(scale: Scalar, params: HypergeometricParams, x: Scalar,
                tol: float, max_terms: int) -> SeriesEvaluation:
     """scale * s(params; x) with its tail bound, tol applying to the product.
@@ -321,6 +445,10 @@ def scaled_sum(scale: Scalar, params: HypergeometricParams, x: Scalar,
     to 0.0) and its tail bound scaled back by |scale|.  A product that is
     a float needs the sum finite, inside the float range: a float scale
     takes float() of an exact sum, and a float sum may have overflowed.
+    Under a float scale an exact sum is wanted only as its double, so it
+    is first summed in fixed point by _rounded_sum, at a start width and
+    at twice, four and eight times it; a sum none of them decides runs
+    through eval_series.
     """
     check_finite("prefactor", scale)
     mag = abs(float(scale))
@@ -328,7 +456,16 @@ def scaled_sum(scale: Scalar, params: HypergeometricParams, x: Scalar,
     if not 0.0 < inner_tol < math.inf:
         raise DomainError(f"tol {tol} over the prefactor magnitude {mag} "
                           "leaves the positive float range")
-    out = eval_series(params, x, inner_tol, max_terms)
+    out = None
+    if isinstance(scale, float) and params.exact() and is_exact(x):
+        width = _start_width(inner_tol, max_terms)
+        for _ in range(4):
+            out = _rounded_sum(params, x, inner_tol, max_terms, width)
+            if out is not None:
+                break
+            width *= 2
+    if out is None:
+        out = eval_series(params, x, inner_tol, max_terms)
     if not (is_exact(scale) and is_exact(out.value)):
         check_finite("scaled series value", out.value)
     return SeriesEvaluation(scale * out.value, out.terms_used, out.terminated,

@@ -79,11 +79,16 @@ def _positivity_index(a: float, b: float, c: float) -> int:
     return int(math.floor(-worst)) + 1
 
 
-def _ratio_majorant(a: float, b: float, c: float, x: float, k: int) -> float:
-    """|x| max(1, (a+k)/(1+k)) max(1, (b+k)/(c+k)): every later term ratio."""
+def _ratio_majorant(a: float, b: float, c: float, x, k: int) -> float:
+    """|x| max(1, (a+k)/(1+k)) max(1, (b+k)/(c+k)): every later term ratio.
+
+    An x whose double is 0.0 counts as 5e-324, the least double, which is
+    at least |x|: its tail is not 0.
+    """
+    ax = abs(float(x)) or 5e-324
     f1 = (a + k) / (1.0 + k)
     f2 = (b + k) / (c + k)
-    return abs(x) * max(1.0, f1) * max(1.0, f2)
+    return ax * max(1.0, f1) * max(1.0, f2)
 
 
 def float_eval_series(params, x: float, tol: float, max_terms: int):
@@ -101,13 +106,13 @@ def float_eval_series(params, x: float, tol: float, max_terms: int):
     elif x == 0:
         return 1.0, 1, False, 0.0
     else:
-        af, bf, cf, xf = float(a), float(b), float(c), float(x)
+        af, bf, cf = float(a), float(b), float(c)
         last, k0 = max_terms - 1, _positivity_index(af, bf, cf)
     term = total = 1.0
     terminated = False
     for k in range(last + 1):
         if k >= k0:
-            rho = _ratio_majorant(af, bf, cf, xf, k)
+            rho = _ratio_majorant(af, bf, cf, x, k)
             if rho < 1.0:
                 bound = abs(term) * rho / (1.0 - rho)
                 if bound <= tol:
@@ -137,12 +142,12 @@ def fraction_eval_series(params, x, tol: float, max_terms: int):
     elif x == 0:
         return Fraction(1), 1, False, 0.0
     else:
-        af, bf, cf, xf = float(a), float(b), float(c), float(x)
+        af, bf, cf = float(a), float(b), float(c)
         last, k0 = max_terms - 1, _positivity_index(af, bf, cf)
     term = total = Fraction(1)
     for k in range(last + 1):
         if k >= k0:
-            rho = _ratio_majorant(af, bf, cf, xf, k)
+            rho = _ratio_majorant(af, bf, cf, x, k)
             if rho < 1.0:
                 try:
                     bound = abs(float(term)) * rho / (1.0 - rho)

@@ -215,6 +215,17 @@ def test_eval_term_beyond_float_range_exit_3(capsys):
     assert "terms" in err
 
 
+def test_eval_transformed_side_over_budget_exit_3(capsys):
+    # the Euler side (c+400, c-b; c) at 9/10 never meets tol in the
+    # 10000-term budget: its terms pass the float range and come back
+    # too slowly
+    code, out, err = run(capsys, "eval", "--mode", "exact", "-a=-400",
+                         "-b=3/7", "-c=5/9", "-x=9/10")
+    assert code == 3 and out == ""
+    assert err == ("no convergence: tail bound still above tol=1e-12 after "
+                   "10000 terms\n")
+
+
 def test_eval_float_term_past_the_float_range_exit_3(capsys):
     # raw term 1 is inf: the sum stops there, not after the whole budget
     code, out, err = run(capsys, "eval", "-a=1e308", "-b=1e308", "-c=1",
@@ -443,8 +454,11 @@ def test_bench_bad_grid_exit_2(capsys):
 # ---- report contract ----
 #
 # The exact stdout of argv lists whose reports use no libm function, so the
-# bytes do not depend on the platform's math library.  Regenerate the file
-# only for a deliberate change of the report contract.
+# bytes do not depend on the platform's math library, apart from the exact
+# evals at (1/3, 2/7; 5/9; 1/2) and (-40, 5/4; 7/3; -1/4): their Euler
+# prefactor (1-x)**(c-a-b) goes through exp and log, and they pin the
+# rounded exact sum that multiplies it.  Regenerate the file only for a
+# deliberate change of the report contract.
 
 CONTRACT = json.loads(
     (pathlib.Path(__file__).resolve().parent / "cli_contract.json").read_text())

@@ -14,7 +14,9 @@ from gausshyp import (EXACT_DEGREE_CAP, DomainError, HypergeometricParams,
                       InvalidCError, NoConvergenceError, coefficients,
                       eval_series, ode_residual, operator_identity_residual,
                       substitution_residual, termination_index)
-from gausshyp.series import _tail_gate
+from gausshyp import series
+from gausshyp.scalar import check_finite
+from gausshyp.series import _rounded_sum, _start_width, _tail_gate
 from oracles import (brute_coefficient, brute_series, float_eval_series,
                      fraction_coefficients, fraction_eval_series,
                      fraction_ode_residual, fraction_operator_identity_residual)
@@ -103,6 +105,13 @@ def test_eval_at_zero():
     assert out.value == 1 and out.terms_used == 1
     outf = eval_series(P(1.0, 1.0, 2.0), 0.0)
     assert outf.value == 1.0 and outf.terms_used == 1
+    # rho_0 would be 0 * inf here: x = 0 must not reach the majorant
+    for params, x in ((P(1e308, 1e308, 1e-308), 0.0),
+                      (P(F(10 ** 308), F(10 ** 308), F(1, 10 ** 308)), F(0))):
+        for out in (eval_series(params, x),
+                    series.scaled_sum(1.0, params, x, 1e-12, 10000)):
+            assert (out.value, out.terms_used, out.terminated,
+                    out.tail_bound) == (1, 1, False, 0.0)
 
 
 def test_eval_log_value():
@@ -271,6 +280,94 @@ def test_float_sum_matches_the_reference_loop(a, b, c, x, tol, max_terms):
                 got.tail_bound) == (want[0].hex(), *want[1:])
 
 
+# ---- exact sums rounded once ----
+
+def _float_outcome(outcome):
+    """A Fraction-loop outcome with its value as the double a float scale
+    takes, inf of its sign past the float range, where check_finite
+    rejects it."""
+    if outcome is None:
+        return None
+    value, *rest = outcome
+    try:
+        check_finite("sum", value)
+    except DomainError:
+        return (math.inf if value > 0 else -math.inf, *rest)
+    return (float(value), *rest)
+
+
+@seed(1998)
+@settings(max_examples=100, deadline=None)
+@given(exact_triples(), exact_points, st.floats(-300, 3).map(lambda e: 10.0 ** e),
+       st.integers(1, 1500))
+@example((-800, F(-26, 9), F(17, 6)), F(-1, 4), 1e-12, 1500)  # ~390 bits cancel
+@example((F(1, 3), F(2, 7), F(5, 9)), F(9, 10), 1e-12, 1500)
+@example((F(1, 3), F(2, 7), F(5, 9)), F(-9, 10), 1e-12, 1500)
+@example((F(39, 2), F(77, 3), F(1, 12)), F(11, 12), 1e-12, 50)  # budget runs out
+@example((F(-40001, 2), F(3, 2), 1), F(1, 2), 1e-12, 1500)    # k0 > max_terms
+@example((F(801, 2), F(801, 2), F(1, 2)), F(1, 2), 1e-12, 5000)  # past 1e308
+def test_fixed_point_sum_matches_the_fraction_loop(abc, x, tol, max_terms):
+    # at every width scaled_sum tries, the fixed-point sum either leaves
+    # the sum undecided or gives the Fraction loop's double, term count,
+    # termination and tail bound bit for bit; scaled_sum under a float
+    # scale gives them too, or the same DomainError past the float range
+    a, b, c = abc
+    for params in (P(a, b, c), P(c - a, c - b, c)):
+        want = _float_outcome(
+            _outcome(fraction_eval_series, params, x, tol, max_terms))
+        width = _start_width(tol, max_terms)
+        for _ in range(4):
+            got = _outcome(_rounded_sum, params, x, tol, max_terms, width)
+            if want is None:
+                assert got is None
+            elif got is not None:
+                assert (got.value, got.terms_used, got.terminated,
+                        got.tail_bound) == want
+            width *= 2
+        if want is not None and math.isinf(want[0]):
+            with pytest.raises(DomainError, match="scaled series value"):
+                series.scaled_sum(1.0, params, x, tol, max_terms)
+            continue
+        got = _outcome(series.scaled_sum, 1.0, params, x, tol, max_terms)
+        if want is None:
+            assert got is None
+        else:
+            assert (got.value, got.terms_used, got.terminated,
+                    got.tail_bound) == want
+
+
+def test_an_undecided_fixed_point_sum_falls_back_to_the_integer_loop(
+        monkeypatch):
+    # the start width decides this sum, but 8 bits cannot pin down a
+    # 53-bit double; with every width that small, scaled_sum must run the
+    # integer loop and return its result
+    params, x = P(F(1, 3), F(2, 7), F(5, 9)), F(1, 2)
+    assert _rounded_sum(params, x, 2e-12, 10000,
+                        _start_width(2e-12, 10000)) is not None
+    assert _rounded_sum(params, x, 2e-12, 10000, 8) is None
+    monkeypatch.setattr(series, "_start_width", lambda tol, max_terms: 1)
+    calls = []
+    eval_series_ = series.eval_series
+    monkeypatch.setattr(series, "eval_series",
+                        lambda *args: calls.append(args) or eval_series_(*args))
+    got = series.scaled_sum(0.5, params, x, 1e-12, 10000)
+    value, terms, terminated, bound = fraction_eval_series(params, x, 2e-12,
+                                                           10000)
+    assert len(calls) == 1
+    assert (got.value, got.terms_used, got.terminated, got.tail_bound) \
+        == (0.5 * float(value), terms, terminated, bound * 0.5)
+
+
+def test_a_point_whose_double_is_zero_keeps_a_tail_bound():
+    # x = 2**-1100 rounds to the double 0.0; the neglected tail of
+    # s(1, 1; 2; x) is about x/2, so the bound must not read 0
+    x = F(1, 2 ** 1100)
+    for out in (eval_series(P(1, 1, 2), x),
+                series.scaled_sum(1.0, P(1, 1, 2), x, 1e-12, 10000)):
+        assert out.terms_used == 1
+        assert F(out.tail_bound) >= x / 2
+
+
 # ---- the tail gate ----
 
 EDGE_TOLS = (5e-324, 1e-320, 1e-12)
@@ -325,10 +422,11 @@ def test_gated_sums_match_the_reference_loops_at_the_float_edges():
                             got.tail_bound) == want
     # exact terms past the float range and back: they peak near 1e425 and
     # stop after 3863 terms; and a point whose double is 0.0, where the gate
-    # is inf and term 1, near 8e314, reaches the OverflowError branch
+    # is inf and term 1, near 8e314, reaches the OverflowError branch, and
+    # where |x| counts as 5e-324, so that the sum runs to 21 terms
     for params, x, terms in ((P(F(801, 2), F(801, 2), F(1, 2)), F(1, 2), 3863),
                              (P(F(-1, 2), 10 ** 308, F(1, 2 ** 1100)),
-                              F(1, 2 ** 1076), 3)):
+                              F(1, 2 ** 1076), 21)):
         got = eval_series(params, x, 1e-12, 10000)
         assert (got.value, got.terms_used, got.terminated, got.tail_bound) \
             == fraction_eval_series(params, x, 1e-12, 10000)
