@@ -30,9 +30,9 @@ from .errors import (DomainError, NoConvergenceError, QuadratureFailureError)
 from .integrals import (IntegralSpec, check_closed_form_I,
                         check_closed_form_II, ratio_identity_sides,
                         theta_identity_sides, verify_sign_bridge)
-from .scalar import Scalar, check_finite, check_printable, parse_scalar
-from .series import (HypergeometricParams, check_budget, coefficients,
-                     eval_series, ode_residual, operator_identity_residual)
+from .scalar import (Scalar, check_finite, check_printable, is_exact,
+                     parse_scalar)
+from .series import HypergeometricParams, _ode_checks, check_budget, eval_series
 from .transform import (TripleParams, eval_transformed, select_representation,
                         verify_triple_relations)
 
@@ -201,6 +201,20 @@ def cmd_eval(args):
     choice = select_representation(raw, trans)
     residual = abs(float(raw.value) - float(trans.value))
     allowance = 100.0 * tol * (1.0 + abs(float(raw.value)))
+    if is_exact(raw.value) and isinstance(trans.value, float):
+        # The raw value is exact and the Euler value a double: its prefactor
+        # (1-x)**e, e = c-a-b not an integer, is exp(fl(e) log(fl(1-x))).
+        # With u = 2**-53 and L = log(1-x), rounding 1-x, e and their
+        # product, with log within 1 ulp (2u), puts u(|e| + 4|eL|) on the
+        # argument of exp; exp (2u), the rounded sum, the product, float(raw)
+        # and the subtraction add 6u relative.  The floor exceeds that bound
+        # by (|e|/2 + |eL| + 1) 2**-52 (1+|raw|), at least a fiftieth of the
+        # floor, which covers the two tails (at most tol each) whenever the
+        # floor is the allowance.
+        e = float(c - a - b)
+        rounding = abs(e) + 3.0 * abs(e * math.log(float(1 - x))) + 4.0
+        allowance = max(allowance, rounding * 2.0 ** -52
+                        * (1.0 + abs(float(raw.value))))
     check_finite("agreement allowance", allowance)
     ok = residual <= allowance
 
@@ -276,12 +290,10 @@ def _verify_ode(args) -> list[dict]:
     degree = 10
     zeros, tips, ops = [], [], []
     for a, b, c in ODE_GRID:
-        params = HypergeometricParams(a, b, c)
-        tip = (a + degree) * (b + degree) * coefficients(params, degree)[degree]
-        res = ode_residual(params, degree)
+        c_n, res, diff = _ode_checks(HypergeometricParams(a, b, c), degree)
+        tip = (a + degree) * (b + degree) * c_n
         zeros += [v == 0 for v in res[:degree] + res[degree + 1:]]
         tips.append(res[degree] == -tip)
-        diff = operator_identity_residual(params, degree)
         ops += [v == 0 for v in diff[:degree]] + [diff[degree] == tip]
     return [
         _passes("residual-zeros", zeros),

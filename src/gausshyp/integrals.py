@@ -15,19 +15,25 @@ integrals by the periodic trapezoid rule with a proven a priori error
 bound, the closed forms through the character-series machinery, plus the
 two cross-family ratio identities and the sign bridge between the
 characters they use.
+
+NumPy is needed only by the trapezoid rule, and is imported on its first
+use: importing this module, or the package, does not load it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .binom import binom_char
 from .errors import DomainError, QuadratureFailureError
 from .scalar import check_finite, check_index, power
 from .transform import character_series
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Absolute error target for every quadrature in this module.  Identity
 #: checks compare at 1e-8, two orders looser, so quadrature noise never
@@ -69,11 +75,12 @@ class IntegralResult:
 
 # ---- periodic trapezoid rule ----
 
-_EPS = float(np.finfo(float).eps)
-_LOG_MAX = math.log(float(np.finfo(float).max))
+_EPS = sys.float_info.epsilon
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _delta(a: float, phi: np.ndarray) -> np.ndarray:
+    import numpy as np
     # (1-a)**2 + 4a sin(phi/2)**2 == 1 + a**2 - 2a cos(phi), without the
     # cancellation near phi = 0 where the kernel is smallest
     return (1.0 - a) ** 2 + 4.0 * a * np.sin(0.5 * phi) ** 2
@@ -124,6 +131,7 @@ def _integral(a: float, m: int, i: int, abs_tol: float) -> tuple[float, float]:
         raise QuadratureFailureError(
             f"{n_pts} points (at most {_MAX_POINTS}) for an error bound of "
             f"e**{log_bound:.6g} at a={a}, m={m}, i={i}, abs_tol={abs_tol}")
+    import numpy as np
     k = np.arange(n_pts)
     # angle k or its mirror N-k, whichever lies in [0, pi], where sin(phi/2)
     # is well conditioned

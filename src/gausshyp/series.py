@@ -523,6 +523,47 @@ def _scaled_operator(params: HypergeometricParams, degree: int):
             na * nb * dc)
 
 
+def _ode_entries(op, degree: int) -> list[Scalar]:
+    """ode_residual's entries on the scale of op = _scaled_operator(...)."""
+    s, _, m, mc, mabp1, mab = op
+    d1 = _poly_derivative(s)
+    d2 = _poly_derivative(d1)
+    return _poly_sum(
+        _poly_mul([0, m, -m], d2),           # x(1-x) s''
+        _poly_mul([mc, -mabp1], d1),         # [c - (a+b+1)x] s'
+        _poly_scale(s, -mab),                # -ab s
+        length=degree + 2,
+    )
+
+
+def _identity_entries(op, degree: int) -> list[Scalar]:
+    """operator_identity_residual's entries on the scale of op."""
+    s, _, m, mc, mabp1, mab = op
+    d1 = _poly_derivative(s)
+    d2 = _poly_derivative(d1)
+    # powers below are measured relative to x**(b-1)
+    lhs = _poly_sum(
+        _poly_scale(_shift(d2, 2), m),       # x**(b+1) s''
+        _poly_scale(_shift(d1, 1), mabp1),
+        _poly_scale(s, mab),
+        length=degree + 1,
+    )
+    rhs = _poly_sum(
+        _poly_scale(_shift(d2, 1), m),       # x**b s''
+        _poly_scale(d1, mc),
+        length=degree + 1,
+    )
+    return [lv - rv for lv, rv in zip(lhs, rhs)]
+
+
+def _exact_operator(params: HypergeometricParams, degree: int):
+    """_scaled_operator for the exact-mode-only operator identity."""
+    _check_degree(params, degree, 2)
+    if not params.exact():
+        raise DomainError("operator identity check is exact-mode only")
+    return _scaled_operator(params, degree)
+
+
 def ode_residual(params: HypergeometricParams, degree: int) -> list[Scalar]:
     """Apply x(1-x) d2 + [c-(a+b+1)x] d1 - ab to the degree-N truncation.
 
@@ -535,17 +576,10 @@ def ode_residual(params: HypergeometricParams, degree: int) -> list[Scalar]:
     each reduced once.
     """
     _check_degree(params, degree, 2)
-    s, scale, m, mc, mabp1, mab = _scaled_operator(params, degree)
-    d1 = _poly_derivative(s)
-    d2 = _poly_derivative(d1)
-    residual = _poly_sum(
-        _poly_mul([0, m, -m], d2),           # x(1-x) s''
-        _poly_mul([mc, -mabp1], d1),         # [c - (a+b+1)x] s'
-        _poly_scale(s, -mab),                # -ab s
-        length=degree + 2,
-    )
+    op = _scaled_operator(params, degree)
+    residual = _ode_entries(op, degree)
     if params.exact():
-        return [Fraction(v, scale) for v in residual]
+        return [Fraction(v, op[1]) for v in residual]
     return residual
 
 
@@ -561,25 +595,19 @@ def operator_identity_residual(params: HypergeometricParams,
     j <= degree-1 is exactly zero; entry degree is the truncation artifact
     (a+N)(b+N) c_N.  Exact mode only: the point of this check is exact bits.
     """
-    _check_degree(params, degree, 2)
-    if not params.exact():
-        raise DomainError("operator identity check is exact-mode only")
-    s, scale, m, mc, mabp1, mab = _scaled_operator(params, degree)
-    d1 = _poly_derivative(s)
-    d2 = _poly_derivative(d1)
-    # powers below are measured relative to x**(b-1)
-    lhs = _poly_sum(
-        _poly_scale(_shift(d2, 2), m),       # x**(b+1) s''
-        _poly_scale(_shift(d1, 1), mabp1),
-        _poly_scale(s, mab),
-        length=degree + 1,
-    )
-    rhs = _poly_sum(
-        _poly_scale(_shift(d2, 1), m),       # x**b s''
-        _poly_scale(d1, mc),
-        length=degree + 1,
-    )
-    return [Fraction(lv - rv, scale) for lv, rv in zip(lhs, rhs)]
+    op = _exact_operator(params, degree)
+    return [Fraction(v, op[1]) for v in _identity_entries(op, degree)]
+
+
+def _ode_checks(params: HypergeometricParams, degree: int
+                ) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """(c_N, ode_residual, operator_identity_residual) for exact params,
+    all three from one truncation, whose coefficients are formed once."""
+    op = _exact_operator(params, degree)
+    s, scale, m = op[:3]
+    return (Fraction(s[degree] * m, scale),
+            [Fraction(v, scale) for v in _ode_entries(op, degree)],
+            [Fraction(v, scale) for v in _identity_entries(op, degree)])
 
 
 def substitution_residual(params: HypergeometricParams, n_exp: Scalar,

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -20,8 +24,8 @@ from hypothesis import strategies as st
 from gausshyp import (IntegralSpec, check_closed_form_I, check_closed_form_II,
                       quad_I, quad_II, ratio_identity_sides,
                       theta_identity_sides)
-from gausshyp import cli, integrals
-from gausshyp.cli import (INTEGRAL_AS, INTEGRAL_NI, _verify_integrals,
+from gausshyp import cli, integrals, series
+from gausshyp.cli import (INTEGRAL_AS, INTEGRAL_NI, ODE_GRID, _verify_integrals,
                           build_parser, format_float, main, render_json)
 from oracles import isinstance_render_json
 
@@ -244,6 +248,74 @@ def test_eval_majorant_past_the_budget_exit_3(capsys):
                    "on, past max_terms=10000\n")
 
 
+# An exact raw value against a double Euler value, c-a-b not an integer:
+# below tol of about 1e-14 the allowance is the prefactor's own rounding.
+
+FLOOR_ARGV = ["eval", "--mode", "exact", "-a=28/9", "-b=-1", "-c=-5/4",
+              "-x=2/100", "--tol", "1e-30"]
+
+
+def test_eval_exact_against_a_double_passes_below_the_rounding(capsys):
+    code, out, err = run(capsys, *FLOOR_ARGV)
+    assert code == 0 and err == ""
+    outputs = json.loads(out)["outputs"]
+    assert outputs["value"] == "1181/1125"
+    assert 0 < outputs["agreement_residual"] <= outputs["agreement_allowance"]
+    assert outputs["agreement_allowance"] < 1e-14
+    assert json.loads(out)["status"] == "pass"
+
+
+def test_eval_exact_floor_still_fails_a_perturbed_euler_value(capsys,
+                                                              monkeypatch):
+    real = cli.eval_transformed
+
+    def perturbed(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return dataclasses.replace(out, value=out.value * (1 + 1e-12))
+
+    monkeypatch.setattr(cli, "eval_transformed", perturbed)
+    code, out, _ = run(capsys, *FLOOR_ARGV)
+    assert code == 1 and json.loads(out)["status"] == "fail"
+
+
+def _rational(rng, bound, denominators):
+    den = rng.choice(denominators)
+    return Fraction(rng.randint(-bound * den, bound * den), den)
+
+
+def test_eval_exact_points_at_tiny_tols_pass_where_mpmath_agrees(capsys):
+    # first order, with u = 2**-53 and L = log(1-x), the Euler value is off
+    # by at most u(|e| + 4|eL| + 6)|s| from rounding, e = c-a-b (see
+    # cmd_eval); both values must be that close to mpmath, and then pass
+    rng = random.Random(1812)
+    checked = 0
+    while checked < 24:
+        a, b = _rational(rng, 6, (2, 3, 7)), _rational(rng, 6, (3, 4, 5))
+        c = abs(_rational(rng, 5, (3, 4, 6))) + Fraction(1, 2)
+        e = c - a - b
+        if e.denominator == 1:
+            continue
+        tol = ("1e-30", "1e-200")[checked % 2]
+        x = Fraction(rng.randint(-90, 90), 100 if tol == "1e-30" else 400)
+        code, out, err = run(capsys, "eval", "--mode", "exact", f"-a={a}",
+                             f"-b={b}", f"-c={c}", f"-x={x}", "--tol", tol)
+        assert err == "", (a, b, c, x, tol)
+        outputs = json.loads(out)["outputs"]
+        with mpmath.workdps(60):
+            ref = mpmath.hyp2f1(*(mpmath.mpf(v.numerator) / v.denominator
+                                  for v in (a, b, c, x)))
+            raw = Fraction(outputs["value"])
+            raw_error = abs(mpmath.mpf(raw.numerator) / raw.denominator - ref)
+            euler_error = abs(outputs["transformed_value"] - ref)
+        rounding = (abs(float(e)) + 4 * abs(float(e) * math.log(float(1 - x)))
+                    + 6) * 2.0 ** -53 * abs(float(ref))
+        assert raw_error <= outputs["tail_bound"] + 1e-55, (a, b, c, x, tol)
+        assert euler_error <= outputs["transformed_tail_bound"] + rounding
+        assert code == 0 and json.loads(out)["status"] == "pass", (
+            a, b, c, x, tol)
+        checked += 1
+
+
 def test_closed_stdout_ends_cleanly():
     # the read end closes before the CLI writes, so its write hits EPIPE
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -384,6 +456,22 @@ def test_verify_integrals_runs_each_quadrature_once(monkeypatch):
     entries = _verify_integrals(args)
     assert all(entry["status"] == "pass" for entry in entries)
     assert len(calls) == 2 * len(INTEGRAL_AS) * len(INTEGRAL_NI) == 128
+
+
+def test_verify_ode_forms_the_coefficients_once_per_grid_point(capsys,
+                                                             monkeypatch):
+    # the tip and both residuals of a grid point share one truncation
+    calls = []
+    real = series._integer_coefficients
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series, "_integer_coefficients", counting)
+    code, out, _ = run(capsys, "verify", "ode")
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    assert len(calls) == len(ODE_GRID) == 98
 
 
 def test_verify_looser_tol_still_passes(capsys):
@@ -574,3 +662,37 @@ def test_a_command_argv_skips_the_full_parser(capsys, monkeypatch):
     assert main(["verify", "binom", "--output", "csv"]) == 0
     capsys.readouterr()
     assert scans == []
+
+
+# ---- NumPy only where a quadrature runs ----
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from gausshyp.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[2:])
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+NUMPY_CASES = [
+    (["eval", "-a=1", "-b=1", "-c=2", "-x=0.5"], False),
+    (["eval", "--mode", "exact", "-a=1/3", "-b=2/7", "-c=5/9", "-x=1/2"],
+     False),
+    (["bench"], False),
+    (["verify", "binom"], False),
+    (["verify", "ode"], False),
+    (["verify", "triple"], False),
+    (["verify", "integrals"], True),
+]
+
+
+@pytest.mark.parametrize("argv, loads_numpy", NUMPY_CASES,
+                         ids=[" ".join(argv) for argv, _ in NUMPY_CASES])
+def test_numpy_is_imported_only_by_the_quadrature(argv, loads_numpy):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(src), *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [0, loads_numpy]

@@ -103,6 +103,12 @@ def test_quadrature_failure():
     assert peak < 2 ** 20
 
 
+def test_float_constants_match_numpy():
+    # taken from sys.float_info, so importing the module loads no NumPy
+    assert integrals._EPS == np.finfo(float).eps
+    assert integrals._LOG_MAX == math.log(np.finfo(float).max)
+
+
 def mp_integral(a, m, i):
     """cos(i phi) / Delta**(m+1) over [0, pi] by mpmath at 30 digits."""
     with mpmath.workdps(30):
