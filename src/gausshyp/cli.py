@@ -160,14 +160,11 @@ TRIPLE_XS: tuple[Scalar, ...] = (_F(0), _F(1, 4), _F(1, 2))
 INTEGRAL_AS = (0.1, 0.3, 0.5, 0.7)
 INTEGRAL_NI = tuple(product(range(4), range(4)))
 
-BENCH_PARAMS: tuple[tuple[Scalar, Scalar, Scalar], ...] = (
-    (3, 1, 2),                        # transformed side terminates
-    (-2, 3, _F(3, 2)),                # raw side terminates
-    (-2, 3, 1),                       # both terminate
-    (1, 1, 2),                        # neither terminates
-    (_F(1, 2), _F(1, 2), _F(3, 2)),   # neither terminates
-)
-BENCH_XS = (0.1, 0.3, 0.5, 0.7, 0.9)
+#: The default bench grid and points, as a user would type them, so that
+#: --mode reads them as it reads --grid and -x.  The triples: transformed
+#: side terminates, raw side terminates, both do, neither does (twice).
+BENCH_PARAMS = "3,1,2;-2,3,3/2;-2,3,1;1,1,2;1/2,1/2,3/2"
+BENCH_XS = "0.1,0.3,0.5,0.7,0.9"
 
 
 def _tol(args, default: float = 1e-12) -> float:
@@ -385,9 +382,8 @@ def _parse_grid(text: str, exact: bool) -> list[tuple[Scalar, Scalar, Scalar]]:
 def cmd_bench(args):
     exact = args.mode == "exact"
     tol = _tol(args)
-    grid = (_parse_grid(args.grid, exact) if args.grid else list(BENCH_PARAMS))
-    xs = ([parse_scalar(p, False) for p in args.x_list.split(",")]
-          if args.x_list else list(BENCH_XS))
+    grid = _parse_grid(args.grid or BENCH_PARAMS, exact)
+    xs = [parse_scalar(p, exact) for p in (args.x_list or BENCH_XS).split(",")]
     rows = []
     for a, b, c in grid:
         params = HypergeometricParams(a, b, c)

@@ -16,7 +16,7 @@ from .errors import DomainError
 
 Scalar = int | Fraction | float
 
-_FLOAT_MAX = int(sys.float_info.max)
+_FLOAT_MAX_INT = int(sys.float_info.max)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -57,7 +57,7 @@ def check_finite(name: str, value: Scalar) -> None:
     if isinstance(value, float):
         inside = math.isfinite(value)
     else:
-        inside = abs(value.numerator) <= _FLOAT_MAX * value.denominator
+        inside = abs(value.numerator) <= _FLOAT_MAX_INT * value.denominator
     if not inside:
         raise DomainError(f"{name} must be finite, inside the float range")
 

@@ -11,13 +11,16 @@ through the coefficient recurrence
 in exact rational arithmetic or in doubles, depending on the inputs.  When a
 or b is a nonpositive integer the series is a polynomial and is summed
 completely; otherwise summation stops once a geometric tail bound falls
-below the requested tolerance.  An exact sum steps one integer numerator
-and one integer denominator per term and is normalized to lowest terms
-once, when it is returned; an exact sum whose double is all a float
-prefactor uses is summed in fixed point with a running error bound
-instead, and rounded once.  The exact coefficients and the two operator
-residuals work the same way: integer numerators over one common
-denominator, each returned value reduced once.
+below the requested tolerance.  Two loops share that stop rule: a float
+loop, and an integer loop for exact inputs.  The integer loop runs in one
+of two modes.  Exact, it steps an integer numerator P, denominator Q and
+partial sum T per term and reduces the sum to lowest terms once, when it
+is returned.  Where only the double of the sum is wanted, under a float
+prefactor, it runs in W-bit fixed point with running error bounds e and
+E, and rounds once.  The term's double is taken from |P| and |Q|, since
+Q turns negative after a step where c + k < 0.  The exact coefficients
+and the two operator residuals work the same way: integer numerators over
+one common denominator, each returned value reduced once.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InvalidCError, NoConvergenceError
-from .scalar import (Scalar, as_integer, check_finite, is_exact,
-                     is_nonpositive_integer)
+from .scalar import (_FLOAT_MAX_INT, Scalar, as_integer, check_finite,
+                     is_exact, is_nonpositive_integer)
 
 #: Largest truncation degree accepted by the exact-mode polynomial
 #: operations.  Their integers have about N log N digits at degree N; an
@@ -40,7 +43,6 @@ EXACT_DEGREE_CAP = 256
 
 #: The largest double, as a float: a term above it is inf or nan.
 _FLOAT_MAX = sys.float_info.max
-_FLOAT_MAX_INT = int(_FLOAT_MAX)
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ def _integer_coefficients(params: HypergeometricParams,
 
     With a = na/da, b = nb/db, c = nc/dc, c_k = P_k/Q_k, where P_k and Q_k
     are the products of the factors p(j) = (na + j da)(nb + j db) dc and
-    q(j) = (j+1)(nc + j dc) da db of eval_series over j < k.  Then
+    q(j) = (j+1)(nc + j dc) da db of _integer_sum over j < k.  Then
     D = Q_degree and N_k = P_k R_k, where R_k = D / Q_k is the product of
     q(j) over k <= j < degree, so c_k = N_k / D with no gcd taken.
     """
@@ -261,6 +263,34 @@ def _budget_spent(tol: float, max_terms: int) -> NoConvergenceError:
 
 
 # ---- evaluation ----
+#
+# Two loops sum the series.  eval_series steps the term recurrence in
+# doubles.  _integer_sum steps it on integers: with a = na/da, b = nb/db,
+# c = nc/dc and x = nx/dx, each step multiplies in p(k) = (na + k da)
+# (nb + k db) nx dc and q(k) = (k+1)(nc + k dc) da db dx, and term k is
+# P/Q, within e/|Q|, and the partial sum T/Q, within E/|Q|.
+#
+# Exact (width None): P, Q and T are stepped exactly, P *= p(k), Q *= q(k),
+# T = T q(k) + P, with e = E = 0.  No gcd is taken until the sum is
+# returned as Fraction(T, Q), so the value is the one a Fraction term loop
+# gives, and since P/Q rounds to the same double as the reduced term, so
+# are terms_used and tail_bound.
+#
+# Fixed point (width W): Q = 2**W stays, and P = floor(P p(k) / q(k)).
+# The floor moves the exact product by less than one unit, so
+# e_{k+1} = ceil(e_k |p(k)| / |q(k)|) + 1 bounds the error again.  A step
+# costs O(W + log|t_k|) bits, where the exact step grows P, Q and T by
+# every factor.  The stop rule reads fl(|t_k|) and the result is
+# fl(sum t_k); each is taken only where both ends of its interval round to
+# the same double, which is then the exact one, so the outcome is the
+# exact loop's bit for bit, or None where the width cannot decide it.
+#
+# Both modes share the gate test, which reads bit lengths alone.  With
+# e < 2**(bl(P) - 2), |t_k| >= (|P| - e)/|Q| > 2**(bl(P) - bl(Q) - 1),
+# since e = 0 in the exact loop and Q = 2**W in fixed point.  The gate is
+# below 2**gate_exp, so a term with bl(P) - bl(Q) > gate_exp lies above
+# it and skips rho_k and the bound.  The term's double is taken from |P|
+# and |Q|, as Q is negative after any step where c + k < 0.
 
 def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
                 max_terms: int = 10000) -> SeriesEvaluation:
@@ -273,53 +303,32 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     rho_k and the bound; the terms, the stop, the value and the bound are
     those of a loop that checks every term.  A float term past the float
     range (inf or nan) never comes back, so a sum that is not a polynomial
-    raises NoConvergenceError at the first such term it checks.
-
-    Exact sums run on integers: with a = na/da, b = nb/db, c = nc/dc and
-    x = nx/dx, term k is P/Q and the partial sum T/Q, and each step
-    multiplies in p(k) = (na + k da)(nb + k db) nx dc and
-    q(k) = (k+1)(nc + k dc) da db dx.  No gcd is taken until the sum is
-    returned as Fraction(T, Q), so the value is the one a Fraction term
-    loop gives, and since P/Q rounds to the same double as the reduced
-    term, so are terms_used and tail_bound.  The exact gate test reads
-    bit lengths alone, since |P/Q| > 2**(bl(P) - bl(Q) - 1), so P / Q is
-    only formed for a term that may lie below the gate.
+    raises NoConvergenceError at the first such term it checks.  Exact
+    params and x are summed by _integer_sum.
     """
+    if params.exact() and is_exact(x):
+        return _integer_sum(params, x, tol, max_terms, None)
     rule = _stop_rule(params, x, tol, max_terms)
-    exact = params.exact() and is_exact(x)
     if rule is None:
-        return SeriesEvaluation(Fraction(1) if exact else 1.0, 1, False, 0.0)
+        return SeriesEvaluation(1.0, 1, False, 0.0)
     last, polynomial, k0, gate, af, bf, cf, ax = rule
     a, b, c = params.a, params.b, params.c
-    if exact:
-        na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
-        nc, dc = c.numerator, c.denominator
-        nx_dc, dabx = x.numerator * dc, da * db * x.denominator
-        P = Q = T = 1
-        # gate < 2**gate_exp, so bl(P) - bl(Q) > gate_exp puts P/Q above it
-        gate_exp = math.frexp(gate)[1] if gate < math.inf else math.inf
-    else:
-        term = total = 1.0
+    term = total = 1.0
     # beside float parameters the counter is a float: every k < 2**53 is
     # a double, so float + float gives the bits that float + int did
     kf = 0.0 if type(a) is type(b) is type(c) is float else 0
     terminated = False
     for k, kf in zip(range(last + 1), itertools.count(kf)):
         if k >= k0:
-            # only a term below the gate can meet tol; a float inf or nan
-            # fails the range test too, and stops the sum here
-            if (P.bit_length() - Q.bit_length() <= gate_exp if exact
-                    else not gate <= abs(term) <= _FLOAT_MAX):
-                if not (exact or abs(term) <= _FLOAT_MAX):
+            # only a term below the gate can meet tol; an inf or nan fails
+            # the range test too, and stops the sum here
+            if not gate <= abs(term) <= _FLOAT_MAX:
+                if not abs(term) <= _FLOAT_MAX:
                     raise NoConvergenceError(
                         f"term {k} is {term}, outside the float range")
                 rho = _ratio_majorant(k, af, bf, cf, ax)
                 if rho < 1.0:
-                    try:
-                        bound = (abs(P / Q if exact else term) * rho
-                                 / (1.0 - rho))
-                    except OverflowError:  # an exact term past the float range
-                        bound = math.inf
+                    bound = abs(term) * rho / (1.0 - rho)
                     if bound <= tol:
                         break
         if k == last:
@@ -327,30 +336,10 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
                 raise _budget_spent(tol, max_terms)
             terminated, bound = True, 0.0
             break
-        if exact:
-            q = (k + 1) * (nc + k * dc) * dabx
-            P *= (na + k * da) * (nb + k * db) * nx_dc
-            Q *= q
-            T = T * q + P
-        else:
-            term = term * (a + kf) * (b + kf) / ((kf + 1) * (c + kf)) * x
-            total = total + term
-    return SeriesEvaluation(Fraction(T, Q) if exact else total, k + 1,
-                            terminated, bound)
+        term = term * (a + kf) * (b + kf) / ((kf + 1) * (c + kf)) * x
+        total = total + term
+    return SeriesEvaluation(total, k + 1, terminated, bound)
 
-
-# ---- exact sums rounded once ----
-#
-# Where only the double of an exact sum is wanted, the sum runs in W-bit
-# fixed point: U_k stands for 2**W t_k, within e_k units.  U_0 = 2**W and
-# e_0 = 0; then U_{k+1} = floor(U_k p(k) / q(k)) with eval_series's
-# integer p(k) and q(k), and since the floor moves the exact product by
-# less than one unit, e_{k+1} = ceil(e_k |p(k)| / |q(k)|) + 1 bounds the
-# error again.  A step costs O(W + log|t_k|) bits, where the integer
-# loop's P, Q and T grow by every factor.  The stop rule reads fl(|t_k|)
-# and the result is fl(sum t_k); each is taken only where both ends of
-# its interval round to the same double, which is then the exact one, so
-# the outcome is the integer loop's bit for bit.
 
 def _start_width(tol: float, max_terms: int) -> int:
     """W of a first try: 64 bits below tol and 2 per bit of the budget,
@@ -358,10 +347,11 @@ def _start_width(tol: float, max_terms: int) -> int:
     return 64 + 2 * max_terms.bit_length() + max(0, -math.frexp(tol)[1])
 
 
-def _term_double(n: int, one: int) -> float:
-    """fl(n / one) for n >= 0, inf where it lies past the float range."""
+def _term_double(n: int, d: int) -> float:
+    """fl(n / d) for n >= 0 and d > 0, inf where it lies past the float
+    range."""
     try:
-        return n / one
+        return n / d
     except OverflowError:
         return math.inf
 
@@ -383,39 +373,41 @@ def _sum_double(lo: int, hi: int, one: int) -> float | None:
     return value if value == hi / one else None
 
 
-def _rounded_sum(params: HypergeometricParams, x: Scalar, tol: float,
-                 max_terms: int, width: int) -> SeriesEvaluation | None:
-    """eval_series for exact params and x, with the value rounded to a
-    double, from a width-bit fixed-point sum; None where it cannot decide.
+def _integer_sum(params: HypergeometricParams, x: Scalar, tol: float,
+                 max_terms: int, width: int | None) -> SeriesEvaluation | None:
+    """eval_series for exact params and x, on integers.
 
-    A value past the float range comes back as inf of its sign, which
-    check_finite rejects as it rejects the exact sum; NoConvergenceError
-    is raised where eval_series raises it.
+    Width None sums exactly and returns a Fraction value.  An int width
+    sums in width-bit fixed point and returns the value rounded to a
+    double, inf of its sign past the float range, which check_finite
+    rejects as it rejects the exact sum; or None where the width cannot
+    decide the term count or the value.  NoConvergenceError is raised
+    where the exact sum raises it.
     """
     rule = _stop_rule(params, x, tol, max_terms)
+    exact = width is None
     if rule is None:
-        return SeriesEvaluation(1.0, 1, False, 0.0)
+        return SeriesEvaluation(Fraction(1) if exact else 1.0, 1, False, 0.0)
     last, polynomial, k0, gate, af, bf, cf, ax = rule
     a, b, c = params.a, params.b, params.c
     na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
     nc, dc = c.numerator, c.denominator
     nx_dc, dabx = x.numerator * dc, da * db * x.denominator
-    one = 1 << width
-    U = S = one
+    Q = 1 if exact else 1 << width
+    P = T = Q
     e = E = 0
-    # |U| - e >= 2**gate_bits puts |t_k| at or above 2**gate_exp > gate
-    gate_bits = width + math.frexp(gate)[1] if gate < math.inf else math.inf
+    bq = Q.bit_length()  # only the exact step changes Q
+    gate_exp = math.frexp(gate)[1] if gate < math.inf else math.inf
     terminated = False
     for k in range(last + 1):
         if k >= k0:
-            # with e < 2**(n-2), |U| - e > 2**(n-2) for n = bl(U)
-            n = U.bit_length()
-            if n - 2 < gate_bits or e.bit_length() > n - 2:
+            n = P.bit_length()
+            if n - bq <= gate_exp or e.bit_length() > n - 2:
                 rho = _ratio_majorant(k, af, bf, cf, ax)
                 if rho < 1.0:
-                    u = abs(U)
-                    t = _term_double(max(u - e, 0), one)
-                    if t != _term_double(u + e, one):
+                    u, v = abs(P), abs(Q)
+                    t = _term_double(max(u - e, 0), v)
+                    if e and t != _term_double(u + e, v):
                         return None
                     bound = t * rho / (1.0 - rho)
                     if bound <= tol:
@@ -427,11 +419,19 @@ def _rounded_sum(params: HypergeometricParams, x: Scalar, tol: float,
             break
         p = (na + k * da) * (nb + k * db) * nx_dc
         q = (k + 1) * (nc + k * dc) * dabx
-        U = U * p // q
-        e = -(-e * abs(p) // abs(q)) + 1
-        S += U
-        E += e
-    value = _sum_double(S - E, S + E, one)
+        if exact:
+            P *= p
+            Q *= q
+            T = T * q + P
+            bq = Q.bit_length()
+        else:
+            P = P * p // q
+            e = -(-e * abs(p) // abs(q)) + 1
+            T += P
+            E += e
+    if exact:
+        return SeriesEvaluation(Fraction(T, Q), k + 1, terminated, bound)
+    value = _sum_double(T - E, T + E, Q)
     if value is None:
         return None
     return SeriesEvaluation(value, k + 1, terminated, bound)
@@ -446,7 +446,7 @@ def scaled_sum(scale: Scalar, params: HypergeometricParams, x: Scalar,
     a float needs the sum finite, inside the float range: a float scale
     takes float() of an exact sum, and a float sum may have overflowed.
     Under a float scale an exact sum is wanted only as its double, so it
-    is first summed in fixed point by _rounded_sum, at a start width and
+    is first summed in fixed point by _integer_sum, at a start width and
     at twice, four and eight times it; a sum none of them decides runs
     through eval_series.
     """
@@ -460,7 +460,7 @@ def scaled_sum(scale: Scalar, params: HypergeometricParams, x: Scalar,
     if isinstance(scale, float) and params.exact() and is_exact(x):
         width = _start_width(inner_tol, max_terms)
         for _ in range(4):
-            out = _rounded_sum(params, x, inner_tol, max_terms, width)
+            out = _integer_sum(params, x, inner_tol, max_terms, width)
             if out is not None:
                 break
             width *= 2

@@ -100,21 +100,19 @@ def select_representation(raw: SeriesEvaluation,
     A side that terminated wins over one that did not; otherwise the side
     that took fewer terms wins, with ties going to raw.
     """
-    n_raw, n_tr = raw.terms_used, transformed.terms_used
-    if transformed.terminated and not raw.terminated:
-        return RepresentationChoice(Representation.TRANSFORMED,
-            f"transformed series terminates after {n_tr} terms; raw does not")
-    if raw.terminated and not transformed.terminated:
-        return RepresentationChoice(Representation.RAW,
-            f"raw series terminates after {n_raw} terms; transformed does not")
-    if n_tr < n_raw:
-        return RepresentationChoice(Representation.TRANSFORMED,
-                                    f"{n_tr} terms vs {n_raw} raw")
-    if n_raw < n_tr:
-        return RepresentationChoice(Representation.RAW,
-                                    f"{n_raw} terms vs {n_tr} transformed")
-    return RepresentationChoice(Representation.RAW,
-                                f"both sides take {n_raw} terms; tie goes to raw")
+    sides = sorted(((Representation.RAW, raw),
+                    (Representation.TRANSFORMED, transformed)),
+                   key=lambda side: (not side[1].terminated, side[1].terms_used))
+    (win, best), (lose, other) = sides  # sorted is stable: a tie stays raw
+    if best.terminated != other.terminated:
+        reason = (f"{win.value} series terminates after {best.terms_used} "
+                  f"terms; {lose.value} does not")
+    elif best.terms_used < other.terms_used:
+        reason = f"{best.terms_used} terms vs {other.terms_used} {lose.value}"
+    else:
+        reason = (f"both sides take {best.terms_used} terms; "
+                  f"tie goes to {win.value}")
+    return RepresentationChoice(win, reason)
 
 
 # ---- character series ----
@@ -195,11 +193,12 @@ def verify_triple_relations(tp: TripleParams, x: Scalar, tol: float = 1e-10,
         [-f-1  over e] A  =  [h over e]      p C
         [-f-1  over e] B  =  [e-h-1 over e]  C
 
-    Each residual must stay below tol * (1 + |LHS|).  Relations 1 and 2
-    are skipped (None) when [h over e] = 0, since both sides then vanish
-    identically and would test nothing.
+    Each residual must stay below tol * (1 + |LHS|), and each sum is
+    summed to tol / 1000.  Relations 1 and 2 are skipped (None) when
+    [h over e] = 0, since both sides then vanish identically and would
+    test nothing.
     """
-    series_tol = max(1e-15, tol / 1000.0)
+    series_tol = max(5e-324, tol / 1000.0)  # positive for any tol > 0
     sums = triple_sums(tp, x, series_tol, max_terms)
     e, f, h = tp.e, tp.f, tp.h
     lead_h = binom_char(h, e)

@@ -488,6 +488,16 @@ def test_verify_absurd_tol_fails_exit_1(capsys):
     assert report["error"]
 
 
+def test_verify_triple_passes_below_the_old_series_floor(capsys):
+    # the grid is exact, so each residual is the truncation of exact partial
+    # sums, which summing each character to tol / 1000 keeps below tol
+    code, out, _ = run(capsys, "verify", "triple", "--tol", "1e-30")
+    assert code == 0
+    check, = json.loads(out)["checks"]
+    assert (check["failures"], check["status"]) == (0, "pass")
+    assert check["worst_residual"] <= 1e-30
+
+
 def test_verify_csv(capsys):
     code, out, _ = run(capsys, "verify", "binom", "--output", "csv")
     assert code == 0
@@ -532,6 +542,17 @@ def test_bench_custom_grid(capsys):
     first = report["rows"][0]
     assert first["selected"] == "transformed"
     assert first["transformed_terms"] == 2
+
+
+def test_bench_exact_mode_reads_the_default_grid_and_points_exactly(capsys):
+    code, out, _ = run(capsys, "bench", "--mode", "exact", "--output", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == "3,1,2,1/10,13,false,2,true,transformed,ok"
+    code, out, _ = run(capsys, "bench", "--mode", "exact", "--grid",
+                       "1/3,2/7,5/9", "-x", "0.5")
+    assert code == 0
+    row, = json.loads(out)["rows"]
+    assert (row["a"], row["x"]) == ("1/3", "1/2")
 
 
 def test_bench_bad_grid_exit_2(capsys):

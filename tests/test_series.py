@@ -16,7 +16,7 @@ from gausshyp import (EXACT_DEGREE_CAP, DomainError, HypergeometricParams,
                       substitution_residual, termination_index)
 from gausshyp import series
 from gausshyp.scalar import check_finite
-from gausshyp.series import _rounded_sum, _start_width, _tail_gate
+from gausshyp.series import _integer_sum, _start_width, _tail_gate
 from oracles import (brute_coefficient, brute_series, float_eval_series,
                      fraction_coefficients, fraction_eval_series,
                      fraction_ode_residual, fraction_operator_identity_residual)
@@ -300,6 +300,7 @@ def _float_outcome(outcome):
 @settings(max_examples=100, deadline=None)
 @given(exact_triples(), exact_points, st.floats(-300, 3).map(lambda e: 10.0 ** e),
        st.integers(1, 1500))
+@example((F(7, 3), F(-5, 2), F(-37, 4)), F(5, 6), 1e-12, 300)  # q(k) < 0 first
 @example((-800, F(-26, 9), F(17, 6)), F(-1, 4), 1e-12, 1500)  # ~390 bits cancel
 @example((F(1, 3), F(2, 7), F(5, 9)), F(9, 10), 1e-12, 1500)
 @example((F(1, 3), F(2, 7), F(5, 9)), F(-9, 10), 1e-12, 1500)
@@ -317,7 +318,7 @@ def test_fixed_point_sum_matches_the_fraction_loop(abc, x, tol, max_terms):
             _outcome(fraction_eval_series, params, x, tol, max_terms))
         width = _start_width(tol, max_terms)
         for _ in range(4):
-            got = _outcome(_rounded_sum, params, x, tol, max_terms, width)
+            got = _outcome(_integer_sum, params, x, tol, max_terms, width)
             if want is None:
                 assert got is None
             elif got is not None:
@@ -342,9 +343,9 @@ def test_an_undecided_fixed_point_sum_falls_back_to_the_integer_loop(
     # 53-bit double; with every width that small, scaled_sum must run the
     # integer loop and return its result
     params, x = P(F(1, 3), F(2, 7), F(5, 9)), F(1, 2)
-    assert _rounded_sum(params, x, 2e-12, 10000,
+    assert _integer_sum(params, x, 2e-12, 10000,
                         _start_width(2e-12, 10000)) is not None
-    assert _rounded_sum(params, x, 2e-12, 10000, 8) is None
+    assert _integer_sum(params, x, 2e-12, 10000, 8) is None
     monkeypatch.setattr(series, "_start_width", lambda tol, max_terms: 1)
     calls = []
     eval_series_ = series.eval_series
