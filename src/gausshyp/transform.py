@@ -100,10 +100,10 @@ def select_representation(raw: SeriesEvaluation,
     A side that terminated wins over one that did not; otherwise the side
     that took fewer terms wins, with ties going to raw.
     """
-    sides = sorted(((Representation.RAW, raw),
-                    (Representation.TRANSFORMED, transformed)),
-                   key=lambda side: (not side[1].terminated, side[1].terms_used))
-    (win, best), (lose, other) = sides  # sorted is stable: a tie stays raw
+    # sorted is stable, so a tie keeps raw first
+    (win, best), (lose, other) = sorted(
+        ((Representation.RAW, raw), (Representation.TRANSFORMED, transformed)),
+        key=lambda side: (not side[1].terminated, side[1].terms_used))
     if best.terminated != other.terminated:
         reason = (f"{win.value} series terminates after {best.terms_used} "
                   f"terms; {lose.value} does not")
