@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .binom import binom_char, reflect_char
+from .binom import _pascal_holds, _reflection_holds, binom_char
 from .errors import (DomainError, NoConvergenceError, QuadratureFailureError)
 from .integrals import (IntegralSpec, check_closed_form_I,
                         check_closed_form_II, ratio_identity_sides,
@@ -268,27 +268,30 @@ def _sign_bridge() -> dict:
                                    in product(SIGN_RANGE, SIGN_RANGE)))
 
 
-def _verify_binom(args) -> list[dict]:
+# Each suite takes the parsed args and, under `verify all`, the sign-bridge
+# entry already run for an earlier suite: binom and integrals both end with
+# it, and the other suites ignore it.
+
+def _verify_binom(args, bridge: dict | None = None) -> list[dict]:
     return [
-        _passes("reflection", (binom_char(-m, k) == reflect_char(m, k)
+        _passes("reflection", (_reflection_holds(m, k)
                                for m in BINOM_MS for k in BINOM_KS)),
-        _passes("pascal-recurrence",
-                (binom_char(m, k)
-                 == binom_char(m - 1, k) + binom_char(m - 1, k - 1)
-                 for m in BINOM_MS for k in BINOM_KS[1:])),
+        _passes("pascal-recurrence", (_pascal_holds(m, k)
+                                      for m in BINOM_MS for k in BINOM_KS[1:])),
         _passes("integer-agreement",
                 (binom_char(m, k) == (comb(m, k) if k <= m else 0)
                  for m in range(0, 13) for k in BINOM_KS)),
-        _sign_bridge(),
+        bridge or _sign_bridge(),
     ]
 
 
-def _verify_ode(args) -> list[dict]:
+def _verify_ode(args, bridge: dict | None = None) -> list[dict]:
     degree = 10
     zeros, tips, ops = [], [], []
     for a, b, c in ODE_GRID:
-        c_n, res, diff = _ode_checks(HypergeometricParams(a, b, c), degree)
-        tip = (a + degree) * (b + degree) * c_n
+        # integer entries over one scale: zero, or the tip, exactly when
+        # the residual's Fraction is
+        tip, res, diff = _ode_checks(HypergeometricParams(a, b, c), degree)
         zeros += [v == 0 for v in res[:degree] + res[degree + 1:]]
         tips.append(res[degree] == -tip)
         ops += [v == 0 for v in diff[:degree]] + [diff[degree] == tip]
@@ -299,7 +302,7 @@ def _verify_ode(args) -> list[dict]:
     ]
 
 
-def _verify_triple(args) -> list[dict]:
+def _verify_triple(args, bridge: dict | None = None) -> list[dict]:
     tol = _tol(args, 1e-10)
     pairs = []
     skipped = 0
@@ -316,7 +319,7 @@ def _verify_triple(args) -> list[dict]:
     return [_within("three-series-relations", pairs, not_applicable=skipped)]
 
 
-def _verify_integrals(args) -> list[dict]:
+def _verify_integrals(args, bridge: dict | None = None) -> list[dict]:
     tol = _tol(args, 1e-8)
     closed_I, closed_II, ratio, theta = [], [], [], []
     for a in INTEGRAL_AS:
@@ -335,7 +338,7 @@ def _verify_integrals(args) -> list[dict]:
         _within("closed-form-II", closed_II),
         _within("ratio-identity", ratio),
         _within("theta-identity", theta),
-        _sign_bridge(),
+        bridge or _sign_bridge(),
     ]
 
 
@@ -353,8 +356,9 @@ VERIFY_COLUMNS = ["suite", "check", "cases", "failures", "worst_residual",
 
 def cmd_verify(args):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    bridge = _sign_bridge() if len(names) > 1 else None  # one run serves both
     checks = [{"suite": name, **entry}
-              for name in names for entry in _SUITES[name](args)]
+              for name in names for entry in _SUITES[name](args, bridge)]
     ok = all(entry["status"] == "pass" for entry in checks)
     report = {
         "command": "verify",

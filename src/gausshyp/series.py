@@ -20,7 +20,8 @@ prefactor, it runs in W-bit fixed point with running error bounds e and
 E, and rounds once.  The term's double is taken from |P| and |Q|, since
 Q turns negative after a step where c + k < 0.  The exact coefficients
 and the two operator residuals work the same way: integer numerators over
-one common denominator, each returned value reduced once.
+one common denominator, each returned value reduced once.  The checks of
+``gausshyp verify ode`` compare those integers and reduce nothing.
 """
 
 from __future__ import annotations
@@ -600,14 +601,22 @@ def operator_identity_residual(params: HypergeometricParams,
 
 
 def _ode_checks(params: HypergeometricParams, degree: int
-                ) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-    """(c_N, ode_residual, operator_identity_residual) for exact params,
-    all three from one truncation, whose coefficients are formed once."""
+                ) -> tuple[int, list[int], list[int]]:
+    """(tip, ode_residual, operator_identity_residual) for exact params, all
+    three as the integer entries over one scale M D, from one truncation
+    whose coefficients are formed once.
+
+    tip = (a+N)(b+N) c_N on that scale is dc (na + N da)(nb + N db) N_N,
+    since M (a+N)(b+N) = dc (na + N da)(nb + N db) and c_N = N_N / D.  An
+    entry is zero, or equal to the tip, exactly when its Fraction is, so
+    no Fraction is formed.
+    """
     op = _exact_operator(params, degree)
-    s, scale, m = op[:3]
-    return (Fraction(s[degree] * m, scale),
-            [Fraction(v, scale) for v in _ode_entries(op, degree)],
-            [Fraction(v, scale) for v in _identity_entries(op, degree)])
+    a, b, c = params.a, params.b, params.c
+    tip = ((a.numerator + degree * a.denominator)
+           * (b.numerator + degree * b.denominator)
+           * c.denominator * op[0][degree])
+    return tip, _ode_entries(op, degree), _identity_entries(op, degree)
 
 
 def substitution_residual(params: HypergeometricParams, n_exp: Scalar,

@@ -126,6 +126,9 @@ def character_series(m1: Scalar, m2: Scalar, shift: int, x: Scalar,
     is binom(m2, shift) * s(-m1, shift-m2; shift+1; x), summed by
     scaled_sum with the leading character as the scale.  A zero factor
     terminates the sum exactly; a zero leading character makes it vanish.
+    tol applies to the product, but the series itself is summed to no less
+    than the least positive double: a tol below 5e-324 |lead| is raised to
+    it, where tol / |lead| would underflow to 0.
     """
     check_index("shift", shift)
     check_eval_point(x)
@@ -136,6 +139,11 @@ def character_series(m1: Scalar, m2: Scalar, shift: int, x: Scalar,
         lead = float(lead)
     if lead == 0:
         return SeriesEvaluation(lead, 1, True, 0.0)
+    # Below |lead| = 1, tol / |lead| >= tol > 0.  Above, a subnormal
+    # fl(|lead| 5e-324) is n 5e-324 with n >= |lead| - 1/2, so its quotient
+    # by |lead| is at least 2/3 of 5e-324 and rounds back to it, never to
+    # 0; a normal one is off by a relative 2**-53 only.
+    tol = max(tol, abs(float(lead)) * 5e-324)
     return scaled_sum(lead, HypergeometricParams(-m1, shift - m2, shift + 1),
                       x, tol, max_terms)
 

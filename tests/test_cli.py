@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from gausshyp import (IntegralSpec, check_closed_form_I, check_closed_form_II,
                       quad_I, quad_II, ratio_identity_sides,
                       theta_identity_sides)
-from gausshyp import cli, integrals, series
+from gausshyp import binom, cli, integrals, series
 from gausshyp.cli import (INTEGRAL_AS, INTEGRAL_NI, ODE_GRID, _verify_integrals,
                           build_parser, format_float, main, render_json)
 from oracles import isinstance_render_json
@@ -472,6 +472,104 @@ def test_verify_ode_forms_the_coefficients_once_per_grid_point(capsys,
     code, out, _ = run(capsys, "verify", "ode")
     assert code == 0 and json.loads(out)["status"] == "pass"
     assert len(calls) == len(ODE_GRID) == 98
+
+
+def _checks(out: str) -> dict:
+    return {(chk["suite"], chk["check"]): chk
+            for chk in json.loads(out)["checks"]}
+
+
+def test_verify_all_runs_the_sign_bridge_once(capsys, monkeypatch):
+    # binom and integrals both end with the 49-case sign bridge; under
+    # `verify all` one run serves both, and each suite alone still runs it
+    calls = []
+    real = cli.verify_sign_bridge
+
+    def counting(n, i):
+        calls.append((n, i))
+        return real(n, i)
+
+    monkeypatch.setattr(cli, "verify_sign_bridge", counting)
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0 and len(calls) == 49
+    checks = _checks(out)
+    bridge = {k: v for k, v in checks[("binom", "sign-bridge")].items()
+              if k != "suite"}
+    assert bridge == {"check": "sign-bridge", "cases": 49, "failures": 0,
+                      "status": "pass"}
+    assert checks[("integrals", "sign-bridge")] == {"suite": "integrals",
+                                                    **bridge}
+    for suite in ("binom", "integrals"):
+        calls.clear()
+        code, out, _ = run(capsys, "verify", suite)
+        assert code == 0 and len(calls) == 49
+        assert _checks(out)[(suite, "sign-bridge")] == {"suite": suite,
+                                                        **bridge}
+
+
+@pytest.mark.parametrize("k", [0, 4, 10])
+def test_verify_ode_fails_on_a_perturbed_numerator(capsys, monkeypatch, k):
+    # the integer comparisons must see one coefficient numerator off by one
+    real = series._integer_coefficients
+
+    def perturbed(params, degree):
+        num, D = real(params, degree)
+        num[k] += 1
+        return num, D
+
+    monkeypatch.setattr(series, "_integer_coefficients", perturbed)
+    code, out, _ = run(capsys, "verify", "ode")
+    assert code == 1 and json.loads(out)["status"] == "fail"
+    checks = _checks(out)
+    assert checks[("ode", "residual-zeros")]["failures"] > 0
+    assert checks[("ode", "operator-identity")]["failures"] > 0
+
+
+def _falling_wrong_sign(p, q, k):
+    num = 1
+    for j in range(k):
+        num *= p + j * q
+    return num
+
+
+def _falling_off_by_one(p, q, k):
+    num = 1
+    for j in range(1, k + 1):
+        num *= p - j * q
+    return num
+
+
+@pytest.mark.parametrize("fault,failing", [
+    (_falling_wrong_sign, {"reflection", "pascal-recurrence",
+                           "integer-agreement", "sign-bridge"}),
+    (_falling_off_by_one, {"reflection", "integer-agreement", "sign-bridge"}),
+])
+def test_verify_binom_fails_on_a_faulty_character_numerator(capsys,
+                                                           monkeypatch,
+                                                           fault, failing):
+    # binom_char and the numerator checks share one helper; a fault in it
+    # must fail the suite, and the numerator checks must see it themselves
+    monkeypatch.setattr(binom, "_falling", fault)
+    code, out, _ = run(capsys, "verify", "binom")
+    assert code == 1 and json.loads(out)["status"] == "fail"
+    assert {check for (_, check), chk in _checks(out).items()
+            if chk["failures"]} == failing
+
+
+def test_verify_triple_at_a_tol_below_its_prefactors(capsys):
+    # tol / 1000 over a leading character above 1 underflows to 0; each
+    # character is then summed to the least positive double instead
+    code, out, err = run(capsys, "verify", "triple", "--tol", "1e-320")
+    assert code == 0, err
+    check, = json.loads(out)["checks"]
+    assert (check["cases"], check["failures"], check["not_applicable"]) \
+        == (189, 0, 54)
+    # every suite reports; whether the float suites meet so tight a tol is
+    # not asked here
+    code, out, err = run(capsys, "verify", "all", "--tol", "1e-320")
+    assert code in (0, 1) and err == ""
+    assert [suite for suite, _ in _checks(out)] == (
+        ["binom"] * 4 + ["ode"] * 3 + ["triple"] + ["integrals"] * 5)
 
 
 def test_verify_looser_tol_still_passes(capsys):

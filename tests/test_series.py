@@ -528,6 +528,13 @@ def test_polynomial_work_matches_the_fraction_reference(abc, degree):
         for g, w in zip(got, want):
             assert g == w
             assert all(type(v) is F for v in g)
+        # the integer entries verify compares, over their one scale
+        tip, res, diff = series._ode_checks(params, degree)
+        scale = series._scaled_operator(params, degree)[1]
+        assert [F(v, scale) for v in res] == want[1]
+        assert [F(v, scale) for v in diff] == want[2]
+        assert F(tip, scale) == ((params.a + degree) * (params.b + degree)
+                                 * want[0][degree])
     else:
         for g, w in zip(got, want):
             assert [repr(v) for v in g] == [repr(v) for v in w]

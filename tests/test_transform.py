@@ -180,6 +180,19 @@ def test_character_series_infinite_vs_brute():
     assert not out.terminated
 
 
+def test_character_series_below_the_least_double_over_its_lead():
+    # tol / |lead| underflows to 0 past a lead of 1; the series is then
+    # summed to the least positive double, whatever the lead
+    for lead in (1.0, 1.5, 2.5, 6.0, 1e5 / 3, 2.0 ** 52 + 1, 1e300):
+        assert max(5e-324, lead * 5e-324) / lead == 5e-324
+    for m1, m2, shift, x in ((-3, -2, 1, F(1, 4)), (F(1, 2), F(81, 2), 20, F(1, 2)),
+                             (0.5, 6.5, 3, -0.25)):
+        lead = abs(float(binom_char(m2, shift)))
+        out = character_series(m1, m2, shift, x, 5e-324)
+        assert 1.0 < lead and out.tail_bound <= lead * 5e-324
+        assert not out.terminated
+
+
 def test_character_series_validation():
     with pytest.raises(DomainError):
         character_series(1, 1, -1, F(1, 2))
