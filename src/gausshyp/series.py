@@ -26,7 +26,6 @@ one common denominator, each returned value reduced once.  The checks of
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -72,7 +71,11 @@ class HypergeometricParams:
 class SeriesEvaluation:
     """Result of summing the series at one point.
 
-    value        -- the partial (or complete) sum; exact iff every input was
+    value        -- the partial (or complete) sum: exact where every input
+                    was and the sum is taken exactly, as eval_series takes
+                    it; the fixed-point mode of _integer_sum, which
+                    scaled_sum runs under a float scale, returns a double
+                    from exact inputs, the exact sum rounded once
     terms_used   -- number of terms added, >= 1
     terminated   -- True when no nonzero terms remain past the last one
     tail_bound   -- bound on the truncation error, the neglected tail
@@ -266,7 +269,16 @@ def _budget_spent(tol: float, max_terms: int) -> NoConvergenceError:
 # ---- evaluation ----
 #
 # Two loops sum the series.  eval_series steps the term recurrence in
-# doubles.  _integer_sum steps it on integers: with a = na/da, b = nb/db,
+# doubles, t_{k+1} = t_k (a+k) (b+k) / ((k+1)(c+k)) x in that operand
+# order.  Beside float parameters k is a float counter stepped by 1.0:
+# every k < 2**53 is a double, so each add in the step is float + float,
+# with the bits of float + int.  Its gate test is the signed range
+# gate <= t <= hi or -hi <= t <= -gate, with hi the largest double; as
+# gate > 0 this holds on exactly the doubles where gate <= |t| <= hi does:
+# +-0.0 lies in neither half, no comparison holds for nan, and +-inf lies
+# past hi, also where gate = inf.
+#
+# _integer_sum steps it on integers: with a = na/da, b = nb/db,
 # c = nc/dc and x = nx/dx, each step multiplies in p(k) = (na + k da)
 # (nb + k db) nx dc and q(k) = (k+1)(nc + k dc) da db dx, and term k is
 # P/Q, within e/|Q|, and the partial sum T/Q, within E/|Q|.
@@ -315,16 +327,18 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     last, polynomial, k0, gate, af, bf, cf, ax = rule
     a, b, c = params.a, params.b, params.c
     term = total = 1.0
-    # beside float parameters the counter is a float: every k < 2**53 is
-    # a double, so float + float gives the bits that float + int did
+    # kf is k, stepped in place by one: 1.0 beside float parameters, else 1
     kf = 0.0 if type(a) is type(b) is type(c) is float else 0
+    one = kf + 1
+    hi, nhi, ngate = _FLOAT_MAX, -_FLOAT_MAX, -gate
     terminated = False
-    for k, kf in zip(range(last + 1), itertools.count(kf)):
+    for k in range(last + 1):
         if k >= k0:
-            # only a term below the gate can meet tol; an inf or nan fails
-            # the range test too, and stops the sum here
-            if not gate <= abs(term) <= _FLOAT_MAX:
-                if not abs(term) <= _FLOAT_MAX:
+            # gate <= |term| <= hi, as a signed range: only a term below
+            # the gate can meet tol; an inf or nan fails the range test
+            # too, and stops the sum here
+            if not (gate <= term <= hi or nhi <= term <= ngate):
+                if not abs(term) <= hi:
                     raise NoConvergenceError(
                         f"term {k} is {term}, outside the float range")
                 rho = _ratio_majorant(k, af, bf, cf, ax)
@@ -337,8 +351,9 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
                 raise _budget_spent(tol, max_terms)
             terminated, bound = True, 0.0
             break
-        term = term * (a + kf) * (b + kf) / ((kf + 1) * (c + kf)) * x
+        term = term * (a + kf) * (b + kf) / ((kf + one) * (c + kf)) * x
         total = total + term
+        kf += one
     return SeriesEvaluation(total, k + 1, terminated, bound)
 
 

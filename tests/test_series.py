@@ -447,6 +447,45 @@ def test_a_float_term_past_the_float_range_stops_the_sum():
         eval_series(P(1.5, 1e308, 1e308), 0.9)
 
 
+def test_a_negative_float_term_past_the_float_range_stops_the_sum():
+    # -inf lies in neither half of the signed range test: the sum stops at
+    # it, where the reference loop, which checks no range, runs out of
+    # budget; both raise
+    with pytest.raises(NoConvergenceError,
+                       match=r"^term 1 is -inf, outside the float range$"):
+        eval_series(P(1e300, 1e300, 1.0), -0.5)
+    with pytest.raises(NoConvergenceError):
+        float_eval_series(P(1e300, 1e300, 1.0), -0.5, 1e-12, 10000)
+
+
+@pytest.mark.parametrize("abc,x,tol,max_terms", [
+    ((0.3, 0.7, 1.5), -0.98, 1e-12, 10000),    # stops at a negative term
+    ((2.5, -3.5, 1.5), -0.98, 1e-3, 10000),    # k0 = 4
+    ((-2.5, 3.5, 0.5), -0.9, 1e-12, 10000),    # k0 = 3, f2 > 1
+    ((1, 1, 2), -0.98, 1e-15, 10000),          # ints beside a negative x
+    ((3, 5, 7), -0.9, 1e-12, 10000),
+    ((1e-305, 1.0, 1.0), -0.9, 1e-320, 10000),   # subnormal terms of both
+    ((1e-305, 1.0, 1.0), -0.98, 1e-320, 10000),  # signs cross the gate
+    ((1e-305, 1.0, 1.0), -0.98, 5e-324, 3000),   # ... or stay above it
+    ((-0.5, 1.5, 1e300), 0.5, 5e-324, 10000),    # -0.0 under a finite gate
+    ((-0.5, 1.5, 1.0), 5e-324, 1e-12, 10000),    # gate = inf, t_1 = -5e-324
+    ((1.5, -2.5, 1.0), -5e-324, 1e-12, 10000),   # gate = inf, 0.0 terms
+    ((1.5, -2.5, 1), -5e-324, 1e-12, 10000),     # the same, int counter
+])
+def test_the_signed_gate_test_matches_the_reference_loop(abc, x, tol,
+                                                         max_terms):
+    # the gate is tested as gate <= t <= hi or -hi <= t <= -gate; on
+    # negative terms above and below the gate, subnormal and zero terms
+    # and an inf gate the sum must be the reference loop's bit for bit
+    params = P(*abc)
+    got = _outcome(eval_series, params, x, tol, max_terms)
+    want = _outcome(float_eval_series, params, x, tol, max_terms)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert (got.value.hex(), got.terms_used, got.terminated,
+                got.tail_bound) == (want[0].hex(), *want[1:])
+
+
 def test_a_majorant_past_the_budget_fails_before_the_first_term():
     # the majorant applies from k0 on, the first k with a+k, b+k, c+k all
     # positive; with k0 >= max_terms no term can stop the sum
