@@ -33,8 +33,8 @@ from .integrals import (IntegralSpec, check_closed_form_I,
 from .scalar import (Scalar, check_finite, check_printable, is_exact,
                      parse_scalar)
 from .series import HypergeometricParams, _ode_checks, check_budget, eval_series
-from .transform import (TripleParams, eval_transformed, select_representation,
-                        verify_triple_relations)
+from .transform import (TripleParams, _triple_relations, eval_transformed,
+                        select_representation)
 
 
 # ---- canonical serialization ----
@@ -307,15 +307,15 @@ def _verify_triple(args, bridge: dict | None = None) -> list[dict]:
     pairs = []
     skipped = 0
     for e, f, h in TRIPLE_EFH:
-        tp = TripleParams(e, f, h)
-        for x in TRIPLE_XS:
-            out = verify_triple_relations(tp, x, tol=tol,
-                                          max_terms=args.max_terms)
-            for residual, allowance in zip(out.residuals, out.allowances):
-                if residual is None:
+        for _, exact, checks in _triple_relations(
+                TripleParams(e, f, h), TRIPLE_XS, tol, args.max_terms):
+            for check in checks:
+                if check is None:
                     skipped += 1
                 else:
-                    pairs.append((float(residual), allowance))
+                    num, den, allowance = check
+                    pairs.append((num / den if exact else float(num),
+                                  allowance))
     return [_within("three-series-relations", pairs, not_applicable=skipped)]
 
 

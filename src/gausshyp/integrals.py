@@ -228,8 +228,11 @@ def verify_sign_bridge(n: int, i: int) -> bool:
     check_index("n", n)
     check_index("i", i)
     sign = -1 if i % 2 else 1
-    prop = (binom_char(n, i) * binom_char(n + i, i)
-            == binom_char(-n - 1, i) * binom_char(-n - 1 + i, i))
-    cor1 = binom_char(n + i, i) == sign * binom_char(-n - 1, i)
-    cor2 = binom_char(-n - 1 + i, i) == sign * binom_char(n, i)
-    return bool(prop and cor1 and cor2)
+    # binom(n, i), binom(n+i, i), binom(-n-1, i), binom(-n-1+i, i), each
+    # formed once and compared cross-multiplied on its numerator and
+    # positive denominator
+    (n1, d1), (n2, d2), (n3, d3), (n4, d4) = (
+        (char.numerator, char.denominator)
+        for char in map(binom_char, (n, n + i, -n - 1, -n - 1 + i), (i,) * 4))
+    return (n1 * n2 * d3 * d4 == n3 * n4 * d1 * d2
+            and n2 * d3 == sign * n3 * d2 and n4 * d1 == sign * n1 * d4)

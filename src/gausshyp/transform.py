@@ -15,13 +15,15 @@ pairings.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .binom import binom_char
 from .errors import DomainError
-from .scalar import (Scalar, as_integer, check_finite, check_index,
-                     is_exact, power)
+from .scalar import (_FLOAT_MAX_INT, Scalar, as_integer, check_finite,
+                     check_index, is_exact, power)
 from .series import (HypergeometricParams, SeriesEvaluation, check_budget,
                      check_eval_point, scaled_sum)
 from .series import eval_series  # noqa: F401  (perfbench looks it up here)
@@ -123,19 +125,38 @@ def character_series(m1: Scalar, m2: Scalar, shift: int, x: Scalar,
 
     The term ratio (m1-k)(m2-shift-k) x / ((k+1)(shift+k+1)) is the
     hypergeometric one with a = -m1, b = shift-m2, c = shift+1, so the sum
-    is binom(m2, shift) * s(-m1, shift-m2; shift+1; x), summed by
-    scaled_sum with the leading character as the scale.  A zero factor
-    terminates the sum exactly; a zero leading character makes it vanish.
-    tol applies to the product, but the series itself is summed to no less
-    than the least positive double: a tol below 5e-324 |lead| is raised to
-    it, where tol / |lead| would underflow to 0.
+    is binom(m2, shift) * s(-m1, shift-m2; shift+1; x).  This checks the
+    arguments, _character forms the leading character and the parameters
+    (non-finite m1 or m2 are rejected there, a zero lead or not), and
+    _character_sum sums the product.
     """
     check_index("shift", shift)
     check_eval_point(x)
     check_budget(tol, max_terms)
-    lead: Scalar = binom_char(m2, shift)
+    return _character_sum(*_character(m1, m2, shift), x, tol, max_terms)
+
+
+def _character(m1: Scalar, m2: Scalar,
+               shift: int) -> tuple[Scalar, HypergeometricParams]:
+    """The leading character binom(m2, shift) of the character sum and the
+    parameters (-m1, shift-m2; shift+1) of its series."""
+    return (binom_char(m2, shift),
+            HypergeometricParams(-m1, shift - m2, shift + 1))
+
+
+def _character_sum(lead: Scalar, params: HypergeometricParams, x: Scalar,
+                   tol: float, max_terms: int) -> SeriesEvaluation:
+    """lead * s(params; x), the character sum of _character, for a checked
+    x, tol and max_terms.
+
+    scaled_sum sums the series with the lead as the scale.  A zero factor
+    terminates the sum exactly; a zero lead makes it vanish.  tol applies
+    to the product, but the series itself is summed to no less than the
+    least positive double: a tol below 5e-324 |lead| is raised to it,
+    where tol / |lead| would underflow to 0.
+    """
     check_finite("prefactor", lead)
-    if not (is_exact(m1) and is_exact(x)):
+    if not (is_exact(params.a) and is_exact(x)):
         lead = float(lead)
     if lead == 0:
         return SeriesEvaluation(lead, 1, True, 0.0)
@@ -144,8 +165,7 @@ def character_series(m1: Scalar, m2: Scalar, shift: int, x: Scalar,
     # by |lead| is at least 2/3 of 5e-324 and rounds back to it, never to
     # 0; a normal one is off by a relative 2**-53 only.
     tol = max(tol, abs(float(lead)) * 5e-324)
-    return scaled_sum(lead, HypergeometricParams(-m1, shift - m2, shift + 1),
-                      x, tol, max_terms)
+    return scaled_sum(lead, params, x, tol, max_terms)
 
 
 # ---- the three proportional sums ----
@@ -180,14 +200,112 @@ class TripleRelationCheck:
     sums: TripleSums
 
 
-def triple_sums(tp: TripleParams, x: Scalar, tol: float = 1e-12,
-                max_terms: int = 10000) -> TripleSums:
+def _characters(tp: TripleParams
+                ) -> tuple[tuple[Scalar, HypergeometricParams], ...]:
+    """(lead, params) of the three sums, in TripleSums order: the leads are
+    [h over e], [e-h-1 over e] and [-f-1 over e]."""
     e, f, h = tp.e, tp.f, tp.h
-    a = character_series(f, h, e, x, tol, max_terms)
-    b = character_series(-e - f - 1, e - h - 1, e, x, tol, max_terms)
-    c = character_series(-h - 1, -f - 1, e, x, tol, max_terms)
+    return (_character(f, h, e), _character(-e - f - 1, e - h - 1, e),
+            _character(-h - 1, -f - 1, e))
+
+
+def _sums(characters: tuple[tuple[Scalar, HypergeometricParams], ...],
+          x: Scalar, tol: float,
+          max_terms: int) -> tuple[SeriesEvaluation, ...]:
+    """The three sums at a checked x."""
+    return tuple(_character_sum(lead, params, x, tol, max_terms)
+                 for lead, params in characters)
+
+
+def _record(sums: tuple[SeriesEvaluation, ...], x: Scalar) -> TripleSums:
+    a, b, c = sums
     return TripleSums(a.value, b.value, c.value, x,
                       (a.terms_used, b.terms_used, c.terms_used))
+
+
+def triple_sums(tp: TripleParams, x: Scalar, tol: float = 1e-12,
+                max_terms: int = 10000) -> TripleSums:
+    check_eval_point(x)
+    check_budget(tol, max_terms)
+    return _record(_sums(_characters(tp), x, tol, max_terms), x)
+
+
+def _exact_check(k: int, l_n: int, l_d: int, r_n: int, r_d: int,
+                 tol: float) -> tuple[int, int, float]:
+    """(num, den, allowance) of relation k between the sides l_n / l_d and
+    r_n / r_d, denominators positive."""
+    if abs(l_n) > _FLOAT_MAX_INT * l_d or abs(r_n) > _FLOAT_MAX_INT * r_d:
+        raise DomainError(f"each side of relation {k} must be finite, "
+                          "inside the float range")
+    return (abs(l_n * r_d - r_n * l_d), l_d * r_d,
+            tol * (1.0 + abs(l_n) / l_d))
+
+
+def _scalar_check(k: int, lhs: Scalar, rhs: Scalar,
+                  tol: float) -> tuple[Scalar, int, float]:
+    """(num, 1, allowance) of relation k between the sides lhs and rhs."""
+    for side in (lhs, rhs):
+        check_finite(f"each side of relation {k}", side)
+    return abs(lhs - rhs), 1, tol * (1.0 + abs(float(lhs)))
+
+
+def _triple_relations(tp: TripleParams, xs: Iterable[Scalar], tol: float,
+                      max_terms: int) -> Iterator[tuple]:
+    """Yield (sums, exact, checks) for each point x of xs.
+
+    sums are the three character sums, in TripleSums order, each summed to
+    tol / 1000.  checks hold, per relation, None when it does not apply or
+    (num, den, allowance), the residual being num / den and the allowance
+    tol * (1 + |LHS|).  exact is True when the leads, p and the sums are
+    all exact: num and den are then the integers |l_n r_d - r_n l_d| and
+    l_d r_d of the sides l_n / l_d and r_n / r_d, no gcd taken.  int true
+    division rounds correctly, so num / den and l_n / l_d are float() of
+    the reduced fractions.  Otherwise num is the difference of the Scalar
+    sides, formed as written in verify_triple_relations, and den is 1.
+    The leads and parameters of the sums are formed once, for every point.
+    """
+    series_tol = max(5e-324, tol / 1000.0)  # positive for any tol > 0
+    characters = _characters(tp)
+    leads = tuple(lead for lead, _ in characters)
+    lead_a, lead_b, lead_c = leads
+    exact_leads = all(map(is_exact, leads))
+    if exact_leads:
+        (la_n, la_d), (lb_n, lb_d), (lc_n, lc_d) = (
+            (lead.numerator, lead.denominator) for lead in leads)
+    # relations 1 and 2 vanish identically when [h over e] = 0
+    applies = lead_a != 0
+    exponent = tp.f + tp.h + 1
+    for x in xs:
+        check_eval_point(x)
+        check_budget(series_tol, max_terms)
+        sums = _sums(characters, x, series_tol, max_terms)
+        sa, sb, sc = (s.value for s in sums)
+        p = power(1 - x, exponent)
+        exact = (exact_leads and is_exact(p) and is_exact(sa)
+                 and is_exact(sb) and is_exact(sc))
+        checks: list[tuple | None] = [None, None, None]
+        if exact:
+            sa_n, sa_d = sa.numerator, sa.denominator
+            sb_n, sb_d = sb.numerator, sb.denominator
+            sc_n, sc_d = sc.numerator, sc.denominator
+            if applies:
+                ap_n, ap_d = la_n * p.numerator, la_d * p.denominator
+                checks[0] = _exact_check(1, lb_n * sa_n, lb_d * sa_d,
+                                         ap_n * sb_n, ap_d * sb_d, tol)
+                checks[1] = _exact_check(2, lc_n * sa_n, lc_d * sa_d,
+                                         ap_n * sc_n, ap_d * sc_d, tol)
+            checks[2] = _exact_check(3, lc_n * sb_n, lc_d * sb_d,
+                                     lb_n * sc_n, lb_d * sc_d, tol)
+        else:
+            if applies:
+                # lead_a * p * sb multiplies lead_a * p first; exact past the
+                # float range, it could not be rounded to meet a float sum
+                ap = lead_a * p
+                check_finite("each side of relation 1", ap)
+                checks[0] = _scalar_check(1, lead_b * sa, ap * sb, tol)
+                checks[1] = _scalar_check(2, lead_c * sa, ap * sc, tol)
+            checks[2] = _scalar_check(3, lead_c * sb, lead_b * sc, tol)
+        yield sums, exact, checks
 
 
 def verify_triple_relations(tp: TripleParams, x: Scalar, tol: float = 1e-10,
@@ -201,31 +319,26 @@ def verify_triple_relations(tp: TripleParams, x: Scalar, tol: float = 1e-10,
         [-f-1  over e] A  =  [h over e]      p C
         [-f-1  over e] B  =  [e-h-1 over e]  C
 
+    A, B and C are their leads times s(-f, e-h; e+1; x),
+    s(e+f+1, h+1; e+1; x) and s(h+1, e+f+1; e+1; x), so once the leads
+    cancel, relation 1 is Euler's transformation of s(-f, e-h; e+1; x),
+    relation 2 the same with the upper parameters swapped on the right,
+    and relation 3 the a <-> b symmetry of s(e+f+1, h+1; e+1; x).
+
     Each residual must stay below tol * (1 + |LHS|), and each sum is
     summed to tol / 1000.  Relations 1 and 2 are skipped (None) when
     [h over e] = 0, since both sides then vanish identically and would
-    test nothing.
+    test nothing.  When the leads, p and the sums are all exact, the
+    sides are compared on their integer numerators and denominators, and
+    the residuals are Fractions; otherwise they are the Scalar differences
+    of the sides.  A side past the float range raises DomainError.
     """
-    series_tol = max(5e-324, tol / 1000.0)  # positive for any tol > 0
-    sums = triple_sums(tp, x, series_tol, max_terms)
-    e, f, h = tp.e, tp.f, tp.h
-    lead_h = binom_char(h, e)
-    lead_b = binom_char(e - h - 1, e)
-    lead_c = binom_char(-f - 1, e)
-    p = power(1 - x, f + h + 1)
-
-    def check(lhs: Scalar, rhs: Scalar) -> tuple[Scalar, float]:
-        residual = abs(lhs - rhs)
-        return residual, tol * (1.0 + abs(float(lhs)))
-
-    results: list[Scalar | None] = [None, None, None]
-    allowances: list[float | None] = [None, None, None]
-    if lead_h != 0:
-        results[0], allowances[0] = check(lead_b * sums.a_sum,
-                                          lead_h * p * sums.b_sum)
-        results[1], allowances[1] = check(lead_c * sums.a_sum,
-                                          lead_h * p * sums.c_sum)
-    results[2], allowances[2] = check(lead_c * sums.b_sum, lead_b * sums.c_sum)
+    sums, exact, checks = next(_triple_relations(tp, (x,), tol, max_terms))
+    residuals = tuple(None if chk is None
+                      else Fraction(chk[0], chk[1]) if exact else chk[0]
+                      for chk in checks)
+    allowances = tuple(None if chk is None else chk[2] for chk in checks)
     passed = all(r is None or float(r) <= alw
-                 for r, alw in zip(results, allowances))
-    return TripleRelationCheck(tuple(results), tuple(allowances), passed, sums)
+                 for r, alw in zip(residuals, allowances))
+    return TripleRelationCheck(residuals, allowances, passed,
+                               _record(sums, x))

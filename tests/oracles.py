@@ -10,6 +10,8 @@ stopping rule stepped in doubles with the majorant as its own function;
 ``fraction_coefficients``, ``fraction_ode_residual`` and
 ``fraction_operator_identity_residual``, which build the coefficients and
 the operator residuals one ``Fraction`` operation at a time (floats too);
+``scalar_triple_relations``, the three-series relations as products and
+differences of ``Scalar`` sides;
 ``float_binom``, the running product of (m-j+1)/j in doubles; and
 ``isinstance_render_json``, the report renderer as a chain of isinstance
 tests with ``json.dumps`` for every string.
@@ -21,8 +23,10 @@ import json
 import math
 from fractions import Fraction
 
-from gausshyp import NoConvergenceError, termination_index
+from gausshyp import (NoConvergenceError, binom_char, termination_index,
+                      triple_sums)
 from gausshyp.cli import format_float
+from gausshyp.scalar import power
 from gausshyp.series import (_poly_derivative, _poly_mul, _poly_scale,
                              _poly_sum, _shift)
 
@@ -207,6 +211,37 @@ def fraction_operator_identity_residual(params, degree: int) -> list:
         length=degree + 1,
     )
     return [lv - rv for lv, rv in zip(lhs, rhs)]
+
+
+def scalar_triple_relations(tp, x, tol: float = 1e-10,
+                            max_terms: int = 10000):
+    """(residuals, allowances, passed, sums) of the three relations, each
+    side a chain of Scalar products, each residual |lhs - rhs| reduced as
+    Fraction or float arithmetic gives it; the sums are triple_sums at
+    tol / 1000."""
+    series_tol = max(5e-324, tol / 1000.0)
+    sums = triple_sums(tp, x, series_tol, max_terms)
+    e, f, h = tp.e, tp.f, tp.h
+    lead_h = binom_char(h, e)
+    lead_b = binom_char(e - h - 1, e)
+    lead_c = binom_char(-f - 1, e)
+    p = power(1 - x, f + h + 1)
+
+    def check(lhs, rhs):
+        residual = abs(lhs - rhs)
+        return residual, tol * (1.0 + abs(float(lhs)))
+
+    results = [None, None, None]
+    allowances = [None, None, None]
+    if lead_h != 0:
+        results[0], allowances[0] = check(lead_b * sums.a_sum,
+                                          lead_h * p * sums.b_sum)
+        results[1], allowances[1] = check(lead_c * sums.a_sum,
+                                          lead_h * p * sums.c_sum)
+    results[2], allowances[2] = check(lead_c * sums.b_sum, lead_b * sums.c_sum)
+    passed = all(r is None or float(r) <= alw
+                 for r, alw in zip(results, allowances))
+    return tuple(results), tuple(allowances), passed, sums
 
 
 def isinstance_render_json(value) -> str:

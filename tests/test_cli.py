@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from gausshyp import (IntegralSpec, check_closed_form_I, check_closed_form_II,
                       quad_I, quad_II, ratio_identity_sides,
                       theta_identity_sides)
-from gausshyp import binom, cli, integrals, series
+from gausshyp import binom, cli, integrals, series, transform
 from gausshyp.cli import (INTEGRAL_AS, INTEGRAL_NI, ODE_GRID, _verify_integrals,
                           build_parser, format_float, main, render_json)
 from oracles import isinstance_render_json
@@ -505,6 +505,29 @@ def test_verify_all_runs_the_sign_bridge_once(capsys, monkeypatch):
         assert code == 0 and len(calls) == 49
         assert _checks(out)[(suite, "sign-bridge")] == {"suite": suite,
                                                         **bridge}
+
+
+def test_verify_forms_each_character_once(capsys, monkeypatch):
+    # the triple suite forms the three leading characters of each (e, f, h)
+    # once for its three points, and the sign bridge each of its four
+    # characters once per (n, i): 830 binom_char calls under `verify all`
+    calls = []
+    real = binom.binom_char
+
+    def counting(m, k):
+        calls.append((m, k))
+        return real(m, k)
+
+    for module in (binom, cli, integrals, transform):
+        monkeypatch.setattr(module, "binom_char", counting)
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0 and len(calls) == 830
+    assert _checks(out)[("binom", "sign-bridge")]["cases"] == 49
+    calls.clear()
+    code, _, _ = run(capsys, "verify", "triple")
+    assert code == 0 and len(calls) == 81
+    assert calls == [(m, e) for e, f, h in cli.TRIPLE_EFH
+                     for m in (h, e - h - 1, -f - 1)]
 
 
 @pytest.mark.parametrize("k", [0, 4, 10])

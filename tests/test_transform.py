@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -13,7 +14,8 @@ from gausshyp import (DomainError, HypergeometricParams, Representation,
                       euler_transform_params, params_from_triple,
                       select_representation, termination_index, triple_params,
                       triple_sums, verify_triple_relations)
-from oracles import brute_char_sum, brute_series
+from gausshyp.transform import _exact_check
+from oracles import brute_char_sum, brute_series, scalar_triple_relations
 
 P = HypergeometricParams
 
@@ -198,6 +200,11 @@ def test_character_series_validation():
         character_series(1, 1, -1, F(1, 2))
     with pytest.raises(DomainError):
         character_series(1, 1, 1, 2)
+    # a non-finite m1 is rejected also where binom(m2, shift+k) = 0 for
+    # every k would make the sum vanish
+    for m1 in (float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="finite"):
+            character_series(m1, 3, 10, 0.5)
 
 
 def test_character_series_lead_past_the_float_range():
@@ -211,8 +218,9 @@ def test_character_series_exact_lead_past_the_float_range_in_float_mode():
     # 2e600 and must be rejected before it is converted
     with pytest.raises(DomainError, match="prefactor"):
         character_series(0.5, 2000, 1000, 0.5)
-    zero = character_series(0.5, 3, 10, 0.5)
-    assert zero.value == 0.0 and isinstance(zero.value, float)
+    for x in (0.5, F(1, 2)):  # a float m1 alone makes the sum a float
+        zero = character_series(0.5, 3, 10, x)
+        assert zero.value == 0.0 and isinstance(zero.value, float)
 
 
 # ---- tail bounds of prefactor x series ----
@@ -301,3 +309,83 @@ def test_triple_relations_exact_when_all_terminate():
     # e=0 turns relation 3 into an identity between two terminating sums
     out = verify_triple_relations(TripleParams(0, 2, 1), F(1, 2))
     assert out.passed
+
+
+# ---- relation arithmetic: integer numerators against Scalar products ----
+
+def _same(got, want):
+    # the same type and the same bits: repr of a float round-trips
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
+def _matches_scalar_products(tp, x):
+    out = verify_triple_relations(tp, x)
+    residuals, allowances, passed, sums = scalar_triple_relations(tp, x)
+    assert out.sums == sums
+    assert out.passed == passed
+    for got, want in zip(out.allowances, allowances):
+        assert _same(got, want), (tp, x)
+    for got, want in zip(out.residuals, residuals):
+        assert _same(got, want), (tp, x)
+    return out
+
+
+@pytest.mark.parametrize("x", [F(0), F(1, 4), F(-1, 3), F(1, 2)])
+def test_triple_relations_match_the_scalar_products(x):
+    # integer f + h + 1 keeps p exact and all seven operands with it, so
+    # the residuals are compared on integers; a rational one makes p a
+    # double while relation 3 stays exact
+    mixed = 0
+    for e, f, h in product(range(4), (F(-5, 2), -1, 0, F(7, 3)),
+                           (F(-5, 2), 2, F(7, 3))):
+        out = _matches_scalar_products(TripleParams(e, f, h), x)
+        assert out.passed
+        first = out.residuals[:2] if (f + h).denominator == 1 else ()
+        assert all(r is None or type(r) is F
+                   for r in (*first, out.residuals[2]))
+        if not first and out.residuals[0] is not None:
+            assert type(out.residuals[0]) is float
+            mixed += 1
+    assert mixed > 0
+
+
+@pytest.mark.parametrize("x", [0.0, 0.25, -1 / 3, 0.5])
+def test_triple_relations_match_the_scalar_products_in_floats(x):
+    for e, f, h in product(range(4), (-2.5, -1.0, 0.0, 7 / 3),
+                           (-2.5, 2.0, 7 / 3)):
+        out = _matches_scalar_products(TripleParams(e, f, h), x)
+        assert all(r is None or type(r) is float for r in out.residuals)
+
+
+def test_triple_relations_exact_lead_times_p_before_a_float_sum():
+    # a float f with f + h + 1 an integer keeps [h over e] and p exact
+    # while B and C are doubles: [h over e] p is formed exactly first, then
+    # meets B, where rounding each factor first would move bits
+    out = _matches_scalar_products(TripleParams(1, 2.0, 1), F(1, 4))
+    assert type(out.sums.b_sum) is float
+    assert all(type(r) is float for r in out.residuals)
+    for e, (f, h), x in product(range(4), ((2.0, 1), (-2.5, F(1, 2)),
+                                           (0.5, F(-3, 2)), (1.5, F(5, 2))),
+                                (F(1, 3), F(-1, 3), F(3, 7))):
+        _matches_scalar_products(TripleParams(e, f, h), x)
+
+
+@pytest.mark.parametrize("tp, x", [
+    (TripleParams(300, 0, 600), F(1, 4)),       # [e-h-1 over e] A ~ 1.8e358
+    (TripleParams(300, 0, 600), F(0)),
+    (TripleParams(300, 0.0, 600.0), 0.25),      # both sides of relation 1 inf
+    (TripleParams(500, 0.0, 1000), F(-1, 2)),   # exact [h over e] p ~ 4e475
+])
+def test_triple_relation_side_past_the_float_range(tp, x):
+    # every lead lies inside the float range, one side does not
+    with pytest.raises(DomainError, match="relation 1"):
+        verify_triple_relations(tp, x)
+
+
+def test_exact_relation_checks_both_sides_against_the_float_range():
+    # the sides of a relation agree, so in a triple the left one is past
+    # the range whenever the right one is; each is checked alone here
+    assert _exact_check(3, 1, 3, 2, 3, 1e-10) == (3, 9, 1e-10 * (1 + 1 / 3))
+    for sides in ((10 ** 309, 1, 1, 1), (1, 1, -10 ** 309, 1)):
+        with pytest.raises(DomainError, match="relation 3"):
+            _exact_check(3, *sides, 1e-10)
