@@ -307,15 +307,14 @@ def _verify_triple(args, bridge: dict | None = None) -> list[dict]:
     pairs = []
     skipped = 0
     for e, f, h in TRIPLE_EFH:
-        for _, exact, checks in _triple_relations(
+        for _, checks in _triple_relations(
                 TripleParams(e, f, h), TRIPLE_XS, tol, args.max_terms):
             for check in checks:
                 if check is None:
                     skipped += 1
                 else:
-                    num, den, allowance = check
-                    pairs.append((num / den if exact else float(num),
-                                  allowance))
+                    residual, allowance = check
+                    pairs.append((float(residual), allowance))
     return [_within("three-series-relations", pairs, not_applicable=skipped)]
 
 

@@ -229,10 +229,8 @@ def verify_sign_bridge(n: int, i: int) -> bool:
     check_index("i", i)
     sign = -1 if i % 2 else 1
     # binom(n, i), binom(n+i, i), binom(-n-1, i), binom(-n-1+i, i), each
-    # formed once and compared cross-multiplied on its numerator and
-    # positive denominator
-    (n1, d1), (n2, d2), (n3, d3), (n4, d4) = (
-        (char.numerator, char.denominator)
-        for char in map(binom_char, (n, n + i, -n - 1, -n - 1 + i), (i,) * 4))
-    return (n1 * n2 * d3 * d4 == n3 * n4 * d1 * d2
-            and n2 * d3 == sign * n3 * d2 and n4 * d1 == sign * n1 * d4)
+    # formed once; binom_char of integers is an integer, compared by its
+    # numerator
+    a, b, c, d = (binom_char(m, i).numerator
+                  for m in (n, n + i, -n - 1, -n - 1 + i))
+    return a * b == c * d and b == sign * c and d == sign * a

@@ -18,12 +18,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .binom import binom_char
 from .errors import DomainError
-from .scalar import (_FLOAT_MAX_INT, Scalar, as_integer, check_finite,
-                     check_index, is_exact, power)
+from .scalar import (Scalar, as_integer, check_finite, check_index,
+                     is_exact, power)
 from .series import (HypergeometricParams, SeriesEvaluation, check_budget,
                      check_eval_point, scaled_sum)
 from .series import eval_series  # noqa: F401  (perfbench looks it up here)
@@ -230,48 +229,27 @@ def triple_sums(tp: TripleParams, x: Scalar, tol: float = 1e-12,
     return _record(_sums(_characters(tp), x, tol, max_terms), x)
 
 
-def _exact_check(k: int, l_n: int, l_d: int, r_n: int, r_d: int,
-                 tol: float) -> tuple[int, int, float]:
-    """(num, den, allowance) of relation k between the sides l_n / l_d and
-    r_n / r_d, denominators positive."""
-    if abs(l_n) > _FLOAT_MAX_INT * l_d or abs(r_n) > _FLOAT_MAX_INT * r_d:
-        raise DomainError(f"each side of relation {k} must be finite, "
-                          "inside the float range")
-    return (abs(l_n * r_d - r_n * l_d), l_d * r_d,
-            tol * (1.0 + abs(l_n) / l_d))
-
-
-def _scalar_check(k: int, lhs: Scalar, rhs: Scalar,
-                  tol: float) -> tuple[Scalar, int, float]:
-    """(num, 1, allowance) of relation k between the sides lhs and rhs."""
+def _relation(k: int, lhs: Scalar, rhs: Scalar,
+              tol: float) -> tuple[Scalar, float]:
+    """(residual, allowance) of relation k between the sides lhs and rhs."""
     for side in (lhs, rhs):
         check_finite(f"each side of relation {k}", side)
-    return abs(lhs - rhs), 1, tol * (1.0 + abs(float(lhs)))
+    return abs(lhs - rhs), tol * (1.0 + abs(float(lhs)))
 
 
 def _triple_relations(tp: TripleParams, xs: Iterable[Scalar], tol: float,
                       max_terms: int) -> Iterator[tuple]:
-    """Yield (sums, exact, checks) for each point x of xs.
+    """Yield (sums, checks) for each point x of xs.
 
     sums are the three character sums, in TripleSums order, each summed to
     tol / 1000.  checks hold, per relation, None when it does not apply or
-    (num, den, allowance), the residual being num / den and the allowance
-    tol * (1 + |LHS|).  exact is True when the leads, p and the sums are
-    all exact: num and den are then the integers |l_n r_d - r_n l_d| and
-    l_d r_d of the sides l_n / l_d and r_n / r_d, no gcd taken.  int true
-    division rounds correctly, so num / den and l_n / l_d are float() of
-    the reduced fractions.  Otherwise num is the difference of the Scalar
-    sides, formed as written in verify_triple_relations, and den is 1.
-    The leads and parameters of the sums are formed once, for every point.
+    (residual, allowance), the residual |LHS - RHS| and the allowance
+    tol * (1 + |LHS|).  The leads and parameters of the sums are formed
+    once, for every point.
     """
     series_tol = max(5e-324, tol / 1000.0)  # positive for any tol > 0
     characters = _characters(tp)
-    leads = tuple(lead for lead, _ in characters)
-    lead_a, lead_b, lead_c = leads
-    exact_leads = all(map(is_exact, leads))
-    if exact_leads:
-        (la_n, la_d), (lb_n, lb_d), (lc_n, lc_d) = (
-            (lead.numerator, lead.denominator) for lead in leads)
+    lead_a, lead_b, lead_c = (lead for lead, _ in characters)
     # relations 1 and 2 vanish identically when [h over e] = 0
     applies = lead_a != 0
     exponent = tp.f + tp.h + 1
@@ -281,31 +259,17 @@ def _triple_relations(tp: TripleParams, xs: Iterable[Scalar], tol: float,
         sums = _sums(characters, x, series_tol, max_terms)
         sa, sb, sc = (s.value for s in sums)
         p = power(1 - x, exponent)
-        exact = (exact_leads and is_exact(p) and is_exact(sa)
-                 and is_exact(sb) and is_exact(sc))
         checks: list[tuple | None] = [None, None, None]
-        if exact:
-            sa_n, sa_d = sa.numerator, sa.denominator
-            sb_n, sb_d = sb.numerator, sb.denominator
-            sc_n, sc_d = sc.numerator, sc.denominator
-            if applies:
-                ap_n, ap_d = la_n * p.numerator, la_d * p.denominator
-                checks[0] = _exact_check(1, lb_n * sa_n, lb_d * sa_d,
-                                         ap_n * sb_n, ap_d * sb_d, tol)
-                checks[1] = _exact_check(2, lc_n * sa_n, lc_d * sa_d,
-                                         ap_n * sc_n, ap_d * sc_d, tol)
-            checks[2] = _exact_check(3, lc_n * sb_n, lc_d * sb_d,
-                                     lb_n * sc_n, lb_d * sc_d, tol)
-        else:
-            if applies:
-                # lead_a * p * sb multiplies lead_a * p first; exact past the
+        if applies:
+            ap = lead_a * p
+            if not (is_exact(sb) and is_exact(sc)):
+                # ap * B multiplies [h over e] p first; exact past the
                 # float range, it could not be rounded to meet a float sum
-                ap = lead_a * p
                 check_finite("each side of relation 1", ap)
-                checks[0] = _scalar_check(1, lead_b * sa, ap * sb, tol)
-                checks[1] = _scalar_check(2, lead_c * sa, ap * sc, tol)
-            checks[2] = _scalar_check(3, lead_c * sb, lead_b * sc, tol)
-        yield sums, exact, checks
+            checks[0] = _relation(1, lead_b * sa, ap * sb, tol)
+            checks[1] = _relation(2, lead_c * sa, ap * sc, tol)
+        checks[2] = _relation(3, lead_c * sb, lead_b * sc, tol)
+        yield sums, checks
 
 
 def verify_triple_relations(tp: TripleParams, x: Scalar, tol: float = 1e-10,
@@ -328,16 +292,13 @@ def verify_triple_relations(tp: TripleParams, x: Scalar, tol: float = 1e-10,
     Each residual must stay below tol * (1 + |LHS|), and each sum is
     summed to tol / 1000.  Relations 1 and 2 are skipped (None) when
     [h over e] = 0, since both sides then vanish identically and would
-    test nothing.  When the leads, p and the sums are all exact, the
-    sides are compared on their integer numerators and denominators, and
-    the residuals are Fractions; otherwise they are the Scalar differences
-    of the sides.  A side past the float range raises DomainError.
+    test nothing.  Each residual is the Scalar difference of the sides,
+    a Fraction when they are exact.  A side past the float range raises
+    DomainError.
     """
-    sums, exact, checks = next(_triple_relations(tp, (x,), tol, max_terms))
-    residuals = tuple(None if chk is None
-                      else Fraction(chk[0], chk[1]) if exact else chk[0]
-                      for chk in checks)
-    allowances = tuple(None if chk is None else chk[2] for chk in checks)
+    sums, checks = next(_triple_relations(tp, (x,), tol, max_terms))
+    residuals = tuple(None if chk is None else chk[0] for chk in checks)
+    allowances = tuple(None if chk is None else chk[1] for chk in checks)
     passed = all(r is None or float(r) <= alw
                  for r, alw in zip(residuals, allowances))
     return TripleRelationCheck(residuals, allowances, passed,

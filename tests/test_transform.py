@@ -14,7 +14,7 @@ from gausshyp import (DomainError, HypergeometricParams, Representation,
                       euler_transform_params, params_from_triple,
                       select_representation, termination_index, triple_params,
                       triple_sums, verify_triple_relations)
-from gausshyp.transform import _exact_check
+from gausshyp.transform import _relation
 from oracles import brute_char_sum, brute_series, scalar_triple_relations
 
 P = HypergeometricParams
@@ -311,7 +311,7 @@ def test_triple_relations_exact_when_all_terminate():
     assert out.passed
 
 
-# ---- relation arithmetic: integer numerators against Scalar products ----
+# ---- relation arithmetic: leads formed once against Scalar products ----
 
 def _same(got, want):
     # the same type and the same bits: repr of a float round-trips
@@ -333,8 +333,8 @@ def _matches_scalar_products(tp, x):
 @pytest.mark.parametrize("x", [F(0), F(1, 4), F(-1, 3), F(1, 2)])
 def test_triple_relations_match_the_scalar_products(x):
     # integer f + h + 1 keeps p exact and all seven operands with it, so
-    # the residuals are compared on integers; a rational one makes p a
-    # double while relation 3 stays exact
+    # the residuals are Fractions; a rational one makes p a double while
+    # relation 3 stays exact
     mixed = 0
     for e, f, h in product(range(4), (F(-5, 2), -1, 0, F(7, 3)),
                            (F(-5, 2), 2, F(7, 3))):
@@ -382,10 +382,12 @@ def test_triple_relation_side_past_the_float_range(tp, x):
         verify_triple_relations(tp, x)
 
 
-def test_exact_relation_checks_both_sides_against_the_float_range():
+def test_relation_checks_both_sides_against_the_float_range():
     # the sides of a relation agree, so in a triple the left one is past
     # the range whenever the right one is; each is checked alone here
-    assert _exact_check(3, 1, 3, 2, 3, 1e-10) == (3, 9, 1e-10 * (1 + 1 / 3))
-    for sides in ((10 ** 309, 1, 1, 1), (1, 1, -10 ** 309, 1)):
+    assert _relation(3, F(1, 3), F(2, 3), 1e-10) == (F(1, 3),
+                                                     1e-10 * (1 + 1 / 3))
+    for sides in ((F(10 ** 309), F(1)), (F(1), F(-10 ** 309)),
+                  (float("inf"), 1.0), (1.0, float("nan"))):
         with pytest.raises(DomainError, match="relation 3"):
-            _exact_check(3, *sides, 1e-10)
+            _relation(3, *sides, 1e-10)
