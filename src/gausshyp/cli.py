@@ -27,9 +27,7 @@ from math import comb
 
 from .binom import _pascal_holds, _reflection_holds, binom_char
 from .errors import (DomainError, NoConvergenceError, QuadratureFailureError)
-from .integrals import (IntegralSpec, check_closed_form_I,
-                        check_closed_form_II, ratio_identity_sides,
-                        theta_identity_sides, verify_sign_bridge)
+from .integrals import _grid_checks, verify_sign_bridge
 from .scalar import (Scalar, check_finite, check_printable, is_exact,
                      parse_scalar)
 from .series import HypergeometricParams, _ode_checks, check_budget, eval_series
@@ -321,17 +319,12 @@ def _verify_triple(args, bridge: dict | None = None) -> list[dict]:
 def _verify_integrals(args, bridge: dict | None = None) -> list[dict]:
     tol = _tol(args, 1e-8)
     closed_I, closed_II, ratio, theta = [], [], [], []
-    for a in INTEGRAL_AS:
-        for n, i in INTEGRAL_NI:
-            spec = IntegralSpec(a, n, i)
-            r_I, r_II = check_closed_form_I(spec), check_closed_form_II(spec)
-            for r, pairs in ((r_I, closed_I), (r_II, closed_II)):
-                pairs.append((abs(r.quadrature - r.closed_form),
-                              max(tol, 10.0 * r.abs_error_estimate)))
-            for sides, pairs in ((ratio_identity_sides, ratio),
-                                 (theta_identity_sides, theta)):
-                lhs, rhs = sides(spec, r_I.quadrature, r_II.quadrature)
-                pairs.append((abs(lhs - rhs), tol * (1.0 + abs(lhs))))
+    for r_I, r_II, *sides in _grid_checks(INTEGRAL_AS, INTEGRAL_NI):
+        for r, pairs in ((r_I, closed_I), (r_II, closed_II)):
+            pairs.append((abs(r.quadrature - r.closed_form),
+                          max(tol, 10.0 * r.abs_error_estimate)))
+        for (lhs, rhs), pairs in zip(sides, (ratio, theta)):
+            pairs.append((abs(lhs - rhs), tol * (1.0 + abs(lhs))))
     return [
         _within("closed-form-I", closed_I),
         _within("closed-form-II", closed_II),

@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .binom import binom_char
 from .errors import DomainError, QuadratureFailureError
-from .scalar import check_finite, check_index, power
-from .transform import character_series
+from .scalar import Scalar, check_finite, check_index, power
+from .series import check_budget, check_eval_point
+from .transform import _character, _character_sum, character_series
 
 if TYPE_CHECKING:
     import numpy as np
@@ -137,21 +139,38 @@ def _integral(a: float, m: int, i: int, abs_tol: float) -> tuple[float, float]:
     # is well conditioned
     phi = (2.0 * math.pi / n_pts) * np.minimum(k, n_pts - k)
     size = _delta(a, phi) ** -(m + 1)
-    value = math.pi * float(np.mean(np.cos(i * phi) * size))
+    # a mean is np.mean's: numpy's pairwise sum, then one correctly
+    # rounded division, without np.mean's wrapper
+    add = np.add.reduce
+    value = math.pi * (float(add(np.cos(i * phi) * size)) / n_pts)
     # Rounding, relative to size = |Delta**-(m+1)|: phi carries 2 eps, so
     # Delta at most 10 eps and its power (10|m+1| + 1) eps; cos(i phi) is off
     # by at most (10 i + 1) eps absolute, the product by one more; numpy's
     # pairwise sum adds at most log2 N + 20 roundings per sample.
     rounding = ((10 * (abs(m + 1) + i) + math.log2(n_pts) + 25)
-                * _EPS * math.pi * float(np.mean(size)))
+                * _EPS * math.pi * (float(add(size)) / n_pts))
     return value, math.exp(log_bound) + rounding
 
 
-def _check(spec: IntegralSpec, m: int, tol: float) -> IntegralResult:
-    """cos(i phi) / Delta**(m+1) by quadrature and by its closed form."""
-    a, i = spec.a_mod, spec.i
+#: Term budget of the character series of each closed form.
+_SERIES_TERMS = 100000
+
+
+def _check(a: float, m: int, i: int, tol: float,
+           character: tuple | None = None) -> IntegralResult:
+    """cos(i phi) / Delta**(m+1) by quadrature and by its closed form.
+
+    character is the (lead, params) pair _character(m - i, m + i, i) of
+    the closed form's character series, where the caller formed it once for
+    more than one modulus and checked a**2 and tol; without it,
+    character_series checks them and forms the pair.
+    """
     quad, err = _integral(a, m, i, QUAD_ABS_TOL)
-    series = float(character_series(m - i, m + i, i, a ** 2, tol, 100000).value)
+    if character is None:
+        summed = character_series(m - i, m + i, i, a ** 2, tol, _SERIES_TERMS)
+    else:
+        summed = _character_sum(*character, a ** 2, tol, _SERIES_TERMS)
+    series = float(summed.value)
     closed = math.pi * a ** i * (1.0 - a * a) ** (-(2 * m + 1)) * series
     return IntegralResult(quad, closed, series, err)
 
@@ -168,21 +187,29 @@ def quad_II(spec: IntegralSpec, abs_tol: float = QUAD_ABS_TOL) -> float:
 
 def check_closed_form_I(spec: IntegralSpec, tol: float = 1e-12) -> IntegralResult:
     """quad_I against pi a**i (1-a**2)**(-(2n+1)) V."""
-    return _check(spec, spec.n, tol)
+    return _check(spec.a_mod, spec.n, spec.i, tol)
 
 
 def check_closed_form_II(spec: IntegralSpec, tol: float = 1e-12) -> IntegralResult:
     """quad_II against pi a**i (1-a**2)**(2n+1) U."""
-    return _check(spec, -spec.n - 1, tol)
+    return _check(spec.a_mod, -spec.n - 1, spec.i, tol)
 
 
 # ---- cross-family identities ----
 
-def _float_char(m: int, i: int) -> float:
-    """binom_char(m, i) as a float, rejected past the float range."""
-    value = binom_char(m, i)
+def _float_char(value: Scalar) -> float:
+    """A binomial character as a float, rejected past the float range."""
     check_finite("binomial character", value)
     return float(value)
+
+
+def _sides(a: float, n: int, char_II: float, char_I: float, q_I: float,
+           q_II: float) -> tuple[float, float]:
+    """char_II (1-a**2)**(-n) q_II and char_I (1-a**2)**(n+1) q_I, the two
+    products either cross-family identity equates."""
+    one_minus = 1.0 - a * a
+    return (char_II * power(one_minus, -n) * q_II,
+            char_I * power(one_minus, n + 1) * q_I)
 
 
 def ratio_identity_sides(spec: IntegralSpec, q_I: float,
@@ -194,11 +221,9 @@ def ratio_identity_sides(spec: IntegralSpec, q_I: float,
 
     given the values q_I = quad_I(spec) and q_II = quad_II(spec).
     """
-    a, n, i = spec.a_mod, spec.n, spec.i
-    one_minus = 1.0 - a * a
-    lhs = _float_char(n + i, i) * power(one_minus, -n) * q_II
-    rhs = _float_char(-n - 1 + i, i) * power(one_minus, n + 1) * q_I
-    return lhs, rhs
+    n, i = spec.n, spec.i
+    return _sides(spec.a_mod, n, _float_char(binom_char(n + i, i)),
+                  _float_char(binom_char(-n - 1 + i, i)), q_I, q_II)
 
 
 def theta_identity_sides(spec: IntegralSpec, q_I: float,
@@ -211,11 +236,36 @@ def theta_identity_sides(spec: IntegralSpec, q_I: float,
     where the theta powers turn into (1-a**2) factors on the given values
     q_I = quad_I(spec) and q_II = quad_II(spec).
     """
-    a, n, i = spec.a_mod, spec.n, spec.i
-    one_minus = 1.0 - a * a
-    lhs = _float_char(n, i) * power(one_minus, n + 1) * q_I
-    rhs = _float_char(-n - 1, i) * power(one_minus, -n) * q_II
-    return lhs, rhs
+    n, i = spec.n, spec.i
+    return _sides(spec.a_mod, n, _float_char(binom_char(-n - 1, i)),
+                  _float_char(binom_char(n, i)), q_I, q_II)[::-1]
+
+
+def _grid_checks(moduli, indices) -> Iterator[tuple]:
+    """Yield (check_closed_form_I, check_closed_form_II,
+    ratio_identity_sides, theta_identity_sides) of IntegralSpec(a, n, i)
+    for each (n, i) of indices and, inside that, each a of moduli: the
+    closed forms at their default tol, the sides at their quadratures.
+
+    binom(n+i, i), binom(-n-1+i, i), binom(-n-1, i) and binom(n, i) do not
+    depend on a, so each is formed once per (n, i), the first two with the
+    params of the closed forms' character series whose leads they are.
+    """
+    tol = 1e-12
+    check_budget(tol, _SERIES_TERMS)
+    for n, i in indices:
+        specs = [IntegralSpec(a, n, i) for a in moduli]
+        forms = [_character(m - i, m + i, i) for m in (n, -n - 1)]
+        ratio = [_float_char(lead) for lead, _ in forms]
+        theta = [_float_char(binom_char(m, i)) for m in (-n - 1, n)]
+        for spec in specs:
+            a = spec.a_mod
+            check_eval_point(a ** 2)
+            r_I = _check(a, n, i, tol, forms[0])
+            r_II = _check(a, -n - 1, i, tol, forms[1])
+            q = r_I.quadrature, r_II.quadrature
+            yield (r_I, r_II, _sides(a, n, *ratio, *q),
+                   _sides(a, n, *theta, *q)[::-1])
 
 
 def verify_sign_bridge(n: int, i: int) -> bool:

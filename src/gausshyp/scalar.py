@@ -30,14 +30,15 @@ def as_integer(value: Scalar) -> int | None:
 
     Floats are taken literally: 3.0 is the integer 3, 3.0000001 is not.
     """
+    # float first: isinstance(value, Fraction) goes through ABCMeta
+    if isinstance(value, float):
+        return int(value) if math.isfinite(value) and value.is_integer() else None
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(value, int):
         return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else None
-    if isinstance(value, float):
-        return int(value) if math.isfinite(value) and value.is_integer() else None
     raise TypeError(f"not a scalar: {value!r}")
 
 
@@ -126,4 +127,7 @@ def power(base: Scalar, exponent: Scalar) -> Scalar:
         raise DomainError(f"({base})**{exponent} lies past the float range")
     if n is None:
         return math.exp(log_mag)
-    return Fraction(base) ** n if is_exact(base) else float(base) ** n
+    if isinstance(base, float):
+        return float(base) ** n
+    # a Fraction's power is a Fraction; an int's is made one
+    return (base if isinstance(base, Fraction) else Fraction(base)) ** n

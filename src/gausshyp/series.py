@@ -488,36 +488,6 @@ def scaled_sum(scale: Scalar, params: HypergeometricParams, x: Scalar,
                             out.tail_bound * mag)
 
 
-# ---- polynomial helpers (dense coefficient lists, index = power) ----
-
-def _poly_derivative(p: list[Scalar]) -> list[Scalar]:
-    return [k * p[k] for k in range(1, len(p))]
-
-
-def _poly_mul(p: list[Scalar], q: list[Scalar]) -> list[Scalar]:
-    out: list[Scalar] = [0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        for j, qj in enumerate(q):
-            out[i + j] = out[i + j] + pi * qj
-    return out
-
-
-def _poly_sum(*polys: list[Scalar], length: int) -> list[Scalar]:
-    out: list[Scalar] = [0] * length
-    for p in polys:
-        for i, v in enumerate(p[:length]):
-            out[i] = out[i] + v
-    return out
-
-
-def _poly_scale(p: list[Scalar], factor: Scalar) -> list[Scalar]:
-    return [factor * v for v in p]
-
-
-def _shift(p: list[Scalar], by: int) -> list[Scalar]:
-    return [0] * by + p
-
-
 # ---- operator residuals ----
 #
 # Both residuals run on one scale.  For exact parameters the truncation is
@@ -539,37 +509,43 @@ def _scaled_operator(params: HypergeometricParams, degree: int):
             na * nb * dc)
 
 
-def _ode_entries(op, degree: int) -> list[Scalar]:
-    """ode_residual's entries on the scale of op = _scaled_operator(...)."""
-    s, _, m, mc, mabp1, mab = op
-    d1 = _poly_derivative(s)
-    d2 = _poly_derivative(d1)
-    return _poly_sum(
-        _poly_mul([0, m, -m], d2),           # x(1-x) s''
-        _poly_mul([mc, -mabp1], d1),         # [c - (a+b+1)x] s'
-        _poly_scale(s, -mab),                # -ab s
-        length=degree + 2,
-    )
+def _derivatives(s: list[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
+    """The coefficients of s' and s'' padded with zeros, [0, *s', 0] and
+    [0, 0, *s'', 0, 0]: entry t+1 of the first and t+2 of the second
+    multiply x**t, and an entry one or two powers below x**0 reads 0."""
+    d1 = [k * s[k] for k in range(1, len(s))]
+    d2 = [k * d1[k] for k in range(1, len(d1))]
+    return [0, *d1, 0], [0, 0, *d2, 0, 0]
 
 
-def _identity_entries(op, degree: int) -> list[Scalar]:
-    """operator_identity_residual's entries on the scale of op."""
+def _ode_entries(op, d1: list[Scalar], d2: list[Scalar]) -> list[Scalar]:
+    """ode_residual's entries on the scale of op = _scaled_operator(...),
+    from the padded derivatives d1, d2 of _derivatives.
+
+    Entry t is the x**t coefficient of x(1-x) s'', plus that of
+    [c - (a+b+1)x] s', minus ab s[t].  The parts and their terms are added
+    in the order of a product of dense coefficient lists, so a float entry
+    keeps its bits.  The 0 of x(1-x) times d2[t] stays, as it makes a nan
+    of an inf d2[t].  A pad meets a float factor only as 0 times a finite
+    c, or at x**0 as 0 times a+b+1, which is inf only where ab is, so
+    that s[1] and s[2] are inf or nan and the entry is nan already.  The
+    sums cannot come out -0.0, so they need no leading 0.  The x**(N+1)
+    entry is 0, since x(1-x) s'' cannot reach that power.
+    """
     s, _, m, mc, mabp1, mab = op
-    d1 = _poly_derivative(s)
-    d2 = _poly_derivative(d1)
-    # powers below are measured relative to x**(b-1)
-    lhs = _poly_sum(
-        _poly_scale(_shift(d2, 2), m),       # x**(b+1) s''
-        _poly_scale(_shift(d1, 1), mabp1),
-        _poly_scale(s, mab),
-        length=degree + 1,
-    )
-    rhs = _poly_sum(
-        _poly_scale(_shift(d2, 1), m),       # x**b s''
-        _poly_scale(d1, mc),
-        length=degree + 1,
-    )
-    return [lv - rv for lv, rv in zip(lhs, rhs)]
+    return [(0 * u + m * v - m * w) + (mc * e1 - mabp1 * e0) - mab * y
+            for u, v, w, e1, e0, y in zip(d2[2:], d2[1:], d2, d1[1:], d1, s)
+            ] + [0]
+
+
+def _identity_entries(op, d1: list[Scalar], d2: list[Scalar]) -> list[Scalar]:
+    """operator_identity_residual's integer entries on the scale of op, from
+    the padded derivatives: with powers measured relative to x**(b-1),
+    entry t of x**(b+1) s'' + (a+b+1) x**b s' + ab x**(b-1) s minus that
+    of x**b s'' + c x**(b-1) s'."""
+    s, _, m, mc, mabp1, mab = op
+    return [m * (w - v) + mabp1 * e0 - mc * e1 + mab * y
+            for v, w, e1, e0, y in zip(d2[1:], d2, d1[1:], d1, s)]
 
 
 def _exact_operator(params: HypergeometricParams, degree: int):
@@ -593,7 +569,7 @@ def ode_residual(params: HypergeometricParams, degree: int) -> list[Scalar]:
     """
     _check_degree(params, degree, 2)
     op = _scaled_operator(params, degree)
-    residual = _ode_entries(op, degree)
+    residual = _ode_entries(op, *_derivatives(op[0]))
     if params.exact():
         return [Fraction(v, op[1]) for v in residual]
     return residual
@@ -612,14 +588,15 @@ def operator_identity_residual(params: HypergeometricParams,
     (a+N)(b+N) c_N.  Exact mode only: the point of this check is exact bits.
     """
     op = _exact_operator(params, degree)
-    return [Fraction(v, op[1]) for v in _identity_entries(op, degree)]
+    entries = _identity_entries(op, *_derivatives(op[0]))
+    return [Fraction(v, op[1]) for v in entries]
 
 
 def _ode_checks(params: HypergeometricParams, degree: int
                 ) -> tuple[int, list[int], list[int]]:
     """(tip, ode_residual, operator_identity_residual) for exact params, all
     three as the integer entries over one scale M D, from one truncation
-    whose coefficients are formed once.
+    whose coefficients and derivatives are formed once.
 
     tip = (a+N)(b+N) c_N on that scale is dc (na + N da)(nb + N db) N_N,
     since M (a+N)(b+N) = dc (na + N da)(nb + N db) and c_N = N_N / D.  An
@@ -631,7 +608,9 @@ def _ode_checks(params: HypergeometricParams, degree: int
     tip = ((a.numerator + degree * a.denominator)
            * (b.numerator + degree * b.denominator)
            * c.denominator * op[0][degree])
-    return tip, _ode_entries(op, degree), _identity_entries(op, degree)
+    derivatives = _derivatives(op[0])
+    return (tip, _ode_entries(op, *derivatives),
+            _identity_entries(op, *derivatives))
 
 
 def substitution_residual(params: HypergeometricParams, n_exp: Scalar,

@@ -26,9 +26,7 @@ from fractions import Fraction
 from gausshyp import (NoConvergenceError, binom_char, termination_index,
                       triple_sums)
 from gausshyp.cli import format_float
-from gausshyp.scalar import power
-from gausshyp.series import (_poly_derivative, _poly_mul, _poly_scale,
-                             _poly_sum, _shift)
+from gausshyp.scalar import Scalar, power
 
 
 def brute_binom(m, k: int) -> Fraction:
@@ -175,6 +173,36 @@ def fraction_coefficients(params, degree: int) -> list:
     for k in range(degree):
         coeffs.append(coeffs[k] * (a + k) * (b + k) / ((k + 1) * (c + k)))
     return coeffs
+
+
+# ---- polynomial helpers (dense coefficient lists, index = power) ----
+
+def _poly_derivative(p: list[Scalar]) -> list[Scalar]:
+    return [k * p[k] for k in range(1, len(p))]
+
+
+def _poly_mul(p: list[Scalar], q: list[Scalar]) -> list[Scalar]:
+    out: list[Scalar] = [0] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            out[i + j] = out[i + j] + pi * qj
+    return out
+
+
+def _poly_sum(*polys: list[Scalar], length: int) -> list[Scalar]:
+    out: list[Scalar] = [0] * length
+    for p in polys:
+        for i, v in enumerate(p[:length]):
+            out[i] = out[i] + v
+    return out
+
+
+def _poly_scale(p: list[Scalar], factor: Scalar) -> list[Scalar]:
+    return [factor * v for v in p]
+
+
+def _shift(p: list[Scalar], by: int) -> list[Scalar]:
+    return [0] * by + p
 
 
 def fraction_ode_residual(params, degree: int) -> list:

@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import numpy as np
@@ -442,6 +443,40 @@ def test_verify_integrals_worst_residual_per_check(capsys):
         assert worst[name] == max(residuals)
 
 
+@pytest.mark.parametrize("tol", ["1e-8", "1e-6", "1e-320"])
+def test_verify_integrals_pairs_match_the_per_spec_functions(monkeypatch,
+                                                             tol):
+    # the suite's loop over (n, i), which forms the characters once for
+    # every modulus, must give the (residual, allowance) pairs of the
+    # public functions called per spec, in its order: a inside (n, i)
+    seen = {}
+    real = cli._within
+
+    def recording(name, pairs, not_applicable=0):
+        seen[name] = pairs = list(pairs)
+        return real(name, pairs, not_applicable)
+
+    monkeypatch.setattr(cli, "_within", recording)
+    _verify_integrals(build_parser().parse_args(
+        ["verify", "integrals", "--tol", tol]))
+    tol = float(tol)
+    want = {name: [] for name in ("closed-form-I", "closed-form-II",
+                                  "ratio-identity", "theta-identity")}
+    for n, i in INTEGRAL_NI:
+        for a in INTEGRAL_AS:
+            spec = IntegralSpec(a, n, i)
+            for name, check in (("closed-form-I", check_closed_form_I),
+                                ("closed-form-II", check_closed_form_II)):
+                r = check(spec)
+                want[name].append((abs(r.quadrature - r.closed_form),
+                                   max(tol, 10.0 * r.abs_error_estimate)))
+            for name, sides in (("ratio-identity", ratio_identity_sides),
+                                ("theta-identity", theta_identity_sides)):
+                lhs, rhs = sides(spec, quad_I(spec), quad_II(spec))
+                want[name].append((abs(lhs - rhs), tol * (1.0 + abs(lhs))))
+    assert seen == want
+
+
 def test_verify_integrals_runs_each_quadrature_once(monkeypatch):
     # 64 specs, one quad_I and one quad_II each, shared by all four checks
     calls = []
@@ -509,8 +544,10 @@ def test_verify_all_runs_the_sign_bridge_once(capsys, monkeypatch):
 
 def test_verify_forms_each_character_once(capsys, monkeypatch):
     # the triple suite forms the three leading characters of each (e, f, h)
-    # once for its three points, and the sign bridge each of its four
-    # characters once per (n, i): 830 binom_char calls under `verify all`
+    # once for its three points, the integral suite the four characters of
+    # each (n, i) once for its four moduli, and the sign bridge each of its
+    # four characters once per (n, i): 510 binom_char calls under
+    # `verify all`
     calls = []
     real = binom.binom_char
 
@@ -521,13 +558,23 @@ def test_verify_forms_each_character_once(capsys, monkeypatch):
     for module in (binom, cli, integrals, transform):
         monkeypatch.setattr(module, "binom_char", counting)
     code, out, _ = run(capsys, "verify", "all")
-    assert code == 0 and len(calls) == 830
+    assert code == 0 and len(calls) == 510
     assert _checks(out)[("binom", "sign-bridge")]["cases"] == 49
     calls.clear()
     code, _, _ = run(capsys, "verify", "triple")
     assert code == 0 and len(calls) == 81
     assert calls == [(m, e) for e, f, h in cli.TRIPLE_EFH
                      for m in (h, e - h - 1, -f - 1)]
+    calls.clear()
+    # per (n, i), in loop order: the leads of the two closed forms, which
+    # the ratio identity shares, then the theta identity's characters; the
+    # sign bridge follows
+    code, _, _ = run(capsys, "verify", "integrals")
+    assert code == 0 and len(calls) == 64 + 196
+    assert calls == [(m, i) for n, i in cli.INTEGRAL_NI
+                     for m in (n + i, -n - 1 + i, -n - 1, n)] + [
+        (m, i) for n, i in product(cli.SIGN_RANGE, repeat=2)
+        for m in (n, n + i, -n - 1, -n - 1 + i)]
 
 
 @pytest.mark.parametrize("k", [0, 4, 10])

@@ -17,6 +17,7 @@ from gausshyp import (DomainError, IntegralSpec, QuadratureFailureError,
                       ratio_identity_sides, theta_identity_sides,
                       verify_sign_bridge)
 from gausshyp import integrals
+from gausshyp.cli import INTEGRAL_AS, INTEGRAL_NI
 
 
 def V(spec, tol=1e-12):
@@ -147,6 +148,33 @@ def test_error_estimate_bounds_the_error(monkeypatch):
                     assert points[-1] == n + i + 1
                     assert estimate <= 1e3 * np.finfo(float).eps * math.pi * (
                         1 + a) ** (2 * n)
+
+
+def mean_integral(a, m, i, abs_tol):
+    """_integral with np.mean for both of its means: the value and the
+    rounding term as np.mean's pairwise sum and division give them."""
+    n_pts, log_bound = integrals._points(a, m, i, abs_tol)
+    k = np.arange(n_pts)
+    phi = (2.0 * math.pi / n_pts) * np.minimum(k, n_pts - k)
+    size = integrals._delta(a, phi) ** -(m + 1)
+    value = math.pi * float(np.mean(np.cos(i * phi) * size))
+    rounding = ((10 * (abs(m + 1) + i) + math.log2(n_pts) + 25)
+                * integrals._EPS * math.pi * float(np.mean(size)))
+    return value, math.exp(log_bound) + rounding
+
+
+def test_trapezoid_sums_match_np_mean_bit_for_bit():
+    # the suite's 128 integrals, both families, and a seeded sample
+    cases = [(a, m, i) for a in INTEGRAL_AS for n, i in INTEGRAL_NI
+             for m in (n, -n - 1)]
+    rng = random.Random(1815)
+    for _ in range(100):
+        a, n, i = rng.uniform(0.0, 1.0), rng.randint(0, 12), rng.randint(0, 12)
+        cases += [(a, n, i), (a, -n - 1, i)]
+    for a, m, i in cases:
+        got = integrals._integral(a, m, i, integrals.QUAD_ABS_TOL)
+        want = mean_integral(a, m, i, integrals.QUAD_ABS_TOL)
+        assert [v.hex() for v in got] == [v.hex() for v in want], (a, m, i)
 
 
 # ---- series sides ----

@@ -1,0 +1,45 @@
+"""Tests for the scalar helpers: the type and value of a power, and which
+scalars represent an integer."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from gausshyp.scalar import as_integer, power
+
+
+@pytest.mark.parametrize("base", [2.5, -3.0, 0.1, 3, -2, True,
+                                  F(3, 7), F(-5, 2), F(4)])
+@pytest.mark.parametrize("exponent", [-2, 0, 3, -2.0, 3.0, F(3)])
+def test_power_keeps_the_value_and_type_of_its_base(base, exponent):
+    # a float base gives float(base) ** n, an exact one Fraction(base) ** n
+    n = int(exponent)
+    if isinstance(base, float):
+        want = float(base) ** n
+    else:
+        want = F(base) ** n
+    got = power(base, exponent)
+    assert type(got) is type(want)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("value,want", [
+    (0, 0), (-7, -7), (2 ** 80, 2 ** 80),
+    (F(6, 2), 3), (F(-4), -4), (F(1, 2), None),
+    (3.0, 3), (-0.0, 0), (1e300, int(1e300)), (2.5, None), (5e-324, None),
+    (math.inf, None), (-math.inf, None), (math.nan, None),
+    (np.float64(2.0), 2), (np.float64(0.5), None),
+])
+def test_as_integer(value, want):
+    got = as_integer(value)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("value", [True, False, "3", None, 1j])
+def test_as_integer_rejects_a_non_scalar(value):
+    with pytest.raises(TypeError):
+        as_integer(value)

@@ -553,9 +553,19 @@ def float_triples(draw):
 @example((F(1, 3), F(2, 7), F(5, 9)), EXACT_DEGREE_CAP)
 @example((1, 1.0, 2), 10)                          # an int beside a float
 @example((-3.0, 2.5, -1.5), 9)                     # float polynomial
+@example((F(1, 3), F(2, 7), F(5, 9)), 2)           # s'' has one entry
+@example((F(-7, 3), 4, F(5, 2)), 3)                # and two
+@example((-3.0, -3.0, 1.5), 2)                     # float, s'' of one entry
+@example((-3.0, 0.1, -0.5), 2)
+@example((0.1, 0.7, 1.3), 3)                       # and of two
+@example((-1.0, 2.5, 0.5), 4)                      # products of -0.0
+@example((1e100, 1e100, 1.0), 2)                  # 0 * inf s'' is nan
 def test_polynomial_work_matches_the_fraction_reference(abc, degree):
     # the integer forms of coefficients and of both residuals must give the
-    # Fraction loop's values; floats must keep their bits and their types
+    # Fraction loop's values; floats must keep their bits and their types,
+    # which the float examples above pin for the order in which a residual
+    # entry adds its terms: each fails its repr check when the sum of the
+    # three parts is regrouped, or the x**t term 0 * s'' is left out
     params = P(*abc)
     got = [coefficients(params, degree),
            ode_residual(params, degree)]
