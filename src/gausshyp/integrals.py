@@ -14,10 +14,8 @@ character vanishes).  The module computes both sides independently: the
 integrals by the periodic trapezoid rule with a proven a priori error
 bound, the closed forms through the character-series machinery, plus the
 two cross-family ratio identities and the sign bridge between the
-characters they use.
-
-NumPy is needed only by the trapezoid rule, and is imported on its first
-use: importing this module, or the package, does not load it.
+characters they use.  The trapezoid rule runs on the standard library:
+it samples the half period and sums with math.fsum.
 """
 
 from __future__ import annotations
@@ -26,16 +24,12 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .binom import binom_char
 from .errors import DomainError, QuadratureFailureError
 from .scalar import Scalar, check_finite, check_index, power
 from .series import check_budget, check_eval_point
 from .transform import _character, _character_sum, character_series
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Absolute error target for every quadrature in this module.  Identity
 #: checks compare at 1e-8, two orders looser, so quadrature noise never
@@ -81,13 +75,6 @@ _EPS = sys.float_info.epsilon
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-def _delta(a: float, phi: np.ndarray) -> np.ndarray:
-    import numpy as np
-    # (1-a)**2 + 4a sin(phi/2)**2 == 1 + a**2 - 2a cos(phi), without the
-    # cancellation near phi = 0 where the kernel is smallest
-    return (1.0 - a) ** 2 + 4.0 * a * np.sin(0.5 * phi) ** 2
-
-
 def _points(a: float, m: int, i: int, abs_tol: float) -> tuple[int, float]:
     """Points N for cos(i phi) / Delta**(m+1) and the log of the bound on
     the error of its N-point trapezoid sum, both fixed before any sample."""
@@ -122,33 +109,60 @@ def _points(a: float, m: int, i: int, abs_tol: float) -> tuple[int, float]:
     return n_pts, log_2pi_m - y - math.log1p(-math.exp(-y))
 
 
+def _log_sum(a: float, m: int, n_pts: int) -> float:
+    """For m >= 0, the log of peak * (pi + N share): a bound on the sum of
+    the N samples of Delta**-(m+1) over one period, peak * (1 + N share),
+    and on pi times their mean, at most pi * peak.
+
+    The samples peak at (1-a)**(-2(m+1)), at phi = 0, and fall up to phi =
+    pi, so the N - 1 others sum to at most N/(2 pi) times the integral over
+    the period, 2 pi * peak * share with share their mean over the peak.
+    sin(t) >= 2t/pi on [0, pi/2] bounds share by sqrt(pi) (1-a)
+    Gamma(m+1/2) / (4 sqrt(a) Gamma(m+1)), and Gamma(m+1/2) / Gamma(m+1) <=
+    (m+1/4)**-0.5 (Watson, 1959) by (1-a) sqrt(pi / (a (16m+4))); share is
+    at most 1 too.  Inside the float range, the bound keeps every sample,
+    each doubled one, both sums and the value finite.
+    """
+    share = min(1.0, (1.0 - a) * math.sqrt(math.pi / (a * (16 * m + 4))))
+    return math.log(math.pi + n_pts * share) - 2 * (m + 1) * math.log1p(-a)
+
+
 def _integral(a: float, m: int, i: int, abs_tol: float) -> tuple[float, float]:
     """Trapezoid sum of cos(i phi) / Delta**(m+1) over [0, pi]: (value, error).
 
     The integrand is even and 2 pi-periodic, so the integral is pi times its
-    mean over N equispaced angles of one period.
+    mean over N equispaced angles of one period.  Angles k and N-k share a
+    sample, so the half period k = 0..N//2 is sampled, and each k with
+    0 < k < N/2 is summed twice; fsum rounds the sum once, so this changes
+    no bit of the full period's fsum.
     """
     n_pts, log_bound = _points(a, m, i, abs_tol)
-    if n_pts > _MAX_POINTS or log_bound > _LOG_MAX:
+    if (n_pts > _MAX_POINTS or log_bound > _LOG_MAX
+            or m >= 0 and _log_sum(a, m, n_pts) > _LOG_MAX):
         raise QuadratureFailureError(
-            f"{n_pts} points (at most {_MAX_POINTS}) for an error bound of "
-            f"e**{log_bound:.6g} at a={a}, m={m}, i={i}, abs_tol={abs_tol}")
-    import numpy as np
-    k = np.arange(n_pts)
-    # angle k or its mirror N-k, whichever lies in [0, pi], where sin(phi/2)
-    # is well conditioned
-    phi = (2.0 * math.pi / n_pts) * np.minimum(k, n_pts - k)
-    size = _delta(a, phi) ** -(m + 1)
-    # a mean is np.mean's: numpy's pairwise sum, then one correctly
-    # rounded division, without np.mean's wrapper
-    add = np.add.reduce
-    value = math.pi * (float(add(np.cos(i * phi) * size)) / n_pts)
+            f"{n_pts} points (at most {_MAX_POINTS}), an error bound of "
+            f"e**{log_bound:.6g} or samples past the float range at a={a}, "
+            f"m={m}, i={i}, abs_tol={abs_tol}")
+    step, floor, terms, sizes = 2.0 * math.pi / n_pts, (1.0 - a) ** 2, [], []
+    for k in range(n_pts // 2 + 1):
+        # angle k, in [0, pi], where sin(phi/2) is well conditioned
+        phi = step * k
+        half_sin = math.sin(0.5 * phi)
+        # (1-a)**2 + 4a sin(phi/2)**2 == 1 + a**2 - 2a cos(phi), without the
+        # cancellation near phi = 0 where the kernel is smallest
+        size = (floor + 4.0 * a * (half_sin * half_sin)) ** -(m + 1)
+        # angles k and N-k share a sample: 0 < k < N/2 counts twice
+        weight = 2.0 if 0 < 2 * k < n_pts else 1.0
+        terms.append(weight * (math.cos(i * phi) * size))
+        sizes.append(weight * size)
+    value = math.pi * (math.fsum(terms) / n_pts)
     # Rounding, relative to size = |Delta**-(m+1)|: phi carries 2 eps, so
     # Delta at most 10 eps and its power (10|m+1| + 1) eps; cos(i phi) is off
-    # by at most (10 i + 1) eps absolute, the product by one more; numpy's
-    # pairwise sum adds at most log2 N + 20 roundings per sample.
+    # by at most (10 i + 1) eps absolute, the product by one more.  fsum
+    # rounds once; the log2 N + 20 roundings per sample of a pairwise sum
+    # stay in the allowance, which is conservative for it.
     rounding = ((10 * (abs(m + 1) + i) + math.log2(n_pts) + 25)
-                * _EPS * math.pi * (float(add(size)) / n_pts))
+                * _EPS * math.pi * (math.fsum(sizes) / n_pts))
     return value, math.exp(log_bound) + rounding
 
 
@@ -203,13 +217,13 @@ def _float_char(value: Scalar) -> float:
     return float(value)
 
 
-def _sides(a: float, n: int, char_II: float, char_I: float, q_I: float,
-           q_II: float) -> tuple[float, float]:
-    """char_II (1-a**2)**(-n) q_II and char_I (1-a**2)**(n+1) q_I, the two
-    products either cross-family identity equates."""
-    one_minus = 1.0 - a * a
-    return (char_II * power(one_minus, -n) * q_II,
-            char_I * power(one_minus, n + 1) * q_I)
+def _sides(a: float, n: int, q_I: float, q_II: float,
+           *chars: list[float]) -> list[tuple[float, float]]:
+    """For each (char_II, char_I) of chars, char_II (1-a**2)**(-n) q_II and
+    char_I (1-a**2)**(n+1) q_I, the two products a cross-family identity
+    equates; both powers are formed once for all of chars."""
+    below, above = power(1.0 - a * a, -n), power(1.0 - a * a, n + 1)
+    return [(c_II * below * q_II, c_I * above * q_I) for c_II, c_I in chars]
 
 
 def ratio_identity_sides(spec: IntegralSpec, q_I: float,
@@ -222,8 +236,8 @@ def ratio_identity_sides(spec: IntegralSpec, q_I: float,
     given the values q_I = quad_I(spec) and q_II = quad_II(spec).
     """
     n, i = spec.n, spec.i
-    return _sides(spec.a_mod, n, _float_char(binom_char(n + i, i)),
-                  _float_char(binom_char(-n - 1 + i, i)), q_I, q_II)
+    chars = [_float_char(binom_char(m + i, i)) for m in (n, -n - 1)]
+    return _sides(spec.a_mod, n, q_I, q_II, chars)[0]
 
 
 def theta_identity_sides(spec: IntegralSpec, q_I: float,
@@ -237,8 +251,8 @@ def theta_identity_sides(spec: IntegralSpec, q_I: float,
     q_I = quad_I(spec) and q_II = quad_II(spec).
     """
     n, i = spec.n, spec.i
-    return _sides(spec.a_mod, n, _float_char(binom_char(-n - 1, i)),
-                  _float_char(binom_char(n, i)), q_I, q_II)[::-1]
+    chars = [_float_char(binom_char(m, i)) for m in (-n - 1, n)]
+    return _sides(spec.a_mod, n, q_I, q_II, chars)[0][::-1]
 
 
 def _grid_checks(moduli, indices) -> Iterator[tuple]:
@@ -263,9 +277,8 @@ def _grid_checks(moduli, indices) -> Iterator[tuple]:
             check_eval_point(a ** 2)
             r_I = _check(a, n, i, tol, forms[0])
             r_II = _check(a, -n - 1, i, tol, forms[1])
-            q = r_I.quadrature, r_II.quadrature
-            yield (r_I, r_II, _sides(a, n, *ratio, *q),
-                   _sides(a, n, *theta, *q)[::-1])
+            sides = _sides(a, n, r_I.quadrature, r_II.quadrature, ratio, theta)
+            yield r_I, r_II, sides[0], sides[1][::-1]
 
 
 def verify_sign_bridge(n: int, i: int) -> bool:

@@ -493,6 +493,23 @@ def test_verify_integrals_runs_each_quadrature_once(monkeypatch):
     assert len(calls) == 2 * len(INTEGRAL_AS) * len(INTEGRAL_NI) == 128
 
 
+def test_verify_integrals_forms_the_powers_once_per_spec(monkeypatch):
+    # (1-a**2)**(-n) and (1-a**2)**(n+1) serve both identities of a spec:
+    # two power calls for each of the 64 specs
+    calls = []
+    real = integrals.power
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(integrals, "power", counting)
+    entries = _verify_integrals(build_parser().parse_args(["verify",
+                                                           "integrals"]))
+    assert all(entry["status"] == "pass" for entry in entries)
+    assert len(calls) == 2 * len(INTEGRAL_AS) * len(INTEGRAL_NI) == 128
+
+
 def test_verify_ode_forms_the_coefficients_once_per_grid_point(capsys,
                                                              monkeypatch):
     # the tip and both residuals of a grid point share one truncation
@@ -853,7 +870,7 @@ def test_a_command_argv_skips_the_full_parser(capsys, monkeypatch):
     assert scans == []
 
 
-# ---- NumPy only where a quadrature runs ----
+# ---- no command imports NumPy ----
 
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
@@ -866,22 +883,23 @@ print(json.dumps([code, "numpy" in sys.modules]))
 
 
 NUMPY_CASES = [
-    (["eval", "-a=1", "-b=1", "-c=2", "-x=0.5"], False),
-    (["eval", "--mode", "exact", "-a=1/3", "-b=2/7", "-c=5/9", "-x=1/2"],
-     False),
-    (["bench"], False),
-    (["verify", "binom"], False),
-    (["verify", "ode"], False),
-    (["verify", "triple"], False),
-    (["verify", "integrals"], True),
+    ["eval", "-a=1", "-b=1", "-c=2", "-x=0.5"],
+    ["eval", "--mode", "exact", "-a=1/3", "-b=2/7", "-c=5/9", "-x=1/2"],
+    ["bench"],
+    ["verify", "binom"],
+    ["verify", "ode"],
+    ["verify", "triple"],
+    ["verify", "integrals"],
+    ["verify", "all"],
 ]
 
 
-@pytest.mark.parametrize("argv, loads_numpy", NUMPY_CASES,
-                         ids=[" ".join(argv) for argv, _ in NUMPY_CASES])
-def test_numpy_is_imported_only_by_the_quadrature(argv, loads_numpy):
+# every command, the quadrature's included, runs without loading NumPy
+@pytest.mark.parametrize("argv", NUMPY_CASES,
+                         ids=[" ".join(argv) for argv in NUMPY_CASES])
+def test_numpy_is_imported_only_by_the_quadrature(argv):
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(src), *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.stderr == ""
-    assert json.loads(proc.stdout) == [0, loads_numpy]
+    assert json.loads(proc.stdout) == [0, False]

@@ -123,15 +123,7 @@ def mp_integral(a, m, i):
         return float(mpmath.quad(f, [0, 1 - a, mpmath.pi]))
 
 
-def test_error_estimate_bounds_the_error(monkeypatch):
-    points = []
-    real = integrals._delta
-
-    def counting(a, phi):
-        points.append(phi.size)
-        return real(a, phi)
-
-    monkeypatch.setattr(integrals, "_delta", counting)
+def test_error_estimate_bounds_the_error():
     rng = random.Random(2014)
     for _ in range(30):
         a, n, i = rng.uniform(0.02, 0.95), rng.randint(0, 8), rng.randint(0, 8)
@@ -145,26 +137,29 @@ def test_error_estimate_bounds_the_error(monkeypatch):
                 if m < 0:
                     # a trigonometric polynomial of degree n+i: exact at
                     # n+i+1 points, so only rounding is left
-                    assert points[-1] == n + i + 1
+                    assert integrals._points(a, m, i, abs_tol)[0] == n + i + 1
                     assert estimate <= 1e3 * np.finfo(float).eps * math.pi * (
                         1 + a) ** (2 * n)
 
 
-def mean_integral(a, m, i, abs_tol):
-    """_integral with np.mean for both of its means: the value and the
-    rounding term as np.mean's pairwise sum and division give them."""
+def full_period_integral(a, m, i, abs_tol):
+    """_integral as pi times the fsum mean of all N samples of one period,
+    angle k or its mirror N-k: the value and the rounding term."""
     n_pts, log_bound = integrals._points(a, m, i, abs_tol)
-    k = np.arange(n_pts)
-    phi = (2.0 * math.pi / n_pts) * np.minimum(k, n_pts - k)
-    size = integrals._delta(a, phi) ** -(m + 1)
-    value = math.pi * float(np.mean(np.cos(i * phi) * size))
+    phi = [(2.0 * math.pi / n_pts) * min(k, n_pts - k) for k in range(n_pts)]
+    half = [math.sin(0.5 * p) for p in phi]
+    size = [((1.0 - a) ** 2 + 4.0 * a * (h * h)) ** -(m + 1) for h in half]
+    value = math.pi * (math.fsum(math.cos(i * p) * s
+                                 for p, s in zip(phi, size)) / n_pts)
     rounding = ((10 * (abs(m + 1) + i) + math.log2(n_pts) + 25)
-                * integrals._EPS * math.pi * float(np.mean(size)))
+                * integrals._EPS * math.pi * (math.fsum(size) / n_pts))
     return value, math.exp(log_bound) + rounding
 
 
-def test_trapezoid_sums_match_np_mean_bit_for_bit():
-    # the suite's 128 integrals, both families, and a seeded sample
+def test_trapezoid_sums_match_a_full_period_fsum_bit_for_bit():
+    # the suite's 128 integrals, both families, and a seeded sample; the
+    # half period, with its inner samples counted twice, gives the bits of
+    # the full period's fsum
     cases = [(a, m, i) for a in INTEGRAL_AS for n, i in INTEGRAL_NI
              for m in (n, -n - 1)]
     rng = random.Random(1815)
@@ -173,8 +168,26 @@ def test_trapezoid_sums_match_np_mean_bit_for_bit():
         cases += [(a, n, i), (a, -n - 1, i)]
     for a, m, i in cases:
         got = integrals._integral(a, m, i, integrals.QUAD_ABS_TOL)
-        want = mean_integral(a, m, i, integrals.QUAD_ABS_TOL)
+        want = full_period_integral(a, m, i, integrals.QUAD_ABS_TOL)
         assert [v.hex() for v in got] == [v.hex() for v in want], (a, m, i)
+
+
+def _no_samples(*args):
+    raise AssertionError("sampled the kernel")
+
+
+@pytest.mark.parametrize("n", [510, 520, 536])
+def test_family_I_rejects_samples_past_the_float_range(monkeypatch, n):
+    # at a = 0.5 the samples peak at 4**(n+1); past n = 509 their sum
+    # leaves the float range: refused before any sample is taken
+    monkeypatch.setattr(math, "sin", _no_samples)
+    monkeypatch.setattr(math, "cos", _no_samples)
+    with pytest.raises(QuadratureFailureError, match="past the float range"):
+        quad_I(IntegralSpec(0.5, n, 0))
+
+
+def test_family_I_keeps_the_last_sum_in_the_float_range():
+    assert quad_I(IntegralSpec(0.5, 509, 0)) == 3.1202304542970638e+305
 
 
 # ---- series sides ----
@@ -301,10 +314,8 @@ def test_identity_sides_reject_a_character_past_the_float_range():
 def test_family_II_rejects_samples_past_the_float_range(monkeypatch):
     # Delta**3000 reaches 2.25**3000, about 1e1056: refused before any
     # sample is taken and before the closed form's series runs
-    def no_samples(a, phi):
-        raise AssertionError("sampled the kernel")
-
-    monkeypatch.setattr(integrals, "_delta", no_samples)
+    monkeypatch.setattr(math, "sin", _no_samples)
+    monkeypatch.setattr(math, "cos", _no_samples)
     spec = IntegralSpec(0.5, 3000, 0)
     for check in (check_closed_form_II, quad_II):
         with pytest.raises(DomainError, match="past the float range"):
