@@ -14,7 +14,6 @@ diagnostics go to stderr only.  Exit codes: 0 pass, 1 identity failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -108,6 +107,7 @@ def _cell(v) -> str:
 
 def render_csv(columns: list[str], records: list[dict]) -> str:
     """One row per record, holding its values under columns (empty if absent)."""
+    import csv  # here, not at the top: only --output csv pays its import
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)

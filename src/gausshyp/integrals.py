@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .binom import binom_char
 from .errors import DomainError, QuadratureFailureError
@@ -39,23 +39,27 @@ QUAD_ABS_TOL = 1e-10
 _MAX_POINTS = 2 ** 20  # samples per quadrature, checked before any is taken
 
 
-@dataclass(frozen=True)
-class IntegralSpec:
+class IntegralSpec(namedtuple("IntegralSpec", "a_mod n i")):
     """One integral instance: modulus a_mod in (0, 1), powers n, i >= 0."""
 
-    a_mod: float
-    n: int
-    i: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < float(self.a_mod) < 1.0:
-            raise DomainError(f"a_mod must lie in (0, 1), got {self.a_mod}")
-        check_index("n", self.n)
-        check_index("i", self.i)
+    def __new__(cls, a_mod: float, n: int, i: int) -> IntegralSpec:
+        if not 0.0 < float(a_mod) < 1.0:
+            raise DomainError(f"a_mod must lie in (0, 1), got {a_mod}")
+        check_index("n", n)
+        check_index("i", i)
+        return super().__new__(cls, a_mod, n, i)
+
+    @classmethod
+    def _make(cls, fields) -> IntegralSpec:
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(namedtuple(
+        "IntegralResult",
+        "quadrature closed_form series_value abs_error_estimate")):
     """Quadrature vs closed form for one integral.
 
     abs_error_estimate is a proven bound on |quadrature - integral|: the
@@ -63,10 +67,7 @@ class IntegralResult:
     agreement contract is |quadrature - closed_form| <= max(1e-8, 10 * it).
     """
 
-    quadrature: float
-    closed_form: float
-    series_value: float
-    abs_error_estimate: float
+    __slots__ = ()
 
 
 # ---- periodic trapezoid rule ----

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, InvalidCError, NoConvergenceError
@@ -45,30 +45,33 @@ EXACT_DEGREE_CAP = 256
 _FLOAT_MAX = sys.float_info.max
 
 
-@dataclass(frozen=True)
-class HypergeometricParams:
+class HypergeometricParams(namedtuple("HypergeometricParams", "a b c")):
     """Parameter triple (a, b, c) of the series.
 
     Each parameter must be finite, and c must not be zero or a negative
     integer: the recurrence denominator (k+1)(c+k) would vanish at k = -c.
     """
 
-    a: Scalar
-    b: Scalar
-    c: Scalar
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            check_finite(name, getattr(self, name))
-        if is_nonpositive_integer(self.c):
-            raise InvalidCError(f"c = {self.c} is zero or a negative integer")
+    def __new__(cls, a: Scalar, b: Scalar, c: Scalar) -> HypergeometricParams:
+        for name, value in (("a", a), ("b", b), ("c", c)):
+            check_finite(name, value)
+        if is_nonpositive_integer(c):
+            raise InvalidCError(f"c = {c} is zero or a negative integer")
+        return super().__new__(cls, a, b, c)
+
+    @classmethod
+    def _make(cls, fields) -> HypergeometricParams:
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*fields)
 
     def exact(self) -> bool:
         return is_exact(self.a) and is_exact(self.b) and is_exact(self.c)
 
 
-@dataclass(frozen=True)
-class SeriesEvaluation:
+class SeriesEvaluation(namedtuple(
+        "SeriesEvaluation", "value terms_used terminated tail_bound")):
     """Result of summing the series at one point.
 
     value        -- the partial (or complete) sum: exact where every input
@@ -83,10 +86,7 @@ class SeriesEvaluation:
                     It does not bound the rounding error of a float sum.
     """
 
-    value: Scalar
-    terms_used: int
-    terminated: bool
-    tail_bound: float
+    __slots__ = ()
 
 
 # ---- validation helpers ----
@@ -398,13 +398,29 @@ def _integer_sum(params: HypergeometricParams, x: Scalar, tol: float,
     double, inf of its sign past the float range, which check_finite
     rejects as it rejects the exact sum; or None where the width cannot
     decide the term count or the value.  NoConvergenceError is raised
-    where the exact sum raises it.
+    where the exact sum raises it, and before the first term where the
+    majorant at the last budgeted term shows that no term can stop it.
     """
     rule = _stop_rule(params, x, tol, max_terms)
     exact = width is None
     if rule is None:
         return SeriesEvaluation(Fraction(1) if exact else 1.0, 1, False, 0.0)
     last, polynomial, k0, gate, af, bf, cf, ax = rule
+    if not polynomial and last < 2 ** 53 and ax >= sys.float_info.min:
+        # A sum whose majorant at the last budgeted term is >= 1 + 32u,
+        # u = 2**-53, fails here, before its first term, with the error
+        # the loop would raise.  Past k0, rho_k is non-increasing in k
+        # (see the tail majorant), so rho_k >= rho_last.  _ratio_majorant
+        # rounds seven times: two sums and a quotient per factor, less
+        # 1 + k, exact below 2**53, and two products.  Below the float
+        # range and with |x| normal, each rounding is within u relative.
+        # So a finite computed rho_last puts the real one above
+        # (1 + 32u) / (1 + u)**7, and each computed rho_k is inf, or above
+        # (1 + 32u) (1 - u)**7 / (1 + u)**7 > 1: no rho_k < 1 lets a term
+        # stop the sum, and the loop would spend the budget.
+        rho = _ratio_majorant(last, af, bf, cf, ax)
+        if 1.0 + 2.0 ** -48 <= rho < math.inf:
+            raise _budget_spent(tol, max_terms)
     a, b, c = params.a, params.b, params.c
     na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
     nc, dc = c.numerator, c.denominator

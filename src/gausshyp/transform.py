@@ -15,8 +15,8 @@ pairings.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from enum import Enum
 
 from .binom import binom_char
@@ -30,20 +30,23 @@ from .series import eval_series  # noqa: F401  (perfbench looks it up here)
 
 # ---- parameter maps ----
 
-@dataclass(frozen=True)
-class TripleParams:
+class TripleParams(namedtuple("TripleParams", "e f h")):
     """Character-series parameters (e, f, h) with e = c-1, f = -a, h = c-b-1.
 
     Only defined when c is a positive integer, i.e. e is a nonnegative
     integer; the inverse map is a = -f, b = e-h, c = e+1.
     """
 
-    e: int
-    f: Scalar
-    h: Scalar
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_index("e", self.e)
+    def __new__(cls, e: int, f: Scalar, h: Scalar) -> TripleParams:
+        check_index("e", e)
+        return super().__new__(cls, e, f, h)
+
+    @classmethod
+    def _make(cls, fields) -> TripleParams:
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*fields)
 
 
 def euler_transform_params(
@@ -86,12 +89,11 @@ class Representation(str, Enum):
     TRANSFORMED = "transformed"
 
 
-@dataclass(frozen=True)
-class RepresentationChoice:
+class RepresentationChoice(namedtuple("RepresentationChoice",
+                                      "representation reason")):
     """The representation to report for one point, and why."""
 
-    representation: Representation
-    reason: str
+    __slots__ = ()
 
 
 def select_representation(raw: SeriesEvaluation,
@@ -169,8 +171,7 @@ def _character_sum(lead: Scalar, params: HypergeometricParams, x: Scalar,
 
 # ---- the three proportional sums ----
 
-@dataclass(frozen=True)
-class TripleSums:
+class TripleSums(namedtuple("TripleSums", "a_sum b_sum c_sum x terms_used")):
     """The three character sums at one point, in the fixed order
 
     a_sum:  sum binom(f, k)       binom(h, e+k)       x**k
@@ -178,25 +179,18 @@ class TripleSums:
     c_sum:  sum binom(-h-1, k)    binom(-f-1, e+k)    x**k
     """
 
-    a_sum: Scalar
-    b_sum: Scalar
-    c_sum: Scalar
-    x: Scalar
-    terms_used: tuple[int, int, int]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TripleRelationCheck:
+class TripleRelationCheck(namedtuple(
+        "TripleRelationCheck", "residuals allowances passed sums")):
     """Residuals of the three pairwise proportionality relations.
 
     A relation whose leading characters both vanish is reported as None
     (not applicable) rather than 0 = 0.
     """
 
-    residuals: tuple[Scalar | None, Scalar | None, Scalar | None]
-    allowances: tuple[float | None, float | None, float | None]
-    passed: bool
-    sums: TripleSums
+    __slots__ = ()
 
 
 def _characters(tp: TripleParams

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -249,6 +248,35 @@ def test_eval_majorant_past_the_budget_exit_3(capsys):
                    "on, past max_terms=10000\n")
 
 
+# Exact points whose raw majorant at term 9999 is past 1, about 9.5e303
+# and 1.98: no term can stop the sum.  Stepped through the whole budget,
+# they took 70 s and 177 s on a 2-core x86 host.
+HOPELESS_EXACT = [
+    ["-a=1e308", "-b=31.97985643973101", "-c=41", "-x=0.9528863657076383"],
+    ["-a=-9.99999999970619", "-b=1e-300", "-c=-7035.893450427089",
+     "-x=-587/1000"],
+]
+
+
+@pytest.mark.parametrize("point", HOPELESS_EXACT,
+                         ids=[" ".join(p) for p in HOPELESS_EXACT])
+def test_eval_exact_hopeless_sum_fails_before_its_first_term(capsys,
+                                                            term_steps,
+                                                            point):
+    code, out, err = run(capsys, "eval", "--mode", "exact", *point)
+    assert code == 3 and out == ""
+    assert err == ("no convergence: tail bound still above tol=1e-12 after "
+                   "10000 terms\n")
+    assert term_steps == []
+
+
+def test_term_step_spy_sees_an_exact_sum(capsys, term_steps):
+    code, _, _ = run(capsys, "eval", "--mode", "exact", "-a=1/3", "-b=2/7",
+                     "-c=5/9", "-x=1/2")
+    assert code == 0
+    assert term_steps[:3] == [0, 1, 2]
+
+
 # An exact raw value against a double Euler value, c-a-b not an integer:
 # below tol of about 1e-14 the allowance is the prefactor's own rounding.
 
@@ -272,7 +300,7 @@ def test_eval_exact_floor_still_fails_a_perturbed_euler_value(capsys,
 
     def perturbed(*args, **kwargs):
         out = real(*args, **kwargs)
-        return dataclasses.replace(out, value=out.value * (1 + 1e-12))
+        return out._replace(value=out.value * (1 + 1e-12))
 
     monkeypatch.setattr(cli, "eval_transformed", perturbed)
     code, out, _ = run(capsys, *FLOOR_ARGV)
@@ -903,3 +931,38 @@ def test_numpy_is_imported_only_by_the_quadrature(argv):
                           capture_output=True, text=True, timeout=120)
     assert proc.stderr == ""
     assert json.loads(proc.stdout) == [0, False]
+
+
+# ---- no command imports dataclasses ----
+
+_START_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from gausshyp.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[2:])
+print(json.dumps([code, sorted({"dataclasses", "inspect", "typing"}
+                               & set(sys.modules))]))
+"""
+
+
+START_CASES = [
+    ["eval", "-a=1", "-b=1", "-c=2", "-x=0.5"],
+    ["eval", "--mode", "exact", "-a=1/3", "-b=2/7", "-c=5/9", "-x=1/2",
+     "--output", "csv"],
+    ["bench"],
+    ["verify", "all"],
+]
+
+
+# dataclasses, the inspect it loads, and typing each cost milliseconds of
+# every start; -S leaves out site, whose .pth files may load them themselves
+@pytest.mark.parametrize("argv", START_CASES,
+                         ids=[" ".join(argv) for argv in START_CASES])
+def test_no_command_imports_dataclasses_inspect_or_typing(argv):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _START_PROBE, str(src), *argv],
+        capture_output=True, text=True, timeout=120)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [0, []]

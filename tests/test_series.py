@@ -10,10 +10,13 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import gausshyp
 from gausshyp import (EXACT_DEGREE_CAP, DomainError, HypergeometricParams,
-                      InvalidCError, NoConvergenceError, coefficients,
-                      eval_series, ode_residual, operator_identity_residual,
-                      substitution_residual, termination_index)
+                      IntegralSpec, InvalidCError, NoConvergenceError,
+                      SeriesEvaluation, TripleParams, coefficients,
+                      euler_transform_params, eval_series, ode_residual,
+                      operator_identity_residual, substitution_residual,
+                      termination_index)
 from gausshyp import series
 from gausshyp.scalar import check_finite
 from gausshyp.series import _integer_sum, _start_width, _tail_gate
@@ -48,6 +51,70 @@ def test_non_integer_negative_c_allowed():
     P(1, 1, -2.5)
     P(1, 1, F(-5, 2))
     P(1, 1, F(1, 2))
+
+
+# ---- records ----
+#
+# The records are named tuples.  A checked one checks its fields however
+# it is built: namedtuple's _make and _replace go around __new__ unless
+# the record routes them through it.
+
+CHECKED = [
+    (HypergeometricParams, (1, 1, 2), {"c": 0}, InvalidCError,
+     "c = 0 is zero or a negative integer"),
+    (HypergeometricParams, (1, 1, 2), {"a": math.nan}, DomainError,
+     "a must be finite"),
+    (TripleParams, (1, 2, 3), {"e": -1}, DomainError,
+     "e must be a nonnegative integer, got -1"),
+    (IntegralSpec, (0.5, 1, 2), {"a_mod": 1.0}, DomainError,
+     r"a_mod must lie in \(0, 1\), got 1.0"),
+]
+
+
+@pytest.mark.parametrize("record, fields, bad, error, message", CHECKED,
+                         ids=[f"{case[0].__name__}-{next(iter(case[2]))}"
+                              for case in CHECKED])
+def test_every_constructor_checks_the_record(record, fields, bad, error,
+                                             message):
+    good = record(*fields)
+    assert record._make(fields) == good == record(**good._asdict())
+    assert good._replace() == good
+    spoilt = {**good._asdict(), **bad}
+    for build in (lambda: record(**spoilt),
+                  lambda: record(*spoilt.values()),
+                  lambda: record._make(spoilt.values()),
+                  lambda: good._replace(**bad)):
+        with pytest.raises(error, match=message):
+            build()
+
+
+RECORDS = [getattr(gausshyp, name) for name in (
+    "HypergeometricParams", "SeriesEvaluation", "TripleParams",
+    "RepresentationChoice", "TripleSums", "TripleRelationCheck",
+    "IntegralSpec", "IntegralResult")]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)
+def test_records_are_immutable_named_tuples(record):
+    fields = {name: 1 for name in record._fields}
+    if record is IntegralSpec:
+        fields["a_mod"] = 0.5
+    built = record(**fields)
+    assert tuple(built) == tuple(fields.values()) == built
+    assert built._fields == tuple(fields)
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(built, name, 2)
+    with pytest.raises(AttributeError):
+        built.extra = 2  # no instance dict
+
+
+def test_record_repr_reads_as_in_the_readme():
+    assert repr(euler_transform_params(P(1, 1, 2))) == (
+        "(HypergeometricParams(a=1, b=1, c=2), 0)")
+    assert repr(SeriesEvaluation(F(1, 2), 3, True, 0.0)) == (
+        "SeriesEvaluation(value=Fraction(1, 2), terms_used=3, "
+        "terminated=True, tail_bound=0.0)")
 
 
 # ---- coefficients ----
@@ -278,6 +345,28 @@ def test_float_sum_matches_the_reference_loop(a, b, c, x, tol, max_terms):
     else:
         assert (got.value.hex(), got.terms_used, got.terminated,
                 got.tail_bound) == (want[0].hex(), *want[1:])
+
+
+# s(1/2, b; 1/3; 1/2) over 40 terms, with b + 39 = 2 (1 + j 2**-50) (1/3 + 39):
+# the real majorant at the last term is 1 + j 2**-50 >= 1, and the budget
+# runs out.  Past the margin 2**-48 = 4 * 2**-50 and the rounding of b, c
+# and rho, from j = 6 on, the sum fails before its first term; at j <= 2
+# it steps every term first.
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 8, 64, 2 ** 40])
+def test_exact_sum_fails_before_its_first_term_past_the_margin(term_steps,
+                                                              j):
+    c, x = F(1, 3), F(1, 2)
+    params = P(F(1, 2), 2 * (1 + F(j, 2 ** 50)) * (c + 39) - 39, c)
+    rho = series._ratio_majorant(39, *map(float, params), float(x))
+    assert math.isclose(rho, 1 + j * 2.0 ** -50, rel_tol=2.0 ** -49)
+    assert _outcome(fraction_eval_series, params, x, 1e-12, 40) is None
+    for width in (None, 200):
+        with pytest.raises(NoConvergenceError,
+                           match="tail bound still above tol=1e-12 after 40"):
+            _integer_sum(params, x, 1e-12, 40, width)
+    assert term_steps == ([] if j >= 8 else list(range(39)) * 2)
 
 
 # ---- exact sums rounded once ----
