@@ -8,8 +8,8 @@ the numerator by k! exactly, any other reduces it once.  A float m gives the
 running product of (m-j+1)/j in doubles.
 
 The exact identities that ``gausshyp verify binom`` checks, reflection and
-Pascal's rule, are checked here on those numerators over their shared
-denominator q**k k!.
+Pascal's rule, are checked here by ``reflection_holds`` and ``pascal_holds``
+on those numerators over their shared denominator q**k k!.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def reflect_char(m: Scalar, k: int) -> Scalar:
     return sign * binom_char(m + k - 1, k)
 
 
-def _reflection_holds(m: Scalar, k: int) -> bool:
+def reflection_holds(m: Scalar, k: int) -> bool:
     """binom_char(-m, k) == reflect_char(m, k) for an exact m = p/q, on the
     numerators: -m and m + k - 1 share the denominator q of m."""
     p, q = m.numerator, m.denominator
@@ -63,7 +63,7 @@ def _reflection_holds(m: Scalar, k: int) -> bool:
     return _falling(-p, q, k) == sign * _falling(p + (k - 1) * q, q, k)
 
 
-def _pascal_holds(m: Scalar, k: int) -> bool:
+def pascal_holds(m: Scalar, k: int) -> bool:
     """binom_char(m, k) == binom_char(m-1, k) + binom_char(m-1, k-1) for an
     exact m = p/q and k >= 1, on the numerators over q**k k!, where the
     last term's denominator q**(k-1) (k-1)! takes the factor q k."""

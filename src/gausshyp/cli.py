@@ -24,14 +24,14 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .binom import _pascal_holds, _reflection_holds, binom_char
+from .binom import binom_char, pascal_holds, reflection_holds
 from .errors import (DomainError, NoConvergenceError, QuadratureFailureError)
-from .integrals import _grid_checks, verify_sign_bridge
+from .integrals import integral_checks, verify_sign_bridge
 from .scalar import (Scalar, check_finite, check_printable, is_exact,
                      parse_scalar)
-from .series import HypergeometricParams, _ode_checks, check_budget, eval_series
-from .transform import (TripleParams, _triple_relations, eval_transformed,
-                        select_representation)
+from .series import HypergeometricParams, check_budget, eval_series, ode_checks
+from .transform import (TripleParams, eval_transformed, select_representation,
+                        triple_relations)
 
 
 # ---- canonical serialization ----
@@ -272,9 +272,9 @@ def _sign_bridge() -> dict:
 
 def _verify_binom(args, bridge: dict | None = None) -> list[dict]:
     return [
-        _passes("reflection", (_reflection_holds(m, k)
+        _passes("reflection", (reflection_holds(m, k)
                                for m in BINOM_MS for k in BINOM_KS)),
-        _passes("pascal-recurrence", (_pascal_holds(m, k)
+        _passes("pascal-recurrence", (pascal_holds(m, k)
                                       for m in BINOM_MS for k in BINOM_KS[1:])),
         _passes("integer-agreement",
                 (binom_char(m, k) == (comb(m, k) if k <= m else 0)
@@ -289,7 +289,7 @@ def _verify_ode(args, bridge: dict | None = None) -> list[dict]:
     for a, b, c in ODE_GRID:
         # integer entries over one scale: zero, or the tip, exactly when
         # the residual's Fraction is
-        tip, res, diff = _ode_checks(HypergeometricParams(a, b, c), degree)
+        tip, res, diff = ode_checks(HypergeometricParams(a, b, c), degree)
         zeros += [v == 0 for v in res[:degree] + res[degree + 1:]]
         tips.append(res[degree] == -tip)
         ops += [v == 0 for v in diff[:degree]] + [diff[degree] == tip]
@@ -305,7 +305,7 @@ def _verify_triple(args, bridge: dict | None = None) -> list[dict]:
     pairs = []
     skipped = 0
     for e, f, h in TRIPLE_EFH:
-        for _, checks in _triple_relations(
+        for _, checks in triple_relations(
                 TripleParams(e, f, h), TRIPLE_XS, tol, args.max_terms):
             for check in checks:
                 if check is None:
@@ -317,21 +317,12 @@ def _verify_triple(args, bridge: dict | None = None) -> list[dict]:
 
 
 def _verify_integrals(args, bridge: dict | None = None) -> list[dict]:
-    tol = _tol(args, 1e-8)
-    closed_I, closed_II, ratio, theta = [], [], [], []
-    for r_I, r_II, *sides in _grid_checks(INTEGRAL_AS, INTEGRAL_NI):
-        for r, pairs in ((r_I, closed_I), (r_II, closed_II)):
-            pairs.append((abs(r.quadrature - r.closed_form),
-                          max(tol, 10.0 * r.abs_error_estimate)))
-        for (lhs, rhs), pairs in zip(sides, (ratio, theta)):
-            pairs.append((abs(lhs - rhs), tol * (1.0 + abs(lhs))))
-    return [
-        _within("closed-form-I", closed_I),
-        _within("closed-form-II", closed_II),
-        _within("ratio-identity", ratio),
-        _within("theta-identity", theta),
-        bridge or _sign_bridge(),
-    ]
+    cases = zip(*integral_checks(INTEGRAL_AS, INTEGRAL_NI, _tol(args, 1e-8),
+                                 args.max_terms))
+    names = ("closed-form-I", "closed-form-II", "ratio-identity",
+             "theta-identity")
+    return [*(_within(name, pairs) for name, pairs in zip(names, cases)),
+            bridge or _sign_bridge()]
 
 
 _SUITES = {

@@ -14,8 +14,10 @@ character vanishes).  The module computes both sides independently: the
 integrals by the periodic trapezoid rule with a proven a priori error
 bound, the closed forms through the character-series machinery, plus the
 two cross-family ratio identities and the sign bridge between the
-characters they use.  The trapezoid rule runs on the standard library:
-it samples the half period and sums with math.fsum.
+characters they use; ``integral_checks`` yields the residual and allowance
+of the first four, the cases of ``gausshyp verify integrals``.  The
+trapezoid rule runs on the standard library: it samples the half period
+and sums with math.fsum.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from collections.abc import Iterator
 from .binom import binom_char
 from .errors import DomainError, QuadratureFailureError
 from .scalar import Scalar, check_finite, check_index, power
-from .series import check_budget, check_eval_point
-from .transform import _character, _character_sum, character_series
+from .series import check_budget
+from .transform import _character, _character_sum
 
 #: Absolute error target for every quadrature in this module.  Identity
 #: checks compare at 1e-8, two orders looser, so quadrature noise never
@@ -63,8 +65,8 @@ class IntegralResult(namedtuple(
     """Quadrature vs closed form for one integral.
 
     abs_error_estimate is a proven bound on |quadrature - integral|: the
-    trapezoid rule's a priori error bound plus a rounding term.  The
-    agreement contract is |quadrature - closed_form| <= max(1e-8, 10 * it).
+    trapezoid rule's a priori error bound plus a rounding term.
+    integral_checks allows |quadrature - closed_form| up to max(tol, 10 * it).
     """
 
     __slots__ = ()
@@ -167,27 +169,32 @@ def _integral(a: float, m: int, i: int, abs_tol: float) -> tuple[float, float]:
     return value, math.exp(log_bound) + rounding
 
 
-#: Term budget of the character series of each closed form.
+#: Term budget of the character series of the closed form in
+#: check_closed_form_I and check_closed_form_II; integral_checks takes one.
 _SERIES_TERMS = 100000
 
 
-def _check(a: float, m: int, i: int, tol: float,
-           character: tuple | None = None) -> IntegralResult:
+def _check(a: float, m: int, i: int, tol: float, max_terms: int,
+           character: tuple) -> IntegralResult:
     """cos(i phi) / Delta**(m+1) by quadrature and by its closed form.
 
     character is the (lead, params) pair _character(m - i, m + i, i) of
-    the closed form's character series, where the caller formed it once for
-    more than one modulus and checked a**2 and tol; without it,
-    character_series checks them and forms the pair.
+    the closed form's character series, summed at a**2, which lies in
+    (0, 1), to a checked tol in at most max_terms terms.
     """
     quad, err = _integral(a, m, i, QUAD_ABS_TOL)
-    if character is None:
-        summed = character_series(m - i, m + i, i, a ** 2, tol, _SERIES_TERMS)
-    else:
-        summed = _character_sum(*character, a ** 2, tol, _SERIES_TERMS)
+    summed = _character_sum(*character, a ** 2, tol, max_terms)
     series = float(summed.value)
     closed = math.pi * a ** i * (1.0 - a * a) ** (-(2 * m + 1)) * series
     return IntegralResult(quad, closed, series, err)
+
+
+def _closed_form(spec: IntegralSpec, m: int, tol: float) -> IntegralResult:
+    """_check of spec at m, in at most _SERIES_TERMS terms."""
+    check_budget(tol, _SERIES_TERMS)
+    i = spec.i
+    return _check(spec.a_mod, m, i, tol, _SERIES_TERMS,
+                  _character(m - i, m + i, i))
 
 
 def quad_I(spec: IntegralSpec, abs_tol: float = QUAD_ABS_TOL) -> float:
@@ -202,12 +209,12 @@ def quad_II(spec: IntegralSpec, abs_tol: float = QUAD_ABS_TOL) -> float:
 
 def check_closed_form_I(spec: IntegralSpec, tol: float = 1e-12) -> IntegralResult:
     """quad_I against pi a**i (1-a**2)**(-(2n+1)) V."""
-    return _check(spec.a_mod, spec.n, spec.i, tol)
+    return _closed_form(spec, spec.n, tol)
 
 
 def check_closed_form_II(spec: IntegralSpec, tol: float = 1e-12) -> IntegralResult:
     """quad_II against pi a**i (1-a**2)**(2n+1) U."""
-    return _check(spec.a_mod, -spec.n - 1, spec.i, tol)
+    return _closed_form(spec, -spec.n - 1, tol)
 
 
 # ---- cross-family identities ----
@@ -256,18 +263,24 @@ def theta_identity_sides(spec: IntegralSpec, q_I: float,
     return _sides(spec.a_mod, n, q_I, q_II, chars)[0][::-1]
 
 
-def _grid_checks(moduli, indices) -> Iterator[tuple]:
-    """Yield (check_closed_form_I, check_closed_form_II,
-    ratio_identity_sides, theta_identity_sides) of IntegralSpec(a, n, i)
-    for each (n, i) of indices and, inside that, each a of moduli: the
-    closed forms at their default tol, the sides at their quadratures.
+def integral_checks(moduli, indices, tol: float,
+                    max_terms: int) -> Iterator[tuple]:
+    """Yield the four (residual, allowance) pairs of IntegralSpec(a, n, i)
+    for each (n, i) of indices and, inside that, each a of moduli.
+
+    The first two are check_closed_form_I and check_closed_form_II at their
+    default tol, each closed form summed in at most max_terms terms: the
+    residual |quadrature - closed_form| and the allowance
+    max(tol, 10 * abs_error_estimate).  The other two are the sides of
+    ratio_identity_sides and theta_identity_sides at the quadratures: the
+    residual |lhs - rhs| and the allowance tol * (1 + |lhs|).
 
     binom(n+i, i), binom(-n-1+i, i), binom(-n-1, i) and binom(n, i) do not
     depend on a, so each is formed once per (n, i), the first two with the
     params of the closed forms' character series whose leads they are.
     """
-    tol = 1e-12
-    check_budget(tol, _SERIES_TERMS)
+    series_tol = 1e-12
+    check_budget(tol, max_terms)
     for n, i in indices:
         specs = [IntegralSpec(a, n, i) for a in moduli]
         forms = [_character(m - i, m + i, i) for m in (n, -n - 1)]
@@ -275,11 +288,15 @@ def _grid_checks(moduli, indices) -> Iterator[tuple]:
         theta = [_float_char(binom_char(m, i)) for m in (-n - 1, n)]
         for spec in specs:
             a = spec.a_mod
-            check_eval_point(a ** 2)
-            r_I = _check(a, n, i, tol, forms[0])
-            r_II = _check(a, -n - 1, i, tol, forms[1])
+            r_I = _check(a, n, i, series_tol, max_terms, forms[0])
+            r_II = _check(a, -n - 1, i, series_tol, max_terms, forms[1])
             sides = _sides(a, n, r_I.quadrature, r_II.quadrature, ratio, theta)
-            yield r_I, r_II, sides[0], sides[1][::-1]
+            closed = [(abs(r.quadrature - r.closed_form),
+                       max(tol, 10.0 * r.abs_error_estimate))
+                      for r in (r_I, r_II)]
+            identities = [(abs(lhs - rhs), tol * (1.0 + abs(lhs)))
+                          for lhs, rhs in (sides[0], sides[1][::-1])]
+            yield (*closed, *identities)
 
 
 def verify_sign_bridge(n: int, i: int) -> bool:

@@ -20,8 +20,9 @@ prefactor, it runs in W-bit fixed point with running error bounds e and
 E, and rounds once.  The term's double is taken from |P| and |Q|, since
 Q turns negative after a step where c + k < 0.  The exact coefficients
 and the two operator residuals work the same way: integer numerators over
-one common denominator, each returned value reduced once.  The checks of
-``gausshyp verify ode`` compare those integers and reduce nothing.
+one common denominator, each returned value reduced once.  ``ode_checks``,
+which ``gausshyp verify ode`` runs, returns those integers and reduces
+nothing.
 """
 
 from __future__ import annotations
@@ -608,11 +609,12 @@ def operator_identity_residual(params: HypergeometricParams,
     return [Fraction(v, op[1]) for v in entries]
 
 
-def _ode_checks(params: HypergeometricParams, degree: int
-                ) -> tuple[int, list[int], list[int]]:
+def ode_checks(params: HypergeometricParams,
+               degree: int) -> tuple[int, list[int], list[int]]:
     """(tip, ode_residual, operator_identity_residual) for exact params, all
     three as the integer entries over one scale M D, from one truncation
-    whose coefficients and derivatives are formed once.
+    whose coefficients and derivatives are formed once: the cases of
+    ``gausshyp verify ode``.
 
     tip = (a+N)(b+N) c_N on that scale is dc (na + N da)(nb + N db) N_N,
     since M (a+N)(b+N) = dc (na + N da)(nb + N db) and c_N = N_N / D.  An

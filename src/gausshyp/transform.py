@@ -9,8 +9,9 @@ transformation useful as a summation accelerator.
 The second half of the module handles sums of products of two binomial
 characters, sum_k binom(m1, k) binom(m2, e+k) x**k.  Three sign patterns of
 one such sum are proportional to each other, with (1-x)**(f+h+1) carrying
-the non-trivial ratio; ``verify_triple_relations`` checks all three
-pairings.
+the non-trivial ratio.  ``triple_relations``, which ``gausshyp verify
+triple`` runs, yields the residual and allowance of all three pairings at
+each point; ``verify_triple_relations`` reports them at one point.
 """
 
 from __future__ import annotations
@@ -231,9 +232,10 @@ def _relation(k: int, lhs: Scalar, rhs: Scalar,
     return abs(lhs - rhs), tol * (1.0 + abs(float(lhs)))
 
 
-def _triple_relations(tp: TripleParams, xs: Iterable[Scalar], tol: float,
-                      max_terms: int) -> Iterator[tuple]:
-    """Yield (sums, checks) for each point x of xs.
+def triple_relations(tp: TripleParams, xs: Iterable[Scalar], tol: float,
+                     max_terms: int) -> Iterator[tuple]:
+    """Yield (sums, checks) for each point x of xs: the relations of
+    verify_triple_relations, and the cases of ``gausshyp verify triple``.
 
     sums are the three character sums, in TripleSums order, each summed to
     tol / 1000.  checks hold, per relation, None when it does not apply or
@@ -290,7 +292,7 @@ def verify_triple_relations(tp: TripleParams, x: Scalar, tol: float = 1e-10,
     a Fraction when they are exact.  A side past the float range raises
     DomainError.
     """
-    sums, checks = next(_triple_relations(tp, (x,), tol, max_terms))
+    sums, checks = next(triple_relations(tp, (x,), tol, max_terms))
     residuals = tuple(None if chk is None else chk[0] for chk in checks)
     allowances = tuple(None if chk is None else chk[1] for chk in checks)
     passed = all(r is None or float(r) <= alw

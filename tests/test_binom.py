@@ -10,7 +10,7 @@ from hypothesis import example, given, seed
 from hypothesis import strategies as st
 
 from gausshyp import DomainError, binom_char, reflect_char
-from gausshyp.binom import _pascal_holds, _reflection_holds
+from gausshyp.binom import pascal_holds, reflection_holds
 from oracles import brute_binom, float_binom
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
@@ -95,10 +95,10 @@ def test_float_char_keeps_its_double(m, k):
 @given(rationals, st.integers(0, 25))
 def test_reflection_property(m, k):
     assert binom_char(-m, k) == reflect_char(m, k)
-    assert _reflection_holds(m, k)  # the same, on the numerators
+    assert reflection_holds(m, k)  # the same, on the numerators
 
 
 @given(rationals, st.integers(1, 25))
 def test_pascal_recurrence(m, k):
     assert binom_char(m, k) == binom_char(m - 1, k) + binom_char(m - 1, k - 1)
-    assert _pascal_holds(m, k)
+    assert pascal_holds(m, k)

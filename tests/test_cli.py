@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import io
 import json
@@ -443,12 +444,29 @@ def test_verify_tol_must_be_positive_and_finite(capsys):
 
 @pytest.mark.parametrize("suite", ["binom", "ode", "integrals"])
 def test_verify_max_terms_must_be_positive(capsys, suite):
-    # these suites never reach a term budget of their own, so the option is
-    # checked once for every command
+    # binom and ode never reach a term budget of their own, so the option is
+    # checked once for every command, before any suite runs
     code, out, err = run(capsys, "verify", suite, "--max-terms", "0")
     assert code == 2 and out == ""
     assert err.startswith("domain error:") and err.count("\n") == 1
     assert "max_terms" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("budget", ["1", "60", "70"])
+def test_verify_integrals_sums_its_closed_forms_within_max_terms(capsys,
+                                                                 budget):
+    # the suite's longest closed-form series takes 71 terms
+    code, out, err = run(capsys, "verify", "integrals", "--max-terms", budget)
+    assert code == 3 and out == ""
+    assert err == ("no convergence: tail bound still above tol=1e-12 after "
+                   f"{budget} terms\n")
+
+
+def test_verify_integrals_at_any_sufficient_budget_prints_the_same_bytes(
+        capsys):
+    _, want, _ = run(capsys, "verify", "integrals")
+    assert run(capsys, "verify", "integrals", "--max-terms", "71") == (
+        0, want, "")
 
 
 def test_verify_integrals_worst_residual_per_check(capsys):
@@ -768,6 +786,23 @@ def test_bench_exact_mode_reads_the_default_grid_and_points_exactly(capsys):
     assert (row["a"], row["x"]) == ("1/3", "1/2")
 
 
+def test_bench_reports_a_point_that_does_not_converge(capsys):
+    # a sum that spends its budget fails its row, not the command
+    code, out, err = run(capsys, "bench", "--grid", "1,1,2;-2,3,1",
+                         "-x", "0.5,0.99", "--max-terms", "50",
+                         "--output", "csv")
+    assert code == 0 and err == ""
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    status = header.index("status")
+    assert [row[:4] + row[status:] for row in rows] == [
+        ["1", "1", "2", "0.5", "ok"],
+        ["1", "1", "2", "0.98999999999999999", "no-convergence"],
+        ["-2", "3", "1", "0.5", "ok"],
+        ["-2", "3", "1", "0.98999999999999999", "ok"]]
+    assert rows[1][4:status] == [""] * 5
+    assert all(all(row[4:status]) for row in rows[::2] + rows[3:])
+
+
 def test_bench_bad_grid_exit_2(capsys):
     code, _, err = run(capsys, "bench", "--grid", "1,2")
     assert code == 2 and "triple" in err
@@ -966,3 +1001,16 @@ def test_no_command_imports_dataclasses_inspect_or_typing(argv):
         capture_output=True, text=True, timeout=120)
     assert proc.stderr == ""
     assert json.loads(proc.stdout) == [0, []]
+
+
+# ---- one path per verify check ----
+
+def test_cli_imports_no_private_library_name():
+    # each suite runs the public entry that tests, demos and users call, so
+    # the CLI brings in no _-prefixed name from the package
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names]
+    assert "integral_checks" in names
+    assert [name for name in names if name.startswith("_")] == []

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from gausshyp import DomainError
 from gausshyp.scalar import as_integer, power
 
 
@@ -25,6 +26,19 @@ def test_power_keeps_the_value_and_type_of_its_base(base, exponent):
     got = power(base, exponent)
     assert type(got) is type(want)
     assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("base,exponent,want", [
+    (0, 3, F(0)), (0, 0, F(1)), (F(0), 2.0, F(0)), (0.0, 2, 0.0)])
+def test_power_of_a_zero_base(base, exponent, want):
+    got = power(base, exponent)
+    assert type(got) is type(want)
+    assert repr(got) == repr(want)
+
+
+def test_power_rejects_a_zero_base_with_a_negative_exponent():
+    with pytest.raises(DomainError, match="zero base with negative exponent"):
+        power(0, -1)
 
 
 @pytest.mark.parametrize("value,want", [

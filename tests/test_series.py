@@ -396,6 +396,7 @@ def _float_outcome(outcome):
 @example((F(39, 2), F(77, 3), F(1, 12)), F(11, 12), 1e-12, 50)  # budget runs out
 @example((F(-40001, 2), F(3, 2), 1), F(1, 2), 1e-12, 1500)    # k0 > max_terms
 @example((F(801, 2), F(801, 2), F(1, 2)), F(1, 2), 1e-12, 5000)  # past 1e308
+@example((-1, F(10 ** 308), F(1, 10 ** 300)), F(1, 2), 1e-12, 100)  # -1e608
 def test_fixed_point_sum_matches_the_fraction_loop(abc, x, tol, max_terms):
     # at every width scaled_sum tries, the fixed-point sum either leaves
     # the sum undecided or gives the Fraction loop's double, term count,
@@ -667,7 +668,7 @@ def test_polynomial_work_matches_the_fraction_reference(abc, degree):
             assert g == w
             assert all(type(v) is F for v in g)
         # the integer entries verify compares, over their one scale
-        tip, res, diff = series._ode_checks(params, degree)
+        tip, res, diff = series.ode_checks(params, degree)
         scale = series._scaled_operator(params, degree)[1]
         assert [F(v, scale) for v in res] == want[1]
         assert [F(v, scale) for v in diff] == want[2]
