@@ -1,14 +1,14 @@
 """How the transformation turns slow series into fast (or finite) ones.
 
 Evaluates s(a, b; c; x) through the raw series and through
-(1-x)**(c-a-b) z, compares term counts across x, and shows the selector
-picking the side that took fewer terms.
+(1-x)**(c-a-b) z with ``transform.evaluate``, compares term counts across
+x, and shows the selector picking the side that took fewer terms.
 """
 
 from __future__ import annotations
 
-from gausshyp import (HypergeometricParams, eval_series, eval_transformed,
-                      select_representation)
+from gausshyp import HypergeometricParams
+from gausshyp.transform import evaluate
 
 
 def sweep(a, b, c):
@@ -16,9 +16,7 @@ def sweep(a, b, c):
     print(f"\n(a, b, c) = ({a}, {b}, {c})")
     print(f"{'x':>5} {'raw terms':>10} {'transformed':>12} {'selected':>12}   value")
     for x in (0.1, 0.3, 0.5, 0.7, 0.9):
-        raw = eval_series(params, x)
-        tr = eval_transformed(params, x)
-        choice = select_representation(raw, tr)
+        raw, tr, choice = evaluate(params, x)
         print(f"{x:>5} {raw.terms_used:>10} {tr.terms_used:>12} "
               f"{choice.representation.value:>12}   {raw.value:.15g}")
         assert abs(raw.value - tr.value) <= 1e-10 * (1 + abs(raw.value))
@@ -39,9 +37,7 @@ def main():
     # fewer terms than the transformed side
     sweep(0.5, 0.5, 1.5)
 
-    params = HypergeometricParams(3, 1, 2)
-    choice = select_representation(eval_series(params, 0.9),
-                                   eval_transformed(params, 0.9))
+    _, _, choice = evaluate(HypergeometricParams(3, 1, 2), 0.9)
     print(f"\nselector reason at x=0.9 for (3,1,2): {choice.reason}")
 
 

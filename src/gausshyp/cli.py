@@ -9,6 +9,11 @@ Three subcommands:
 Reports go to stdout as canonical JSON (default), CSV, or plain text;
 diagnostics go to stderr only.  Exit codes: 0 pass, 1 identity failure,
 2 domain error, 3 non-convergence.
+
+A command parses its arguments, loops over its points, renders the report
+and maps errors to exit codes; the sums, choices and allowances come from
+the library.  eval and bench sum and choose through transform.evaluate, and
+eval takes its residual and allowance from transform.agreement.
 """
 
 from __future__ import annotations
@@ -27,11 +32,9 @@ from math import comb
 from .binom import binom_char, pascal_holds, reflection_holds
 from .errors import (DomainError, NoConvergenceError, QuadratureFailureError)
 from .integrals import integral_checks, verify_sign_bridge
-from .scalar import (Scalar, check_finite, check_printable, is_exact,
-                     parse_scalar)
-from .series import HypergeometricParams, check_budget, eval_series, ode_checks
-from .transform import (TripleParams, eval_transformed, select_representation,
-                        triple_relations)
+from .scalar import Scalar, check_finite, check_printable, parse_scalar
+from .series import HypergeometricParams, check_budget, ode_checks
+from .transform import TripleParams, agreement, evaluate, triple_relations
 
 
 # ---- canonical serialization ----
@@ -125,14 +128,9 @@ def render_text(value, indent: str = "") -> str:
                 lines.append(render_text(v, indent + "  "))
             else:
                 lines.append(f"{indent}{k}: {_cell(v)}")
-    elif isinstance(value, (list, tuple)):
-        for v in value:
-            if isinstance(v, (dict, list, tuple)):
-                lines.append(render_text(v, indent + "  "))
-            else:
-                lines.append(f"{indent}- {_cell(v)}")
     else:
-        lines.append(f"{indent}{_cell(value)}")
+        for v in value:
+            lines.append(render_text(v, indent + "  "))
     return "\n".join(line for line in lines if line)
 
 
@@ -187,30 +185,12 @@ def cmd_eval(args):
     params = HypergeometricParams(a, b, c)
     tol = _tol(args)
 
-    raw = eval_series(params, x, tol, args.max_terms)
-    trans = eval_transformed(params, x, tol, args.max_terms)
+    raw, trans, choice = evaluate(params, x, tol, args.max_terms)
     for name, value in (("raw value", raw.value),
                         ("transformed value", trans.value)):
         check_finite(name, value)
         check_printable(name, value)
-    choice = select_representation(raw, trans)
-    residual = abs(float(raw.value) - float(trans.value))
-    allowance = 100.0 * tol * (1.0 + abs(float(raw.value)))
-    if is_exact(raw.value) and isinstance(trans.value, float):
-        # The raw value is exact and the Euler value a double: its prefactor
-        # (1-x)**e, e = c-a-b not an integer, is exp(fl(e) log(fl(1-x))).
-        # With u = 2**-53 and L = log(1-x), rounding 1-x, e and their
-        # product, with log within 1 ulp (2u), puts u(|e| + 4|eL|) on the
-        # argument of exp; exp (2u), the rounded sum, the product, float(raw)
-        # and the subtraction add 6u relative.  The floor exceeds that bound
-        # by (|e|/2 + |eL| + 1) 2**-52 (1+|raw|), at least a fiftieth of the
-        # floor, which covers the two tails (at most tol each) whenever the
-        # floor is the allowance.
-        e = float(c - a - b)
-        rounding = abs(e) + 3.0 * abs(e * math.log(float(1 - x))) + 4.0
-        allowance = max(allowance, rounding * 2.0 ** -52
-                        * (1.0 + abs(float(raw.value))))
-    check_finite("agreement allowance", allowance)
+    residual, allowance = agreement(params, x, tol, raw, trans)
     ok = residual <= allowance
 
     report = {
@@ -377,9 +357,7 @@ def cmd_bench(args):
         for x in xs:
             row = {"a": a, "b": b, "c": c, "x": x}
             try:
-                raw = eval_series(params, x, tol, args.max_terms)
-                trans = eval_transformed(params, x, tol, args.max_terms)
-                choice = select_representation(raw, trans)
+                raw, trans, choice = evaluate(params, x, tol, args.max_terms)
                 row.update({
                     "raw_terms": raw.terms_used,
                     "raw_terminated": raw.terminated,

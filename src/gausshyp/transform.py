@@ -4,7 +4,11 @@ z is the same kind of series with upper parameters alpha = c-a, beta = c-b
 and the same c.  Applying the map twice returns the original parameters, and
 whenever alpha or beta is a nonpositive integer the transformed series is a
 polynomial even though the original is infinite, which is what makes the
-transformation useful as a summation accelerator.
+transformation useful as a summation accelerator.  ``evaluate`` sums s at
+one point both ways and picks the cheaper side, and ``agreement`` forms the
+residual between the two and the allowance it must stay within: together
+they are ``gausshyp eval``, and ``evaluate`` alone is a ``gausshyp bench``
+row.
 
 The second half of the module handles sums of products of two binomial
 characters, sum_k binom(m1, k) binom(m2, e+k) x**k.  Three sign patterns of
@@ -16,6 +20,7 @@ each point; ``verify_triple_relations`` reports them at one point.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from enum import Enum
@@ -25,8 +30,7 @@ from .errors import DomainError
 from .scalar import (Scalar, as_integer, check_finite, check_index,
                      is_exact, power)
 from .series import (HypergeometricParams, SeriesEvaluation, check_budget,
-                     check_eval_point, scaled_sum)
-from .series import eval_series  # noqa: F401  (perfbench looks it up here)
+                     check_eval_point, eval_series, scaled_sum)
 
 
 # ---- parameter maps ----
@@ -117,6 +121,45 @@ def select_representation(raw: SeriesEvaluation,
         reason = (f"both sides take {best.terms_used} terms; "
                   f"tie goes to {win.value}")
     return RepresentationChoice(win, reason)
+
+
+def evaluate(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
+             max_terms: int = 10000) -> tuple:
+    """Sum s at x through both representations and pick one.
+
+    Returns (raw, transformed, choice): eval_series, eval_transformed and
+    select_representation of the two, in that order, which is what
+    ``gausshyp eval`` and each ``gausshyp bench`` row report.
+    """
+    raw = eval_series(params, x, tol, max_terms)
+    transformed = eval_transformed(params, x, tol, max_terms)
+    return raw, transformed, select_representation(raw, transformed)
+
+
+def agreement(params: HypergeometricParams, x: Scalar, tol: float,
+              raw: SeriesEvaluation,
+              transformed: SeriesEvaluation) -> tuple[float, float]:
+    """(residual, allowance) of the two sums of evaluate at x.
+
+    The residual is |raw - transformed| in doubles, and the allowance
+    max(100 tol, floor) (1 + |raw|).  The floor is 0 unless an exact raw
+    value meets a double Euler value: its prefactor (1-x)**e, e = c-a-b not
+    an integer, is exp(fl(e) log(fl(1-x))).  With u = 2**-53 and
+    L = log(1-x), rounding 1-x, e and their product, with log within 1 ulp
+    (2u), puts u(|e| + 4|eL|) on the argument of exp; exp (2u), the rounded
+    sum, the product, float(raw) and the subtraction add 6u relative.  The
+    floor's share, (|e| + 3|eL| + 4) 2**-52 (1+|raw|), exceeds that bound by
+    (|e|/2 + |eL| + 1) 2**-52 (1+|raw|), at least a fiftieth of the share,
+    which covers the two tails (at most tol each) whenever the floor is the
+    larger.  An allowance past the float range raises DomainError.
+    """
+    floor = 0.0
+    if is_exact(raw.value) and isinstance(transformed.value, float):
+        e = float(euler_transform_params(params)[1])
+        floor = (abs(e) + 3.0 * abs(e * math.log(float(1 - x))) + 4.0) * 2.0 ** -52
+    allowance = max(100.0 * tol, floor) * (1.0 + abs(float(raw.value)))
+    check_finite("agreement allowance", allowance)
+    return abs(float(raw.value) - float(transformed.value)), allowance
 
 
 # ---- character series ----

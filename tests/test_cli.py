@@ -22,12 +22,14 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from gausshyp import (IntegralSpec, check_closed_form_I, check_closed_form_II,
+from gausshyp import (HypergeometricParams, IntegralSpec, NoConvergenceError,
+                      check_closed_form_I, check_closed_form_II,
                       quad_I, quad_II, ratio_identity_sides,
                       theta_identity_sides)
 from gausshyp import binom, cli, integrals, series, transform
 from gausshyp.cli import (INTEGRAL_AS, INTEGRAL_NI, ODE_GRID, _verify_integrals,
                           build_parser, format_float, main, render_json)
+from gausshyp.scalar import is_exact, parse_scalar
 from oracles import isinstance_render_json
 
 
@@ -297,15 +299,64 @@ def test_eval_exact_against_a_double_passes_below_the_rounding(capsys):
 
 def test_eval_exact_floor_still_fails_a_perturbed_euler_value(capsys,
                                                               monkeypatch):
-    real = cli.eval_transformed
+    real = transform.eval_transformed
 
     def perturbed(*args, **kwargs):
         out = real(*args, **kwargs)
         return out._replace(value=out.value * (1 + 1e-12))
 
-    monkeypatch.setattr(cli, "eval_transformed", perturbed)
+    monkeypatch.setattr(transform, "eval_transformed", perturbed)
     code, out, _ = run(capsys, *FLOOR_ARGV)
     assert code == 1 and json.loads(out)["status"] == "fail"
+
+
+def _two_branch_allowance(params, x, tol, raw, transformed):
+    """The allowance as `eval` formed it in two branches: 100 tol (1+|raw|),
+    raised to the prefactor's rounding floor when an exact raw value meets
+    a double Euler value."""
+    allowance = 100.0 * tol * (1.0 + abs(float(raw.value)))
+    if is_exact(raw.value) and isinstance(transformed.value, float):
+        e = float(params.c - params.a - params.b)
+        rounding = abs(e) + 3.0 * abs(e * math.log(float(1 - x))) + 4.0
+        allowance = max(allowance, rounding * 2.0 ** -52
+                        * (1.0 + abs(float(raw.value))))
+    return allowance
+
+
+def _agreement_points():
+    """FLOOR_ARGV's point, then seeded float and exact points."""
+    args = build_parser().parse_args(FLOOR_ARGV)
+    abc = (parse_scalar(v, True) for v in (args.a, args.b, args.c))
+    yield HypergeometricParams(*abc), parse_scalar(args.x, True), args.tol
+    rng = random.Random(2310)
+    for _ in range(60):
+        yield (HypergeometricParams(rng.uniform(-5, 5), rng.uniform(-5, 5),
+                                    rng.uniform(0.5, 5)),
+               rng.uniform(-0.9, 0.9), rng.choice((1e-6, 1e-12, 1e-15)))
+    for _ in range(60):
+        yield (HypergeometricParams(_rational(rng, 5, (1, 2, 3, 7)),
+                                    _rational(rng, 5, (1, 2, 4, 9)),
+                                    Fraction(rng.randint(1, 40),
+                                             rng.randint(1, 8))),
+               Fraction(rng.randint(-9, 9), rng.choice((20, 23, 40))),
+               rng.choice((1e-8, 1e-14, 1e-20, 1e-30)))
+
+
+def test_agreement_is_the_two_branch_allowance_bit_for_bit():
+    # max(100 tol, floor) (1+|raw|) rounds as the larger of the two
+    # products over the same fl(1+|raw|)
+    floors = 0
+    for params, x, tol in _agreement_points():
+        try:
+            raw, tr, _ = transform.evaluate(params, x, tol, 3000)
+        except NoConvergenceError:
+            continue
+        residual, allowance = transform.agreement(params, x, tol, raw, tr)
+        want = _two_branch_allowance(params, x, tol, raw, tr)
+        assert allowance.hex() == want.hex()
+        assert residual == abs(float(raw.value) - float(tr.value))
+        floors += allowance != 100.0 * tol * (1.0 + abs(float(raw.value)))
+    assert floors >= 10
 
 
 def _rational(rng, bound, denominators):
@@ -316,7 +367,8 @@ def _rational(rng, bound, denominators):
 def test_eval_exact_points_at_tiny_tols_pass_where_mpmath_agrees(capsys):
     # first order, with u = 2**-53 and L = log(1-x), the Euler value is off
     # by at most u(|e| + 4|eL| + 6)|s| from rounding, e = c-a-b (see
-    # cmd_eval); both values must be that close to mpmath, and then pass
+    # transform.agreement); both values must be that close to mpmath, and
+    # then pass
     rng = random.Random(1812)
     checked = 0
     while checked < 24:
@@ -803,6 +855,32 @@ def test_bench_reports_a_point_that_does_not_converge(capsys):
     assert all(all(row[4:status]) for row in rows[::2] + rows[3:])
 
 
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_bench_rows_are_eval_at_each_point(capsys, mode):
+    # both commands sum and choose through transform.evaluate, so each row
+    # of the default grid holds eval's term counts, flags and choice
+    code, out, _ = run(capsys, "bench", "--mode", mode)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    points = [(*triple.split(","), x) for triple in cli.BENCH_PARAMS.split(";")
+              for x in cli.BENCH_XS.split(",")]
+    assert len(rows) == len(points)
+    for row, (a, b, c, x) in zip(rows, points):
+        code, out, _ = run(capsys, "eval", "--mode", mode, f"-a={a}",
+                           f"-b={b}", f"-c={c}", f"-x={x}")
+        assert row["status"] == "ok" and code in (0, 1)
+        report = json.loads(out)
+        outputs = report["outputs"]
+        assert [row[k] for k in "abcx"] == [report["inputs"][k] for k in "abcx"]
+        assert ((row["raw_terms"], row["raw_terminated"],
+                 row["transformed_terms"], row["transformed_terminated"],
+                 row["selected"])
+                == (outputs["terms_used"], outputs["terminated"],
+                    outputs["transformed_terms_used"],
+                    outputs["transformed_terminated"],
+                    outputs["selected_representation"]))
+
+
 def test_bench_bad_grid_exit_2(capsys):
     code, _, err = run(capsys, "bench", "--grid", "1,2")
     assert code == 2 and "triple" in err
@@ -1014,3 +1092,17 @@ def test_cli_imports_no_private_library_name():
              for alias in node.names]
     assert "integral_checks" in names
     assert [name for name in names if name.startswith("_")] == []
+
+
+def test_cli_leaves_the_evaluation_to_the_library():
+    # eval and bench sum, choose and compare through transform.evaluate and
+    # transform.agreement, so the CLI binds none of the calls they make and
+    # forms no logarithm of its own
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {"evaluate", "agreement"} <= names
+    assert not names & {"eval_series", "eval_transformed",
+                        "select_representation", "is_exact"}
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "log"]

@@ -1,5 +1,5 @@
-"""Tests for the scalar helpers: the type and value of a power, and which
-scalars represent an integer."""
+"""Tests for the scalar helpers: the type and value of a power, which
+scalars represent an integer, and what a command-line number parses to."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gausshyp import DomainError
-from gausshyp.scalar import as_integer, power
+from gausshyp.scalar import as_integer, parse_scalar, power
 
 
 @pytest.mark.parametrize("base", [2.5, -3.0, 0.1, 3, -2, True,
@@ -39,6 +39,16 @@ def test_power_of_a_zero_base(base, exponent, want):
 def test_power_rejects_a_zero_base_with_a_negative_exponent():
     with pytest.raises(DomainError, match="zero base with negative exponent"):
         power(0, -1)
+
+
+def test_power_rejects_a_nonpositive_base_with_a_non_integer_exponent():
+    with pytest.raises(DomainError, match="needs a positive base"):
+        power(-0.5, 0.5)
+
+
+def test_parse_scalar_rejects_a_word():
+    with pytest.raises(DomainError, match="cannot parse number 'abc'"):
+        parse_scalar("abc", False)
 
 
 @pytest.mark.parametrize("value,want", [

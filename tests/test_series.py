@@ -712,6 +712,13 @@ def test_substitution_residual_small(a, b, c, n, x):
     assert abs(substitution_residual(P(a, b, c), n, x)) <= 1e-9
 
 
+def test_substitution_residual_with_a_vanishing_derivative():
+    # a = 0: s = 1, and the scale (a)_d (b)_d / (c)_d of each derivative is
+    # 0, so s' and s'' are 0 without a sum
+    residual = substitution_residual(P(0, 1, 2), 0.7, 0.3)
+    assert math.isfinite(residual) and abs(residual) < 1e-12
+
+
 def test_substitution_residual_domain():
     for x in (0.0, 0.9, 0.95, -0.2):
         with pytest.raises(DomainError):

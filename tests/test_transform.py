@@ -14,7 +14,7 @@ from gausshyp import (DomainError, HypergeometricParams, Representation,
                       euler_transform_params, params_from_triple,
                       select_representation, termination_index, triple_params,
                       triple_sums, verify_triple_relations)
-from gausshyp.transform import _relation
+from gausshyp.transform import _relation, evaluate
 from oracles import brute_char_sum, brute_series, scalar_triple_relations
 
 P = HypergeometricParams
@@ -158,6 +158,23 @@ def test_select_never_takes_the_costlier_side():
         if chosen.terminated and not other.terminated:
             continue
         assert chosen.terms_used <= other.terms_used, (params, x, choice)
+
+
+def test_evaluate_is_the_three_separate_calls():
+    # raw sum, Euler sum, then the choice of the two, at the given tol and
+    # budget, in both modes
+    cases = [(P(3, 1, 2), 0.5), (P(-2, 3, F(3, 2)), F(1, 3)),
+             (P(F(1, 2), F(1, 2), F(3, 2)), F(-1, 4)),
+             (P(0.3, 0.7, 1.5), -0.6), (P(F(28, 9), -1, F(-5, 4)), F(1, 50))]
+    for (params, x), tol in product(cases, (1e-8, 1e-12, 1e-30)):
+        raw = eval_series(params, x, tol, 5000)
+        tr = eval_transformed(params, x, tol, 5000)
+        assert evaluate(params, x, tol, 5000) == (
+            raw, tr, select_representation(raw, tr))
+    # the defaults are those of eval_series and eval_transformed
+    raw, tr = eval_series(P(3, 1, 2), 0.9), eval_transformed(P(3, 1, 2), 0.9)
+    assert evaluate(P(3, 1, 2), 0.9) == (raw, tr,
+                                         select_representation(raw, tr))
 
 
 # ---- character series ----
