@@ -19,3 +19,11 @@ class NoConvergenceError(RuntimeError):
 class QuadratureFailureError(RuntimeError):
     """The trapezoid rule would need more points than its cap to meet the
     requested error bound, or a bound past the float range."""
+
+
+def no_convergence_in(case: str, tol: float, max_terms: int,
+                      exc: NoConvergenceError) -> NoConvergenceError:
+    """exc, led by the case that raised it and the tol and max_terms it was
+    checked under."""
+    return NoConvergenceError(
+        f"case {case} at tol={tol}, max_terms={max_terms}: {exc}")

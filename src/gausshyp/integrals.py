@@ -28,7 +28,8 @@ from collections import namedtuple
 from collections.abc import Iterator
 
 from .binom import binom_char
-from .errors import DomainError, QuadratureFailureError
+from .errors import (DomainError, NoConvergenceError, QuadratureFailureError,
+                     no_convergence_in)
 from .scalar import Scalar, check_finite, check_index, power
 from .series import check_budget
 from .transform import _character, _character_sum
@@ -278,6 +279,8 @@ def integral_checks(moduli, indices, tol: float,
     binom(n+i, i), binom(-n-1+i, i), binom(-n-1, i) and binom(n, i) do not
     depend on a, so each is formed once per (n, i), the first two with the
     params of the closed forms' character series whose leads they are.
+    A closed form that does not converge raises NoConvergenceError naming
+    its (n, i, a), tol and max_terms.
     """
     series_tol = 1e-12
     check_budget(tol, max_terms)
@@ -288,8 +291,12 @@ def integral_checks(moduli, indices, tol: float,
         theta = [_float_char(binom_char(m, i)) for m in (-n - 1, n)]
         for spec in specs:
             a = spec.a_mod
-            r_I = _check(a, n, i, series_tol, max_terms, forms[0])
-            r_II = _check(a, -n - 1, i, series_tol, max_terms, forms[1])
+            try:
+                r_I = _check(a, n, i, series_tol, max_terms, forms[0])
+                r_II = _check(a, -n - 1, i, series_tol, max_terms, forms[1])
+            except NoConvergenceError as exc:
+                raise no_convergence_in(f"(n, i, a) = ({n}, {i}, {a})", tol,
+                                        max_terms, exc) from None
             sides = _sides(a, n, r_I.quadrature, r_II.quadrature, ratio, theta)
             closed = [(abs(r.quadrature - r.closed_form),
                        max(tol, 10.0 * r.abs_error_estimate))

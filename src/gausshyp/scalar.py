@@ -104,12 +104,29 @@ def _log_abs(value: Scalar) -> float:
     return math.log(abs(value))
 
 
+def _power_bits() -> int:
+    """The bit size past which power forms no exact power: 64 bits for
+    each digit of the longest integer the interpreter converts to text
+    (sys.get_int_max_str_digits, or its default where that limit is off).
+    At the default 4300 digits that is 275,200 bits, which (41/35)**n
+    reaches in about 20 ms; a 10**308 exponent would run for ever."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    return 64 * limit
+
+
+#: The least _power_bits(): the interpreter takes no limit below
+#: str_digits_check_threshold digits other than 0.
+_POWER_BITS_LEAST = 64 * sys.int_info.str_digits_check_threshold
+
+
 def power(base: Scalar, exponent: Scalar) -> Scalar:
     """base**exponent, staying exact for integer exponents on exact bases.
 
     Non-integer exponents require base > 0 and go through exp(p*log(base)).
     A result whose magnitude lies past the float range is rejected before
-    any power is formed.
+    any power is formed, and so is an exact power m**n of a numerator or
+    denominator m where |n| (bl(m) - 1), a lower bound on its bit length,
+    exceeds _power_bits().
     """
     n = as_integer(exponent)
     if n is None:
@@ -129,5 +146,12 @@ def power(base: Scalar, exponent: Scalar) -> Scalar:
         return math.exp(log_mag)
     if isinstance(base, float):
         return float(base) ** n
+    # a part m of 0 or 1 keeps its size at any n; a power under the least
+    # cap, as nearly all are, need not read the interpreter's limit
+    bits = abs(n) * (max(base.numerator.bit_length(),
+                         base.denominator.bit_length()) - 1)
+    if bits > _POWER_BITS_LEAST and bits > (cap := _power_bits()):
+        raise DomainError(f"({base})**{exponent} would have more than "
+                          f"{cap} bits in its numerator or denominator")
     # a Fraction's power is a Fraction; an int's is made one
     return (base if isinstance(base, Fraction) else Fraction(base)) ** n

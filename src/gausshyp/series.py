@@ -18,7 +18,12 @@ partial sum T per term and reduces the sum to lowest terms once, when it
 is returned.  Where only the double of the sum is wanted, under a float
 prefactor, it runs in W-bit fixed point with running error bounds e and
 E, and rounds once.  The term's double is taken from |P| and |Q|, since
-Q turns negative after a step where c + k < 0.  The exact coefficients
+Q turns negative after a step where c + k < 0.  Past the index where the
+majorant of the term ratios applies, a minorant applies too; where the
+two, with a rounding margin, keep the next terms above the gate below
+which the stop rule can fire, and each intermediate of the step inside
+the normal doubles, the float loop steps those terms as a run, with no
+check.  The exact coefficients
 and the two operator residuals work the same way: integer numerators over
 one common denominator, each returned value reduced once.  ``ode_checks``,
 which ``gausshyp verify ode`` runs, returns those integers and reduces
@@ -31,6 +36,7 @@ import math
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import DomainError, InvalidCError, NoConvergenceError
 from .scalar import (_FLOAT_MAX_INT, Scalar, as_integer, check_finite,
@@ -44,6 +50,23 @@ EXACT_DEGREE_CAP = 256
 
 #: The largest double, as a float: a term above it is inf or nan.
 _FLOAT_MAX = sys.float_info.max
+#: The least normal double.
+_FLOAT_MIN = sys.float_info.min
+
+#: Checked terms past k0 before a float sum may start its first run, and
+#: after a run shorter than this before it may start another (see the
+#: tail majorant).  Computing a run costs about 2 us, some 15 float
+#: steps, and saves about a fifth of each step it skips.  Summing both
+#: sides of 24 points with |a|, |b| <= 5 and c in [0.5, 5] on a 2-core
+#: x86 host under Python 3.11, median of 60 alternating rounds against
+#: the loop without runs: at x = -0.4 and 0.5, whose sums stop a median
+#: 23 and 34 terms past k0, 16 took 12 and 13 % longer, 32 took 1 and
+#: 5 % longer, and 64 and 128 were flat; at x = 0.9 and 0.98, 64 took 9
+#: and 23 % less.
+_RUN_AFTER = 64
+#: Bits taken off every room a run is computed from: the rounding of the
+#: logs and of the quotient, far below it, cannot lengthen a run.
+_LOG_MARGIN = 2.0 ** -20
 
 
 class HypergeometricParams(namedtuple("HypergeometricParams", "a b c")):
@@ -188,6 +211,23 @@ def termination_index(params: HypergeometricParams) -> int | None:
 # latter exceed tol is a gate: no term at or above it can stop the sum,
 # so such a term needs neither rho_k nor the bound.  Any larger g is a
 # gate too, inf included, so the gate need only be sound, not least.
+#
+# The minorant.  By the same monotone argument the factors' infima over
+# j >= k are min(1, value at k), so
+#
+#     sigma_k = |x| * min(1, (a+k)/(1+k)) * min(1, (b+k)/(c+k))
+#
+# is at most every later term ratio, and terms k+1 .. k+m lie in
+# [|t_k| sigma_k**m, |t_k| rho_k**m].  While that interval stays above the
+# gate no check can fire, so the float loop steps those terms as a run,
+# with no test at all.  _run_length takes the logs of both ends and
+# allows per step a rounding margin, slack, in bits: sigma_k and rho_k
+# are formed in doubles from the doubles of a, b and c, and a float step
+# rounds up to eight times.  Each rounding moves a ratio by at most u = 2**-53, and
+# rounding p in p + k by at most u |p| / (p + k); slack counts 2**-48 =
+# 32 u for each, which covers the second-order terms too.  A run starts
+# only at a k >= k0 + 1 with k >= 1, so a+k, b+k, 1+k and c+k are all
+# >= 1 there and stay so.
 
 def _positivity_index(a: float, b: float, c: float) -> int:
     worst = min(a, b, c)
@@ -223,6 +263,54 @@ def _ratio_majorant(k: int, af: float, bf: float, cf: float,
     f1 = (af + k) / (1.0 + k)
     f2 = (bf + k) / (cf + k)
     return ax * (f1 if f1 > 1.0 else 1.0) * (f2 if f2 > 1.0 else 1.0)
+
+
+def _ratio_minorant(k: int, af: float, bf: float, cf: float,
+                    ax: float) -> float:
+    """sigma_k, which every term ratio past term k is at least once
+    k >= k0."""
+    f1 = (af + k) / (1.0 + k)
+    f2 = (bf + k) / (cf + k)
+    return ax * (f1 if f1 < 1.0 else 1.0) * (f2 if f2 < 1.0 else 1.0)
+
+
+def _run_length(k: int, span: int, lt: float, floor: float, ceiling: float,
+                af: float, bf: float, cf: float, ax: float) -> int:
+    """How many terms after term k, at most span, lie where no check of
+    the stop rule can fire: the m for which every term k+1 .. k+m stays
+    within [2**floor, 2**ceiling], lt being log2 |t_k|.
+
+    k is at least k0 + 1 and 1 (see the tail majorant); a sigma_k below
+    the normal doubles, whose rounding has no relative bound, gives no
+    run.
+    """
+    sigma = _ratio_minorant(k, af, bf, cf, ax)
+    if sigma < _FLOAT_MIN:
+        return 0
+    slack = 2.0 ** -48 * (16.0 + abs(af) / (af + k) + abs(bf) / (bf + k)
+                          + abs(cf) / (cf + k))
+    m = min(span, (lt - floor - _LOG_MARGIN) / (slack - math.log2(sigma)))
+    rise = slack + math.log2(_ratio_majorant(k, af, bf, cf, ax))
+    if rise > 0.0:
+        m = min(m, (ceiling - lt - _LOG_MARGIN) / rise)
+    elif lt > ceiling - _LOG_MARGIN:
+        return 0
+    return int(max(m, 0.0))
+
+
+def _float_ceiling(last: int, af: float, bf: float, cf: float,
+                   ax: float) -> float:
+    """log2 of the largest |t| for which a float step, up to term last,
+    keeps every intermediate below 2**1022; -inf where none does.
+
+    Past a run's start the factors a+j, b+j, j+1 and c+j lie in [1, M],
+    M = max(|a|, |b|, |c|) + last + 1, so each intermediate is at most
+    max(|t|, 1) M**2 / |x|: the largest of |t| (a+j) (b+j), (j+1) (c+j),
+    and the quotient, which is |t_{j+1} / x|.
+    """
+    room = 1022.0 + math.log2(ax) - 2.0 * math.log2(
+        max(abs(af), abs(bf), abs(cf)) + last + 1)
+    return room if room >= 0.0 else -math.inf
 
 
 def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
@@ -279,6 +367,16 @@ def _budget_spent(tol: float, max_terms: int) -> NoConvergenceError:
 # +-0.0 lies in neither half, no comparison holds for nan, and +-inf lies
 # past hi, also where gate = inf.
 #
+# A float run (see the tail majorant) keeps every term in [gate, hi] only
+# where the step rounds each operand and result within u: where every
+# intermediate of the step, not only the term it ends in, stays finite and
+# normal.  A run starts only under a normal gate, and its terms stay above
+# it, so the factors, all >= 1, keep each intermediate normal; from above,
+# _float_ceiling bounds the terms so that t (a+k) (b+k), which overflows
+# before the division where the term itself would not, stays finite.
+# Runs are computed only after _RUN_AFTER checked terms past k0, and again
+# _RUN_AFTER terms after a run shorter than that.
+#
 # _integer_sum steps it on integers: with a = na/da, b = nb/db,
 # c = nc/dc and x = nx/dx, each step multiplies in p(k) = (na + k da)
 # (nb + k db) nx dc and q(k) = (k+1)(nc + k dc) da db dx, and term k is
@@ -306,6 +404,7 @@ def _budget_spent(tol: float, max_terms: int) -> NoConvergenceError:
 # it and skips rho_k and the bound.  The term's double is taken from |P|
 # and |Q|, as Q is negative after any step where c + k < 0.
 
+
 def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
                 max_terms: int = 10000) -> SeriesEvaluation:
     """Sum the series at x, |x| < 1.
@@ -314,11 +413,12 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     inputs are exact).  Otherwise terms accumulate until the geometric
     majorant bound on the remaining tail drops to tol.  Only a term below
     the gate of _tail_gate can meet tol, so only such a term pays for
-    rho_k and the bound; the terms, the stop, the value and the bound are
-    those of a loop that checks every term.  A float term past the float
-    range (inf or nan) never comes back, so a sum that is not a polynomial
-    raises NoConvergenceError at the first such term it checks.  Exact
-    params and x are summed by _integer_sum.
+    rho_k and the bound, and a long sum steps runs of terms shown to stay
+    above the gate with no test at all; the terms, the stop, the value
+    and the bound are those of a loop that checks every term.  A float
+    term past the float range (inf or nan) never comes back, so a sum
+    that is not a polynomial raises NoConvergenceError at the first such
+    term it checks.  Exact params and x are summed by _integer_sum.
     """
     if params.exact() and is_exact(x):
         return _integer_sum(params, x, tol, max_terms, None)
@@ -328,34 +428,65 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     last, polynomial, k0, gate, af, bf, cf, ax = rule
     a, b, c = params.a, params.b, params.c
     term = total = 1.0
-    # kf is k, stepped in place by one: 1.0 beside float parameters, else 1
+    # kf is k, stepped by one: 1.0 beside float parameters, else 1.  The
+    # step forms k+1 once, as k1, for its denominator and the next kf.  kf
+    # is the loop's only counter, and k0, last and mark take its type, so
+    # that each test compares two floats or two ints.
     kf = 0.0 if type(a) is type(b) is type(c) is float else 0
     one = kf + 1
+    k0, last = kf + k0, kf + last
     hi, nhi, ngate = _FLOAT_MAX, -_FLOAT_MAX, -gate
+    # the next term at which a run may start or the sum must end; under a
+    # gate among the subnormals no run starts.  rooms, the logs of the gate
+    # and of the ceiling that bound every run, are formed at the first run
+    # computed, so that a short sum forms neither.
+    mark = min(k0 + _RUN_AFTER, last) if gate >= _FLOAT_MIN else last
+    rooms = None
     terminated = False
-    for k in range(last + 1):
-        if k >= k0:
+    while True:
+        if kf >= k0:
             # gate <= |term| <= hi, as a signed range: only a term below
             # the gate can meet tol; an inf or nan fails the range test
             # too, and stops the sum here
             if not (gate <= term <= hi or nhi <= term <= ngate):
                 if not abs(term) <= hi:
                     raise NoConvergenceError(
-                        f"term {k} is {term}, outside the float range")
-                rho = _ratio_majorant(k, af, bf, cf, ax)
+                        f"term {int(kf)} is {term}, outside the float range")
+                rho = _ratio_majorant(kf, af, bf, cf, ax)
                 if rho < 1.0:
                     bound = abs(term) * rho / (1.0 - rho)
                     if bound <= tol:
                         break
-        if k == last:
-            if not polynomial:
-                raise _budget_spent(tol, max_terms)
-            terminated, bound = True, 0.0
-            break
-        term = term * (a + kf) * (b + kf) / ((kf + one) * (c + kf)) * x
+        if kf >= mark:
+            if kf == last:
+                if not polynomial:
+                    raise _budget_spent(tol, max_terms)
+                terminated, bound = True, 0.0
+                break
+            # a term here is finite and past k0, but may lie below the
+            # gate.  As sigma_k <= |x|, one below about
+            # gate / |x|**_RUN_AFTER starts no run worth computing.
+            if abs(term) * ax ** _RUN_AFTER < gate:
+                m = 0
+            else:
+                rooms = rooms or (math.log2(gate),
+                                  _float_ceiling(last, af, bf, cf, ax))
+                m = _run_length(kf, last - kf - 1, math.log2(abs(term)),
+                                *rooms, af, bf, cf, ax)
+            if m < _RUN_AFTER:
+                mark = min(kf + m + _RUN_AFTER, last)
+            # terms k+1 .. k+m need no check: step them in a loop of their
+            # own, which leaves kf at k+m.  The step is the one below,
+            # written twice so that neither loop pays for the other's
+            # tests; the two must stay the same.
+            for _ in repeat(None, m):
+                term = term * (a + kf) * (b + kf) / ((k1 := kf + one) * (c + kf)) * x
+                total = total + term
+                kf = k1
+        term = term * (a + kf) * (b + kf) / ((k1 := kf + one) * (c + kf)) * x
         total = total + term
-        kf += one
-    return SeriesEvaluation(total, k + 1, terminated, bound)
+        kf = k1
+    return SeriesEvaluation(total, int(kf) + 1, terminated, bound)
 
 
 def _start_width(tol: float, max_terms: int) -> int:

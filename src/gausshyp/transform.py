@@ -26,7 +26,7 @@ from collections.abc import Iterable, Iterator
 from enum import Enum
 
 from .binom import binom_char
-from .errors import DomainError
+from .errors import DomainError, NoConvergenceError, no_convergence_in
 from .scalar import (Scalar, as_integer, check_finite, check_index,
                      is_exact, power)
 from .series import (HypergeometricParams, SeriesEvaluation, check_budget,
@@ -284,7 +284,8 @@ def triple_relations(tp: TripleParams, xs: Iterable[Scalar], tol: float,
     tol / 1000.  checks hold, per relation, None when it does not apply or
     (residual, allowance), the residual |LHS - RHS| and the allowance
     tol * (1 + |LHS|).  The leads and parameters of the sums are formed
-    once, for every point.
+    once, for every point.  A sum that does not converge raises
+    NoConvergenceError naming its (e, f, h, x), tol and max_terms.
     """
     series_tol = max(5e-324, tol / 1000.0)  # positive for any tol > 0
     characters = _characters(tp)
@@ -295,7 +296,12 @@ def triple_relations(tp: TripleParams, xs: Iterable[Scalar], tol: float,
     for x in xs:
         check_eval_point(x)
         check_budget(series_tol, max_terms)
-        sums = _sums(characters, x, series_tol, max_terms)
+        try:
+            sums = _sums(characters, x, series_tol, max_terms)
+        except NoConvergenceError as exc:
+            raise no_convergence_in(
+                f"(e, f, h, x) = ({tp.e}, {tp.f}, {tp.h}, {x})", tol,
+                max_terms, exc) from None
         sa, sb, sc = (s.value for s in sums)
         p = power(1 - x, exponent)
         checks: list[tuple | None] = [None, None, None]

@@ -6,7 +6,9 @@ rather than the same code run twice.  Exact inputs only.  The exceptions
 are the references for the library's own arithmetic:
 ``fraction_eval_series``, which keeps the library's stopping rule and steps
 every term in ``Fraction`` arithmetic; ``float_eval_series``, the same
-stopping rule stepped in doubles with the majorant as its own function;
+stopping rule stepped in doubles with the majorant as its own function,
+and ``float_eval_error``, the text of the error the float loop raises
+where that one cannot sum;
 ``fraction_coefficients``, ``fraction_ode_residual`` and
 ``fraction_operator_identity_residual``, which build the coefficients and
 the operator residuals one ``Fraction`` operation at a time (floats too);
@@ -127,6 +129,32 @@ def float_eval_series(params, x: float, tol: float, max_terms: int):
         term = term * (a + k) * (b + k) / ((k + 1) * (c + k)) * x
         total = total + term
     return total, k + 1, terminated, bound
+
+
+def float_eval_error(params, x: float, tol: float, max_terms: int) -> str:
+    """The message of the NoConvergenceError that ``eval_series`` raises
+    for a float sum that ``float_eval_series`` cannot sum.
+
+    A polynomial over budget and a majorant that applies only past the
+    budget are refused first; else a term outside the float range stops
+    the sum at the first one past k0, as no later term comes back; else
+    the budget runs out.
+    """
+    stop = termination_index(params)
+    if stop is not None:
+        return (f"series terminates after {stop + 1} terms but "
+                f"max_terms={max_terms}")
+    a, b, c = params.a, params.b, params.c
+    k0 = _positivity_index(float(a), float(b), float(c))
+    if k0 > max_terms - 1:
+        return (f"the tail bound applies from term {k0} on, past "
+                f"max_terms={max_terms}")
+    term = 1.0
+    for k in range(max_terms):
+        if k >= k0 and not math.isfinite(term):
+            return f"term {k} is {term}, outside the float range"
+        term = term * (a + k) * (b + k) / ((k + 1) * (c + k)) * x
+    return f"tail bound still above tol={tol} after {max_terms} terms"
 
 
 def fraction_eval_series(params, x, tol: float, max_terms: int):

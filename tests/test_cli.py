@@ -196,6 +196,28 @@ def test_eval_domain_error_exit_2(capsys):
         assert word in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("a, c, exponent", [("1e308", "52/8", "-1e+308"),
+                                             ("3e5", "6", "-299987.0")])
+def test_eval_rejects_an_exact_power_too_large_to_form(capsys, monkeypatch,
+                                                       a, c, exponent):
+    # c-a-b is an integral double and 1-x the exact 41/35, so the Euler
+    # prefactor is an exact power, refused before it is formed.  At -1e308
+    # it would never be formed.  At -299987 it would take about a second,
+    # after which the Euler side, 299995 terms long, would fail its budget
+    # (exit 3); the refusal comes first, so that argv exits 2 as well.
+    formed = []
+    pow_ = Fraction.__pow__
+    monkeypatch.setattr(Fraction, "__pow__",
+                        lambda *args: formed.append(args) or pow_(*args))
+    code, out, err = run(capsys, "eval", f"-a={a}", "-b=-7", f"-c={c}",
+                         "-x=-6/35")
+    assert (code, out) == (2, "")
+    assert err == (f"domain error: (41/35)**{exponent} would have more than "
+                   f"{64 * sys.get_int_max_str_digits()} bits in its "
+                   "numerator or denominator\n")
+    assert formed == []
+
+
 def test_eval_selects_the_side_with_fewer_terms(capsys):
     # neither side terminates: raw takes 56 terms, transformed 21
     code, out, _ = run(capsys, "eval", "-a", "1.5", "-b", "2.5", "-c", "0.6",
@@ -507,11 +529,28 @@ def test_verify_max_terms_must_be_positive(capsys, suite):
 @pytest.mark.parametrize("budget", ["1", "60", "70"])
 def test_verify_integrals_sums_its_closed_forms_within_max_terms(capsys,
                                                                  budget):
-    # the suite's longest closed-form series takes 71 terms
+    # the suite's longest closed-form series takes 71 terms; the message
+    # names the first case that runs out and the suite's tol and budget
+    case = {"1": "(0, 0, 0.1)", "60": "(2, 0, 0.7)", "70": "(3, 0, 0.7)"}[budget]
     code, out, err = run(capsys, "verify", "integrals", "--max-terms", budget)
     assert code == 3 and out == ""
-    assert err == ("no convergence: tail bound still above tol=1e-12 after "
-                   f"{budget} terms\n")
+    assert err == (f"no convergence: case (n, i, a) = {case} at tol=1e-08, "
+                   f"max_terms={budget}: tail bound still above tol=1e-12 "
+                   f"after {budget} terms\n")
+
+
+def test_verify_exit_3_names_the_case_and_the_settings_given(capsys):
+    code, out, err = run(capsys, "verify", "integrals", "--tol", "1e-6",
+                         "--max-terms", "65")
+    assert code == 3 and out == ""
+    assert err == ("no convergence: case (n, i, a) = (3, 0, 0.7) at "
+                   "tol=1e-06, max_terms=65: tail bound still above "
+                   "tol=1e-12 after 65 terms\n")
+    code, out, err = run(capsys, "verify", "triple", "--max-terms", "1")
+    assert code == 3 and out == ""
+    assert err == ("no convergence: case (e, f, h, x) = (0, 0, 0, 1/4) at "
+                   "tol=1e-10, max_terms=1: tail bound still above "
+                   "tol=1e-13 after 1 terms\n")
 
 
 def test_verify_integrals_at_any_sufficient_budget_prints_the_same_bytes(

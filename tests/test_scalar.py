@@ -4,6 +4,7 @@ scalars represent an integer, and what a command-line number parses to."""
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -39,6 +40,30 @@ def test_power_of_a_zero_base(base, exponent, want):
 def test_power_rejects_a_zero_base_with_a_negative_exponent():
     with pytest.raises(DomainError, match="zero base with negative exponent"):
         power(0, -1)
+
+
+@pytest.mark.parametrize("limit", [640, 0])
+def test_power_refuses_an_exact_power_past_its_bit_size(limit):
+    # 64 bits a printable digit, the interpreter's default where the limit
+    # is off; |n| (bl(m) - 1) judges each part m of the base, so a part 1
+    # never counts, and a float base is never refused
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        cap = 64 * (limit or sys.int_info.default_max_str_digits)
+        n = cap // 5  # bl(41) - 1 = 5
+        assert power(F(41, 35), -n) == F(35, 41) ** n
+        for base, exponent in ((F(41, 35), -n - 1), (F(41, 35), float(-n - 1)),
+                               (F(35, 41), n + 1), (F(-1, 3), cap + 1)):
+            with pytest.raises(DomainError, match=rf"^\({base}\)\*\*{exponent} "
+                               rf"would have more than {cap} bits"):
+                power(base, exponent)
+        assert power(F(1, 2), cap) == F(1, 2 ** cap)
+        assert power(F(-1), -(10 ** 308) - 1) == -1
+        assert power(F(0), 10 ** 308) == 0
+        assert power(1.5, -(10 ** 300)) == 0.0
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_power_rejects_a_nonpositive_base_with_a_non_integer_exponent():

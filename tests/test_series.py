@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import gausshyp
@@ -20,7 +20,8 @@ from gausshyp import (EXACT_DEGREE_CAP, DomainError, HypergeometricParams,
 from gausshyp import series
 from gausshyp.scalar import check_finite
 from gausshyp.series import _integer_sum, _start_width, _tail_gate
-from oracles import (brute_coefficient, brute_series, float_eval_series,
+from oracles import (brute_coefficient, brute_series, float_eval_error,
+                     float_eval_series,
                      fraction_coefficients, fraction_eval_series,
                      fraction_ode_residual, fraction_operator_identity_residual)
 
@@ -593,6 +594,65 @@ def test_a_majorant_past_the_budget_fails_before_the_first_term():
     assert (got.value, got.terms_used, got.terminated,
             got.tail_bound) == want
     assert got.terms_used == 6
+
+
+# ---- runs: terms stepped with no check ----
+#
+# Past k0 a sum that has shown it is long steps the terms that lie between
+# its minorant and majorant bounds, above the gate, with no test.  Every
+# outcome must be that of a loop that tests every term.
+
+wide_scalars = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e6, 1e6),
+                         st.floats(-1e300, 1e300))
+
+
+def _float_sum(params, x, tol, max_terms):
+    """eval_series's record with its value as hex, or its error's text."""
+    try:
+        out = eval_series(params, x, tol, max_terms)
+    except NoConvergenceError as exc:
+        return str(exc)
+    return (out.value.hex(), *out[1:])
+
+
+def _float_reference(params, x, tol, max_terms):
+    try:
+        value, *rest = float_eval_series(params, x, tol, max_terms)
+    except NoConvergenceError:
+        return float_eval_error(params, x, tol, max_terms)
+    return (value.hex(), *rest)
+
+
+@seed(2402)
+@settings(max_examples=300, deadline=None)
+@given(wide_scalars, wide_scalars, wide_scalars,
+       st.one_of(st.sampled_from([0.9, -0.9, 0.98, -0.98, 0.999, -0.999]),
+                 st.floats(-0.999, 0.999)),
+       st.floats(-323.3, -3).map(lambda e: 10.0 ** e), st.integers(1, 10000))
+@example(2.3, 4.1, 0.6, 0.98, 1e-12, 10000)      # 3416 terms, 3374 in runs
+@example(1e-305, 1.0, 1.0, -0.98, 5e-324, 10000)  # subnormal gate: no runs
+@example(5.0, 5.0, 0.5, 0.999, 1e-300, 10000)    # runs while terms grow
+def test_float_runs_match_the_checked_loop(a, b, c, x, tol, max_terms):
+    # value bits, term count, termination, tail bound and the exact text
+    # of a NoConvergenceError all stay those of the reference loop
+    assume(not (c.is_integer() and c <= 0.0))
+    params = P(a, b, c)
+    assert _float_sum(params, x, tol, max_terms) \
+        == _float_reference(params, x, tol, max_terms)
+
+
+def test_a_float_step_that_overflows_stops_the_sum_at_its_term():
+    # t (a+k) (b+k) overflows before the division, one term before t_k
+    # itself would: the run must end before that step, so the term that
+    # reports inf is the one the checked loop reports
+    with pytest.raises(NoConvergenceError,
+                       match=r"^term 101 is inf, outside the float range$"):
+        eval_series(P(313018.88071002904, 91812.50385364774,
+                      777451.9382877061), 0.98, 1e-30)
+    with pytest.raises(NoConvergenceError,
+                       match=r"^term 267 is -inf, outside the float range$"):
+        eval_series(P(139.823265381713, 148.27187076416533,
+                      -167.017493474343), -0.98)
 
 
 # ---- differential-operator residuals ----
