@@ -134,18 +134,24 @@ def power(base: Scalar, exponent: Scalar) -> Scalar:
         if b <= 0.0:
             raise DomainError(f"non-integer exponent needs a positive base, got {base!r}")
         log_mag = float(exponent) * math.log(b)
-    elif not base:
-        if n < 0:
-            raise DomainError("zero base with negative exponent")
-        log_mag = -math.inf
     else:
-        log_mag = n * _log_abs(base)
+        # no double holds an n past the float range, so float arithmetic
+        # takes it at the range's edge: a nonzero log|base| is above 1e-17
+        # in size, so the product stays past the range on its sign's side
+        edge = (n if abs(n) <= _FLOAT_MAX_INT
+                else _FLOAT_MAX_INT if n > 0 else -_FLOAT_MAX_INT)
+        if base:
+            log_mag = edge * _log_abs(base)
+        elif n < 0:
+            raise DomainError("zero base with negative exponent")
+        else:
+            log_mag = -math.inf
     if log_mag > _LOG_FLOAT_MAX:
         raise DomainError(f"({base})**{exponent} lies past the float range")
     if n is None:
         return math.exp(log_mag)
     if isinstance(base, float):
-        return float(base) ** n
+        return float(base) ** edge
     # a part m of 0 or 1 keeps its size at any n; a power under the least
     # cap, as nearly all are, need not read the interpreter's limit
     bits = abs(n) * (max(base.numerator.bit_length(),

@@ -26,7 +26,7 @@ the normal doubles, the float loop steps those terms as a run, with no
 check.  The exact coefficients
 and the two operator residuals work the same way: integer numerators over
 one common denominator, each returned value reduced once.  ``ode_checks``,
-which ``gausshyp verify ode`` runs, returns those integers and reduces
+which ``gausshyp verify ode`` runs, compares those integers and reduces
 nothing.
 """
 
@@ -254,6 +254,10 @@ def _tail_gate(ax: float, tol: float) -> float:
         if g * ax / d > tol:
             return g
         g *= 2.0
+    # the sound fallback, which no input is known to reach: a try misses
+    # only where g ax rounds among the subnormals, by at most half of
+    # 5e-324, which the doublings outgrow; 357 000 (ax, tol) draws, tols
+    # among the subnormals and |x| near 0 and 1 among them, missed no four
     return math.inf
 
 
@@ -741,16 +745,21 @@ def operator_identity_residual(params: HypergeometricParams,
 
 
 def ode_checks(params: HypergeometricParams,
-               degree: int) -> tuple[int, list[int], list[int]]:
-    """(tip, ode_residual, operator_identity_residual) for exact params, all
-    three as the integer entries over one scale M D, from one truncation
-    whose coefficients and derivatives are formed once: the cases of
-    ``gausshyp verify ode``.
+               degree: int) -> tuple[list[bool], list[bool], list[bool]]:
+    """The cases of ``gausshyp verify ode`` for exact params: three lists
+    of verdicts on the degree-N truncation, each True where it holds.
 
-    tip = (a+N)(b+N) c_N on that scale is dc (na + N da)(nb + N db) N_N,
+    zeros     -- ode_residual's entries 0..N-1 and N+1 are zero
+    tip       -- one case: its entry N is -(a+N)(b+N) c_N, the survivor
+    identity  -- operator_identity_residual's entries 0..N-1 are zero, and
+                 its entry N is (a+N)(b+N) c_N
+
+    Both residuals are compared as their integer entries over one scale
+    M D, from one truncation whose coefficients and derivatives are formed
+    once.  (a+N)(b+N) c_N on that scale is dc (na + N da)(nb + N db) N_N,
     since M (a+N)(b+N) = dc (na + N da)(nb + N db) and c_N = N_N / D.  An
-    entry is zero, or equal to the tip, exactly when its Fraction is, so
-    no Fraction is formed.
+    entry is zero, or equal to it, exactly when its Fraction is, so no
+    Fraction is formed.
     """
     op = _exact_operator(params, degree)
     a, b, c = params.a, params.b, params.c
@@ -758,8 +767,11 @@ def ode_checks(params: HypergeometricParams,
            * (b.numerator + degree * b.denominator)
            * c.denominator * op[0][degree])
     derivatives = _derivatives(op[0])
-    return (tip, _ode_entries(op, *derivatives),
-            _identity_entries(op, *derivatives))
+    res = _ode_entries(op, *derivatives)
+    diff = _identity_entries(op, *derivatives)
+    return ([v == 0 for v in res[:degree] + res[degree + 1:]],
+            [res[degree] == -tip],
+            [v == 0 for v in diff[:degree]] + [diff[degree] == tip])
 
 
 def substitution_residual(params: HypergeometricParams, n_exp: Scalar,

@@ -749,6 +749,40 @@ def test_verify_ode_fails_on_a_perturbed_numerator(capsys, monkeypatch, k):
     assert checks[("ode", "operator-identity")]["failures"] > 0
 
 
+@pytest.mark.parametrize("entries,index,flipped", [
+    ("_ode_entries", 3, (0, 3)),        # a residual entry below the survivor
+    ("_ode_entries", 11, (0, 10)),      # the x**(N+1) entry
+    ("_ode_entries", 10, (1, 0)),       # the survivor
+    ("_identity_entries", 4, (2, 4)),
+    ("_identity_entries", 10, (2, 10)),
+])
+def test_verify_ode_fails_exactly_the_check_of_a_perturbed_entry(
+        capsys, monkeypatch, entries, index, flipped):
+    # one integer entry off by one at the first grid point flips the one
+    # ode_checks verdict that compares it, and fails that check once
+    real = getattr(series, entries)
+    calls = []
+
+    def perturbed(*args):
+        out = real(*args)
+        if not calls:
+            out[index] += 1
+        calls.append(args)
+        return out
+
+    monkeypatch.setattr(series, entries, perturbed)
+    verdicts = series.ode_checks(HypergeometricParams(*ODE_GRID[0]), 10)
+    assert [(i, j) for i, cases in enumerate(verdicts)
+            for j, ok in enumerate(cases) if not ok] == [flipped]
+    calls.clear()
+    code, out, _ = run(capsys, "verify", "ode")
+    assert code == 1 and json.loads(out)["status"] == "fail"
+    checks = _checks(out)
+    assert [checks[("ode", name)]["failures"] for name in (
+        "residual-zeros", "residual-tip", "operator-identity")] \
+        == [int(i == flipped[0]) for i in range(3)]
+
+
 def _falling_wrong_sign(p, q, k):
     num = 1
     for j in range(k):
@@ -1131,6 +1165,17 @@ def test_cli_imports_no_private_library_name():
              for alias in node.names]
     assert "integral_checks" in names
     assert [name for name in names if name.startswith("_")] == []
+
+
+def test_verify_ode_leaves_its_comparisons_to_the_library():
+    # which entries must vanish and which must equal the survivor is
+    # decided in series.ode_checks alone
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    suite, = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "_verify_ode"]
+    assert not [node for node in ast.walk(suite)
+                if isinstance(node, ast.Compare)]
 
 
 def test_cli_leaves_the_evaluation_to_the_library():

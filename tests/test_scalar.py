@@ -66,6 +66,25 @@ def test_power_refuses_an_exact_power_past_its_bit_size(limit):
         sys.set_int_max_str_digits(previous)
 
 
+def test_power_of_an_integer_exponent_past_the_float_range():
+    # no double holds such an n: the float-range and bit-size tests decide
+    # at the range's edge, and a base of size one keeps its exact power
+    with pytest.raises(DomainError, match=r"^\(1/2\)\*\*3000+ would have "
+                       r"more than \d+ bits"):
+        power(F(1, 2), 3 * 10 ** 308)
+    for base, exponent in ((F(1, 2), -3 * 10 ** 308), (F(3, 2), 10 ** 400)):
+        with pytest.raises(DomainError, match=r"lies past the float range$"):
+            power(base, exponent)
+    for base, exponent, want in ((F(1), 10 ** 400, 1), (F(-1), 10 ** 400, 1),
+                                 (F(-1), 10 ** 400 + 1, -1),
+                                 (F(-1), -10 ** 400 - 1, -1)):
+        got = power(base, exponent)
+        assert type(got) is F and got == want
+    assert [repr(power(base, exponent)) for base, exponent in (
+        (0.5, 10 ** 400), (2.0, -10 ** 400), (0.0, 10 ** 400),
+        (-1.0, 10 ** 400))] == ["0.0", "0.0", "0.0", "1.0"]
+
+
 def test_power_rejects_a_nonpositive_base_with_a_non_integer_exponent():
     with pytest.raises(DomainError, match="needs a positive base"):
         power(-0.5, 0.5)

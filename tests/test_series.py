@@ -641,6 +641,21 @@ def test_float_runs_match_the_checked_loop(a, b, c, x, tol, max_terms):
         == _float_reference(params, x, tol, max_terms)
 
 
+@pytest.mark.parametrize("abc,x,tol", [
+    # 80 terms; term 64 lies above the ceiling, where a step could overflow
+    ((0.6207657883604654, 2.2900742318142037e+160, 1.1272546433801317e+163),
+     -0.98, 1.3189165994837873e-212),
+    # sigma_64 = 1.25e-308 lies below the normal doubles; the budget runs out
+    ((1.7e308, 1.0, 2.6e306), 5e-4, 1e-310),
+])
+def test_no_run_starts_where_its_rounding_is_not_bounded(abc, x, tol):
+    # _run_length gives no run there, and the outcome stays the reference
+    # loop's
+    params = P(*abc)
+    assert _float_sum(params, x, tol, 10000) \
+        == _float_reference(params, x, tol, 10000)
+
+
 def test_a_float_step_that_overflows_stops_the_sum_at_its_term():
     # t (a+k) (b+k) overflows before the division, one term before t_k
     # itself would: the run must end before that step, so the term that
@@ -727,13 +742,18 @@ def test_polynomial_work_matches_the_fraction_reference(abc, degree):
         for g, w in zip(got, want):
             assert g == w
             assert all(type(v) is F for v in g)
-        # the integer entries verify compares, over their one scale
-        tip, res, diff = series.ode_checks(params, degree)
-        scale = series._scaled_operator(params, degree)[1]
-        assert [F(v, scale) for v in res] == want[1]
-        assert [F(v, scale) for v in diff] == want[2]
-        assert F(tip, scale) == ((params.a + degree) * (params.b + degree)
-                                 * want[0][degree])
+        # the integer entries ode_checks compares, over their one scale,
+        # and its verdicts: every entry zero but the survivor
+        op = series._scaled_operator(params, degree)
+        derivatives = series._derivatives(op[0])
+        assert [F(v, op[1]) for v in series._ode_entries(op, *derivatives)] \
+            == want[1]
+        assert [F(v, op[1])
+                for v in series._identity_entries(op, *derivatives)] == want[2]
+        survivor = (params.a + degree) * (params.b + degree) * want[0][degree]
+        assert want[1][degree] == -survivor and want[2][degree] == survivor
+        assert series.ode_checks(params, degree) \
+            == ([True] * (degree + 1), [True], [True] * (degree + 1))
     else:
         for g, w in zip(got, want):
             assert [repr(v) for v in g] == [repr(v) for v in w]
