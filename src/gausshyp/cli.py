@@ -232,7 +232,7 @@ def _passes(name: str, outcomes) -> dict:
 def _within(name: str, pairs, not_applicable: int = 0) -> dict:
     """Entry of a check whose cases are (residual, allowance) pairs."""
     pairs = list(pairs)
-    entry = _passes(name, (not residual > allowance
+    entry = _passes(name, (residual <= allowance
                            for residual, allowance in pairs))
     entry["worst_residual"] = max((residual for residual, _ in pairs),
                                   default=0.0)
@@ -340,8 +340,8 @@ def _parse_grid(text: str, exact: bool) -> list[tuple[Scalar, Scalar, Scalar]]:
 def cmd_bench(args):
     exact = args.mode == "exact"
     tol = _tol(args)
-    grid = _parse_grid(args.grid or BENCH_PARAMS, exact)
-    xs = [parse_scalar(p, exact) for p in (args.x_list or BENCH_XS).split(",")]
+    grid = _parse_grid(args.grid, exact)
+    xs = [parse_scalar(p, exact) for p in args.x_list.split(",")]
     rows = []
     for a, b, c in grid:
         params = HypergeometricParams(a, b, c)
@@ -404,12 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", parents=[common],
                              help="sweep a grid, reporting term counts per "
                                   "representation")
-    p_bench.add_argument("--grid",
+    p_bench.add_argument("--grid", default=BENCH_PARAMS,
                          help="semicolon-separated a,b,c triples "
                               "(default: built-in grid)")
-    p_bench.add_argument("-x", dest="x_list",
+    p_bench.add_argument("-x", dest="x_list", default=BENCH_XS,
                          help="comma-separated x values "
-                              "(default: 0.1,0.3,0.5,0.7,0.9)")
+                              "(default: %(default)s)")
     return parser
 
 

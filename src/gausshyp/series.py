@@ -12,21 +12,23 @@ in exact rational arithmetic or in doubles, depending on the inputs.  When a
 or b is a nonpositive integer the series is a polynomial and is summed
 completely; otherwise summation stops once a geometric tail bound falls
 below the requested tolerance.  Two loops share that stop rule: a float
-loop, and an integer loop for exact inputs.  The integer loop runs in one
-of two modes.  Exact, it steps an integer numerator P, denominator Q and
-partial sum T per term and reduces the sum to lowest terms once, when it
-is returned.  Where only the double of the sum is wanted, under a float
-prefactor, it runs in W-bit fixed point with running error bounds e and
-E, and rounds once.  The term's double is taken from |P| and |Q|, since
-Q turns negative after a step where c + k < 0.  Past the index where the
-majorant of the term ratios applies, a minorant applies too; where the
-two, with a rounding margin, keep the next terms above the gate below
-which the stop rule can fire, and each intermediate of the step inside
-the normal doubles, the float loop steps those terms as a run, with no
-check.  The exact coefficients
-and the two operator residuals work the same way: integer numerators over
-one common denominator, each returned value reduced once.  ``ode_checks``,
-which ``gausshyp verify ode`` runs, compares those integers and reduces
+loop, and an integer loop for exact inputs.  They share its refusals too:
+a sum whose majorant at the last budgeted term shows that no term within
+the budget can stop it fails before its first term in either loop.  The
+integer loop runs in one of two modes.  Exact, it steps an integer
+numerator P, denominator Q and partial sum T per term and reduces the sum
+to lowest terms once, when it is returned.  Where only the double of the
+sum is wanted, under a float prefactor, it runs in W-bit fixed point with
+running error bounds e and E, and rounds once.  The term's double is
+taken from |P| and |Q|, since Q turns negative after a step where
+c + k < 0.  Past the index where the majorant of the term ratios applies,
+a minorant applies too; where the two, with a rounding margin, keep the
+next terms above the gate below which the stop rule can fire, and each
+intermediate of the step inside the normal doubles, the float loop steps
+those terms as a run, with no check.  The exact coefficients and the two
+operator residuals work the same way: integer numerators over one common
+denominator, each returned value reduced once.  ``ode_checks``, which
+``gausshyp verify ode`` runs, compares those integers and reduces
 nothing.
 """
 
@@ -64,6 +66,10 @@ _FLOAT_MIN = sys.float_info.min
 #: 5 % longer, and 64 and 128 were flat; at x = 0.9 and 0.98, 64 took 9
 #: and 23 % less.
 _RUN_AFTER = 64
+#: 32 u, u = 2**-53: the margin allowed each rounding of a ratio, in the
+#: slack of a run and in the refusal of a hopeless sum (see _run_length
+#: and _stop_rule).
+_MARGIN = 2.0 ** -48
 #: Bits taken off every room a run is computed from: the rounding of the
 #: logs and of the quotient, far below it, cannot lengthen a run.
 _LOG_MARGIN = 2.0 ** -20
@@ -291,7 +297,7 @@ def _run_length(k: int, span: int, lt: float, floor: float, ceiling: float,
     sigma = _ratio_minorant(k, af, bf, cf, ax)
     if sigma < _FLOAT_MIN:
         return 0
-    slack = 2.0 ** -48 * (16.0 + abs(af) / (af + k) + abs(bf) / (bf + k)
+    slack = _MARGIN * (16.0 + abs(af) / (af + k) + abs(bf) / (bf + k)
                           + abs(cf) / (cf + k))
     m = min(span, (lt - floor - _LOG_MARGIN) / (slack - math.log2(sigma)))
     rise = slack + math.log2(_ratio_majorant(k, af, bf, cf, ax))
@@ -317,6 +323,11 @@ def _float_ceiling(last: int, af: float, bf: float, cf: float,
     return room if room >= 0.0 else -math.inf
 
 
+def _budget_spent(tol: float, max_terms: int) -> NoConvergenceError:
+    return NoConvergenceError(
+        f"tail bound still above tol={tol} after {max_terms} terms")
+
+
 def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
                max_terms: int):
     """Check x and the budget and set up the stop rule of one sum, shared
@@ -328,11 +339,17 @@ def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
     budget; the first term whose majorant is checked; the gate of
     _tail_gate; and the parameters as doubles and |x|, for rho_k.  A sum
     that is not a polynomial at x = 0 is its first term alone, with a
-    zero tail: None.  A polynomial over budget, and a sum whose majorant
-    applies only from a term k0 past the budget, can never be summed, so
-    they raise here, before the first term.  An exact x whose double is
-    0.0 takes |x| as the least double 5e-324, which is at least |x|:
-    rho_k = 0 would call its nonzero tail 0.
+    zero tail: None.  An exact x whose double is 0.0 takes |x| as the
+    least double 5e-324, which is at least |x|: rho_k = 0 would call its
+    nonzero tail 0.
+
+    This is the one place that turns a sum away before its first term, for
+    the float loop and the integer loop alike: a polynomial over budget; a
+    sum whose majorant applies only from a term k0 past the budget; and a
+    sum whose computed majorant at the last budgeted term is finite and at
+    least 1 + 2**-48, with that term below 2**53 and |x| normal.  No term
+    up to the last can stop that sum, so it raises the error of a spent
+    budget.
     """
     check_eval_point(x)
     check_budget(tol, max_terms)
@@ -350,13 +367,24 @@ def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
         raise NoConvergenceError(
             f"the tail bound applies from term {k0} on, past "
             f"max_terms={max_terms}")
-    ax = abs(float(x)) or 5e-324
-    return max_terms - 1, False, k0, _tail_gate(ax, tol), af, bf, cf, ax
-
-
-def _budget_spent(tol: float, max_terms: int) -> NoConvergenceError:
-    return NoConvergenceError(
-        f"tail bound still above tol={tol} after {max_terms} terms")
+    ax, last = abs(float(x)) or 5e-324, max_terms - 1
+    if last < 2 ** 53 and ax >= _FLOAT_MIN:
+        # A sum whose majorant at the last budgeted term is >= 1 + 32u,
+        # u = 2**-53, fails here, before its first term, with the error of
+        # a spent budget.  Past k0, rho_k is non-increasing in k
+        # (see the tail majorant), so rho_k >= rho_last.  _ratio_majorant
+        # rounds seven times: two sums and a quotient per factor, less
+        # 1 + k, exact below 2**53, and two products.  Below the float
+        # range and with |x| normal, each rounding is within u relative.
+        # So a finite computed rho_last puts the real one above
+        # (1 + 32u) / (1 + u)**7, and each computed rho_k is inf, or above
+        # (1 + 32u) (1 - u)**7 / (1 + u)**7 > 1: no rho_k < 1 lets a term
+        # stop the sum.  Both loops form rho_k with this function on these
+        # doubles, so the integer loop would spend the budget, and the float
+        # loop would too, or first stop at a term past the float range.
+        if 1.0 + _MARGIN <= _ratio_majorant(last, af, bf, cf, ax) < math.inf:
+            raise _budget_spent(tol, max_terms)
+    return last, False, k0, _tail_gate(ax, tol), af, bf, cf, ax
 
 
 # ---- evaluation ----
@@ -419,10 +447,12 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     the gate of _tail_gate can meet tol, so only such a term pays for
     rho_k and the bound, and a long sum steps runs of terms shown to stay
     above the gate with no test at all; the terms, the stop, the value
-    and the bound are those of a loop that checks every term.  A float
-    term past the float range (inf or nan) never comes back, so a sum
-    that is not a polynomial raises NoConvergenceError at the first such
-    term it checks.  Exact params and x are summed by _integer_sum.
+    and the bound are those of a loop that checks every term.  A sum that
+    _stop_rule shows no term can stop raises NoConvergenceError before its
+    first term.  A float term past the float range (inf or nan) never
+    comes back, so another sum that is not a polynomial raises it at the
+    first such term it checks.  Exact params and x are summed by
+    _integer_sum.
     """
     if params.exact() and is_exact(x):
         return _integer_sum(params, x, tol, max_terms, None)
@@ -534,29 +564,14 @@ def _integer_sum(params: HypergeometricParams, x: Scalar, tol: float,
     double, inf of its sign past the float range, which check_finite
     rejects as it rejects the exact sum; or None where the width cannot
     decide the term count or the value.  NoConvergenceError is raised
-    where the exact sum raises it, and before the first term where the
-    majorant at the last budgeted term shows that no term can stop it.
+    where the exact sum raises it, before the first term where _stop_rule
+    turns the sum away.
     """
     rule = _stop_rule(params, x, tol, max_terms)
     exact = width is None
     if rule is None:
         return SeriesEvaluation(Fraction(1) if exact else 1.0, 1, False, 0.0)
     last, polynomial, k0, gate, af, bf, cf, ax = rule
-    if not polynomial and last < 2 ** 53 and ax >= sys.float_info.min:
-        # A sum whose majorant at the last budgeted term is >= 1 + 32u,
-        # u = 2**-53, fails here, before its first term, with the error
-        # the loop would raise.  Past k0, rho_k is non-increasing in k
-        # (see the tail majorant), so rho_k >= rho_last.  _ratio_majorant
-        # rounds seven times: two sums and a quotient per factor, less
-        # 1 + k, exact below 2**53, and two products.  Below the float
-        # range and with |x| normal, each rounding is within u relative.
-        # So a finite computed rho_last puts the real one above
-        # (1 + 32u) / (1 + u)**7, and each computed rho_k is inf, or above
-        # (1 + 32u) (1 - u)**7 / (1 + u)**7 > 1: no rho_k < 1 lets a term
-        # stop the sum, and the loop would spend the budget.
-        rho = _ratio_majorant(last, af, bf, cf, ax)
-        if 1.0 + 2.0 ** -48 <= rho < math.inf:
-            raise _budget_spent(tol, max_terms)
     a, b, c = params.a, params.b, params.c
     na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
     nc, dc = c.numerator, c.denominator

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 from gausshyp import (NoConvergenceError, binom_char, termination_index,
@@ -135,10 +136,11 @@ def float_eval_error(params, x: float, tol: float, max_terms: int) -> str:
     """The message of the NoConvergenceError that ``eval_series`` raises
     for a float sum that ``float_eval_series`` cannot sum.
 
-    A polynomial over budget and a majorant that applies only past the
-    budget are refused first; else a term outside the float range stops
-    the sum at the first one past k0, as no later term comes back; else
-    the budget runs out.
+    A polynomial over budget, a majorant that applies only past the
+    budget, and a finite majorant of at least 1 + 2**-48 at the last
+    budgeted term, below 2**53 with |x| normal, are refused first; else a
+    term outside the float range stops the sum at the first one past k0,
+    as no later term comes back; else the budget runs out.
     """
     stop = termination_index(params)
     if stop is not None:
@@ -149,12 +151,17 @@ def float_eval_error(params, x: float, tol: float, max_terms: int) -> str:
     if k0 > max_terms - 1:
         return (f"the tail bound applies from term {k0} on, past "
                 f"max_terms={max_terms}")
+    budget = f"tail bound still above tol={tol} after {max_terms} terms"
+    if max_terms <= 2 ** 53 and abs(x) >= sys.float_info.min:
+        rho = _ratio_majorant(float(a), float(b), float(c), x, max_terms - 1)
+        if 1.0 + 2.0 ** -48 <= rho < math.inf:
+            return budget
     term = 1.0
     for k in range(max_terms):
         if k >= k0 and not math.isfinite(term):
             return f"term {k} is {term}, outside the float range"
         term = term * (a + k) * (b + k) / ((k + 1) * (c + k)) * x
-    return f"tail bound still above tol={tol} after {max_terms} terms"
+    return budget
 
 
 def fraction_eval_series(params, x, tol: float, max_terms: int):

@@ -863,6 +863,14 @@ def test_verify_csv(capsys):
     assert all(row[-1] == "pass" for row in rows[1:])
 
 
+def test_within_fails_a_nan_residual():
+    # a case passes only where residual <= allowance, as in eval and the
+    # triple relations: a nan residual fails
+    entry = cli._within("c", [(math.nan, 1.0), (0.5, 1.0)])
+    assert (entry["cases"], entry["failures"], entry["status"]) \
+        == (2, 1, "fail")
+
+
 # ---- bench ----
 
 def test_bench_csv_default_grid(capsys):
@@ -957,6 +965,18 @@ def test_bench_rows_are_eval_at_each_point(capsys, mode):
 def test_bench_bad_grid_exit_2(capsys):
     code, _, err = run(capsys, "bench", "--grid", "1,2")
     assert code == 2 and "triple" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bench", "-x="], "cannot parse number ''"),
+    (["bench", "--grid="], "grid entry '' is not an a,b,c triple"),
+    (["bench", "-x=0.5,,"], "cannot parse number ''"),
+])
+def test_bench_empty_list_exit_2(capsys, argv, message):
+    # an empty list is an entry that does not parse, not the built-in one
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"domain error: {message}")
 
 
 # ---- report contract ----

@@ -596,6 +596,30 @@ def test_a_majorant_past_the_budget_fails_before_the_first_term():
     assert got.terms_used == 6
 
 
+HOPELESS = "tail bound still above tol=1e-12 after 10000 terms"
+
+
+@pytest.mark.parametrize("abc,x", [
+    ((1e300, 1.0, 1e300), 0.5),        # rho_9999 = 0.5 (1e300 + 9999) / 1e4
+    ((1.7e308, 1.0, 2.6e306), 5e-4),   # terms underflow to 0.0 below the gate
+    ((10 ** 300, 1, 10 ** 300), F(1, 2)),  # the exact twin of the first
+])
+def test_a_hopeless_sum_fails_before_its_first_term(term_steps, abc, x):
+    # a finite majorant >= 1 + 2**-48 at the last budgeted term shows that
+    # no term can stop the sum: _stop_rule refuses it in either loop, where
+    # the float loop used to step all 10000 terms first
+    with pytest.raises(NoConvergenceError, match=f"^{HOPELESS}$"):
+        eval_series(P(*abc), x)
+    assert term_steps == []
+    assert float_eval_error(P(*abc), x, 1e-12, 10000) == HOPELESS
+
+
+def test_the_step_spy_sees_every_float_step(term_steps):
+    # checked steps and run steps alike: 3416 terms, 3374 in runs
+    assert eval_series(P(2.3, 4.1, 0.6), 0.98).terms_used == 3416
+    assert term_steps == list(range(3415))
+
+
 # ---- runs: terms stepped with no check ----
 #
 # Past k0 a sum that has shown it is long steps the terms that lie between
@@ -645,29 +669,32 @@ def test_float_runs_match_the_checked_loop(a, b, c, x, tol, max_terms):
     # 80 terms; term 64 lies above the ceiling, where a step could overflow
     ((0.6207657883604654, 2.2900742318142037e+160, 1.1272546433801317e+163),
      -0.98, 1.3189165994837873e-212),
-    # sigma_64 = 1.25e-308 lies below the normal doubles; the budget runs out
+    # sigma_64 = 1.25e-308 lies below the normal doubles, where no run may
+    # start; rho_9999 = 8.5e300, so _stop_rule refuses the sum before that
     ((1.7e308, 1.0, 2.6e306), 5e-4, 1e-310),
 ])
 def test_no_run_starts_where_its_rounding_is_not_bounded(abc, x, tol):
-    # _run_length gives no run there, and the outcome stays the reference
-    # loop's
+    # no run is stepped there, and the outcome stays the reference loop's
     params = P(*abc)
     assert _float_sum(params, x, tol, 10000) \
         == _float_reference(params, x, tol, 10000)
 
 
-def test_a_float_step_that_overflows_stops_the_sum_at_its_term():
-    # t (a+k) (b+k) overflows before the division, one term before t_k
-    # itself would: the run must end before that step, so the term that
-    # reports inf is the one the checked loop reports
+def test_a_float_step_that_overflows_stops_the_sum_at_its_term(term_steps):
+    # t (a+k) (b+k) overflows before the division, where the term itself
+    # would not: the run must end before that step, so the term that
+    # reports inf is the one the checked loop reports.  rho_9999 < 1, so
+    # _stop_rule lets both sums start, and runs step most terms of 65 .. 428
+    # and of 65 .. 416
     with pytest.raises(NoConvergenceError,
-                       match=r"^term 101 is inf, outside the float range$"):
-        eval_series(P(313018.88071002904, 91812.50385364774,
-                      777451.9382877061), 0.98, 1e-30)
+                       match=r"^term 474 is inf, outside the float range$"):
+        eval_series(P(1049.746940488801, 1859.8876491658357,
+                      2922.405936076036), 0.9)
     with pytest.raises(NoConvergenceError,
-                       match=r"^term 267 is -inf, outside the float range$"):
-        eval_series(P(139.823265381713, 148.27187076416533,
-                      -167.017493474343), -0.98)
+                       match=r"^term 425 is -inf, outside the float range$"):
+        eval_series(P(250.6858155266171, 853.0961221479135,
+                      323.7432882309041), -0.9)
+    assert term_steps == list(range(474)) + list(range(425))
 
 
 # ---- differential-operator residuals ----
