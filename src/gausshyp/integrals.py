@@ -13,11 +13,11 @@ m = n (it terminates) and U at m = -n-1 (infinite unless its leading
 character vanishes).  The module computes both sides independently: the
 integrals by the periodic trapezoid rule with a proven a priori error
 bound, the closed forms through the character-series machinery, plus the
-two cross-family ratio identities and the sign bridge between the
-characters they use; ``integral_checks`` yields the residual and allowance
-of the first four, the cases of ``gausshyp verify integrals``.  The
-trapezoid rule runs on the standard library: it samples the half period
-and sums with math.fsum.
+cross-family ratio identity, its theta form, which is the same identity
+carried across the sign bridge, and the sign bridge itself;
+``integral_checks`` yields the residual and allowance of the first four,
+the cases of ``gausshyp verify integrals``.  The trapezoid rule runs on
+the standard library: it samples the half period and sums with math.fsum.
 """
 
 from __future__ import annotations
@@ -227,12 +227,13 @@ def _float_char(value: Scalar) -> float:
 
 
 def _sides(a: float, n: int, q_I: float, q_II: float,
-           *chars: list[float]) -> list[tuple[float, float]]:
-    """For each (char_II, char_I) of chars, char_II (1-a**2)**(-n) q_II and
+           chars: list[float]) -> tuple[float, float]:
+    """For chars = [char_II, char_I], char_II (1-a**2)**(-n) q_II and
     char_I (1-a**2)**(n+1) q_I, the two products a cross-family identity
-    equates; both powers are formed once for all of chars."""
-    below, above = power(1.0 - a * a, -n), power(1.0 - a * a, n + 1)
-    return [(c_II * below * q_II, c_I * above * q_I) for c_II, c_I in chars]
+    equates."""
+    c_II, c_I = chars
+    return (c_II * power(1.0 - a * a, -n) * q_II,
+            c_I * power(1.0 - a * a, n + 1) * q_I)
 
 
 def ratio_identity_sides(spec: IntegralSpec, q_I: float,
@@ -246,7 +247,7 @@ def ratio_identity_sides(spec: IntegralSpec, q_I: float,
     """
     n, i = spec.n, spec.i
     chars = [_float_char(binom_char(m + i, i)) for m in (n, -n - 1)]
-    return _sides(spec.a_mod, n, q_I, q_II, chars)[0]
+    return _sides(spec.a_mod, n, q_I, q_II, chars)
 
 
 def theta_identity_sides(spec: IntegralSpec, q_I: float,
@@ -257,11 +258,14 @@ def theta_identity_sides(spec: IntegralSpec, q_I: float,
             = binom(-n-1, i) integral Theta**n cos(i phi),
 
     where the theta powers turn into (1-a**2) factors on the given values
-    q_I = quad_I(spec) and q_II = quad_II(spec).
+    q_I = quad_I(spec) and q_II = quad_II(spec).  By the sign bridge,
+    binom(n, i) = (-1)**i binom(-n-1+i, i) and binom(-n-1, i) =
+    (-1)**i binom(n+i, i), so these are the sides of ratio_identity_sides
+    swapped and times (-1)**i; no character is formed here.
     """
-    n, i = spec.n, spec.i
-    chars = [_float_char(binom_char(m, i)) for m in (-n - 1, n)]
-    return _sides(spec.a_mod, n, q_I, q_II, chars)[0][::-1]
+    lhs, rhs = ratio_identity_sides(spec, q_I, q_II)
+    sign = -1.0 if spec.i % 2 else 1.0
+    return sign * rhs, sign * lhs
 
 
 def integral_checks(moduli, indices, tol: float,
@@ -274,21 +278,22 @@ def integral_checks(moduli, indices, tol: float,
     residual |quadrature - closed_form| and the allowance
     max(tol, 10 * abs_error_estimate).  The other two are the sides of
     ratio_identity_sides and theta_identity_sides at the quadratures: the
-    residual |lhs - rhs| and the allowance tol * (1 + |lhs|).
+    residual |lhs - rhs| and the allowance tol * (1 + |lhs|).  The theta
+    sides are the ratio sides swapped and signed, so its pair is the
+    ratio identity's residual with the allowance tol * (1 + |rhs|).
 
-    binom(n+i, i), binom(-n-1+i, i), binom(-n-1, i) and binom(n, i) do not
-    depend on a, so each is formed once per (n, i), the first two with the
-    params of the closed forms' character series whose leads they are.
-    A closed form that does not converge raises NoConvergenceError naming
-    its (n, i, a), tol and max_terms.
+    binom(n+i, i) and binom(-n-1+i, i) do not depend on a, so each is
+    formed once per (n, i), with the params of the closed forms'
+    character series whose leads they are.  A closed form that does not
+    converge raises NoConvergenceError naming its (n, i, a), tol and
+    max_terms.
     """
     series_tol = 1e-12
     check_budget(tol, max_terms)
     for n, i in indices:
         specs = [IntegralSpec(a, n, i) for a in moduli]
         forms = [_character(m - i, m + i, i) for m in (n, -n - 1)]
-        ratio = [_float_char(lead) for lead, _ in forms]
-        theta = [_float_char(binom_char(m, i)) for m in (-n - 1, n)]
+        chars = [_float_char(lead) for lead, _ in forms]
         for spec in specs:
             a = spec.a_mod
             try:
@@ -297,21 +302,22 @@ def integral_checks(moduli, indices, tol: float,
             except NoConvergenceError as exc:
                 raise no_convergence_in(f"(n, i, a) = ({n}, {i}, {a})", tol,
                                         max_terms, exc) from None
-            sides = _sides(a, n, r_I.quadrature, r_II.quadrature, ratio, theta)
+            lhs, rhs = _sides(a, n, r_I.quadrature, r_II.quadrature, chars)
             closed = [(abs(r.quadrature - r.closed_form),
                        max(tol, 10.0 * r.abs_error_estimate))
                       for r in (r_I, r_II)]
-            identities = [(abs(lhs - rhs), tol * (1.0 + abs(lhs)))
-                          for lhs, rhs in (sides[0], sides[1][::-1])]
-            yield (*closed, *identities)
+            residual = abs(lhs - rhs)
+            yield (*closed, (residual, tol * (1.0 + abs(lhs))),
+                   (residual, tol * (1.0 + abs(rhs))))
 
 
 def verify_sign_bridge(n: int, i: int) -> bool:
     """Exact character identities linking the two integral families:
 
-        binom(n, i) binom(n+i, i) == binom(-n-1, i) binom(-n-1+i, i)
         binom(n+i, i)  == (-1)**i binom(-n-1, i)
         binom(-n-1+i, i) == (-1)**i binom(n, i)
+
+    which imply binom(n, i) binom(n+i, i) == binom(-n-1, i) binom(-n-1+i, i).
     """
     check_index("n", n)
     check_index("i", i)
@@ -321,4 +327,4 @@ def verify_sign_bridge(n: int, i: int) -> bool:
     # numerator
     a, b, c, d = (binom_char(m, i).numerator
                   for m in (n, n + i, -n - 1, -n - 1 + i))
-    return a * b == c * d and b == sign * c and d == sign * a
+    return b == sign * c and d == sign * a

@@ -27,8 +27,10 @@ next terms above the gate below which the stop rule can fire, and each
 intermediate of the step inside the normal doubles, the float loop steps
 those terms as a run, with no check.  The exact coefficients and the two
 operator residuals work the same way: integer numerators over one common
-denominator, each returned value reduced once.  ``ode_checks``, which
-``gausshyp verify ode`` runs, compares those integers and reduces
+denominator, each returned value reduced once.  The operator identity is
+-x**(b-1) times the differential operator, so its residual is read from
+the entries of the ODE residual, which are formed once.  ``ode_checks``,
+which ``gausshyp verify ode`` runs, compares those integers and reduces
 nothing.
 """
 
@@ -346,10 +348,10 @@ def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
     This is the one place that turns a sum away before its first term, for
     the float loop and the integer loop alike: a polynomial over budget; a
     sum whose majorant applies only from a term k0 past the budget; and a
-    sum whose computed majorant at the last budgeted term is finite and at
-    least 1 + 2**-48, with that term below 2**53 and |x| normal.  No term
-    up to the last can stop that sum, so it raises the error of a spent
-    budget.
+    sum whose computed majorant at the last budgeted term is at least
+    1 + 2**-48, inf included, with that term below 2**53 and |x| normal.
+    No term up to the last can stop that sum, so it raises the error of a
+    spent budget.
     """
     check_eval_point(x)
     check_budget(tol, max_terms)
@@ -379,10 +381,14 @@ def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
         # So a finite computed rho_last puts the real one above
         # (1 + 32u) / (1 + u)**7, and each computed rho_k is inf, or above
         # (1 + 32u) (1 - u)**7 / (1 + u)**7 > 1: no rho_k < 1 lets a term
-        # stop the sum.  Both loops form rho_k with this function on these
-        # doubles, so the integer loop would spend the budget, and the float
-        # loop would too, or first stop at a term past the float range.
-        if 1.0 + _MARGIN <= _ratio_majorant(last, af, bf, cf, ax) < math.inf:
+        # stop the sum.  An inf rho_last overflowed: f1 cannot, as 1 + k
+        # >= 1, so f2 or a product passed the largest double, and as
+        # |x| >= 2**-1022 the real rho_last is at least about 4, each
+        # computed rho_k inf or above 1 again.  Both loops form rho_k with
+        # this function on these doubles, so the integer loop would spend
+        # the budget, and the float loop would too, or first stop at a term
+        # past the float range.
+        if 1.0 + _MARGIN <= _ratio_majorant(last, af, bf, cf, ax):
             raise _budget_spent(tol, max_terms)
     return last, False, k0, _tail_gate(ax, tol), af, bf, cf, ax
 
@@ -705,16 +711,6 @@ def _ode_entries(op, d1: list[Scalar], d2: list[Scalar]) -> list[Scalar]:
             ] + [0]
 
 
-def _identity_entries(op, d1: list[Scalar], d2: list[Scalar]) -> list[Scalar]:
-    """operator_identity_residual's integer entries on the scale of op, from
-    the padded derivatives: with powers measured relative to x**(b-1),
-    entry t of x**(b+1) s'' + (a+b+1) x**b s' + ab x**(b-1) s minus that
-    of x**b s'' + c x**(b-1) s'."""
-    s, _, m, mc, mabp1, mab = op
-    return [m * (w - v) + mabp1 * e0 - mc * e1 + mab * y
-            for v, w, e1, e0, y in zip(d2[1:], d2, d1[1:], d1, s)]
-
-
 def _exact_operator(params: HypergeometricParams, degree: int):
     """_scaled_operator for the exact-mode-only operator identity."""
     _check_degree(params, degree, 2)
@@ -750,13 +746,16 @@ def operator_identity_residual(params: HypergeometricParams,
             vs   x**b s'' + c x**(b-1) s'
 
     expanded on the formal monomial basis x**(b-1+j); entry j is the
-    difference of the two x**(b-1+j) coefficients.  Every entry with
-    j <= degree-1 is exactly zero; entry degree is the truncation artifact
-    (a+N)(b+N) c_N.  Exact mode only: the point of this check is exact bits.
+    difference of the two x**(b-1+j) coefficients.  That difference is
+    -x**(b-1) times the operator of ode_residual, so entry j is minus
+    ode_residual's entry j, for j <= degree, and is formed from its
+    integer entries.  Every entry with j <= degree-1 is exactly zero;
+    entry degree is the truncation artifact (a+N)(b+N) c_N.  Exact mode
+    only: the point of this check is exact bits.
     """
     op = _exact_operator(params, degree)
-    entries = _identity_entries(op, *_derivatives(op[0]))
-    return [Fraction(v, op[1]) for v in entries]
+    entries = _ode_entries(op, *_derivatives(op[0]))
+    return [Fraction(-v, op[1]) for v in entries[:degree + 1]]
 
 
 def ode_checks(params: HypergeometricParams,
@@ -769,24 +768,23 @@ def ode_checks(params: HypergeometricParams,
     identity  -- operator_identity_residual's entries 0..N-1 are zero, and
                  its entry N is (a+N)(b+N) c_N
 
-    Both residuals are compared as their integer entries over one scale
-    M D, from one truncation whose coefficients and derivatives are formed
+    The residual's entries are compared as integers over one scale M D,
+    from one truncation whose coefficients and derivatives are formed
     once.  (a+N)(b+N) c_N on that scale is dc (na + N da)(nb + N db) N_N,
     since M (a+N)(b+N) = dc (na + N da)(nb + N db) and c_N = N_N / D.  An
     entry is zero, or equal to it, exactly when its Fraction is, so no
-    Fraction is formed.
+    Fraction is formed.  The identity's entries are minus the residual's
+    0..N, so its verdicts are the zero verdicts of 0..N-1 and the tip's.
     """
     op = _exact_operator(params, degree)
     a, b, c = params.a, params.b, params.c
     tip = ((a.numerator + degree * a.denominator)
            * (b.numerator + degree * b.denominator)
            * c.denominator * op[0][degree])
-    derivatives = _derivatives(op[0])
-    res = _ode_entries(op, *derivatives)
-    diff = _identity_entries(op, *derivatives)
-    return ([v == 0 for v in res[:degree] + res[degree + 1:]],
-            [res[degree] == -tip],
-            [v == 0 for v in diff[:degree]] + [diff[degree] == tip])
+    res = _ode_entries(op, *_derivatives(op[0]))
+    zeros = [v == 0 for v in res[:degree] + res[degree + 1:]]
+    survivor = [res[degree] == -tip]
+    return zeros, survivor, zeros[:degree] + survivor
 
 
 def substitution_residual(params: HypergeometricParams, n_exp: Scalar,

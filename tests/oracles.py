@@ -14,6 +14,8 @@ where that one cannot sum;
 the operator residuals one ``Fraction`` operation at a time (floats too);
 ``scalar_triple_relations``, the three-series relations as products and
 differences of ``Scalar`` sides;
+``theta_identity_reference``, the theta identity's sides from its own two
+characters binom(n, i) and binom(-n-1, i);
 ``float_binom``, the running product of (m-j+1)/j in doubles; and
 ``isinstance_render_json``, the report renderer as a chain of isinstance
 tests with ``json.dumps`` for every string.
@@ -137,8 +139,8 @@ def float_eval_error(params, x: float, tol: float, max_terms: int) -> str:
     for a float sum that ``float_eval_series`` cannot sum.
 
     A polynomial over budget, a majorant that applies only past the
-    budget, and a finite majorant of at least 1 + 2**-48 at the last
-    budgeted term, below 2**53 with |x| normal, are refused first; else a
+    budget, and a majorant of at least 1 + 2**-48, inf included, at the
+    last budgeted term, below 2**53 with |x| normal, are refused first; else a
     term outside the float range stops the sum at the first one past k0,
     as no later term comes back; else the budget runs out.
     """
@@ -154,7 +156,7 @@ def float_eval_error(params, x: float, tol: float, max_terms: int) -> str:
     budget = f"tail bound still above tol={tol} after {max_terms} terms"
     if max_terms <= 2 ** 53 and abs(x) >= sys.float_info.min:
         rho = _ratio_majorant(float(a), float(b), float(c), x, max_terms - 1)
-        if 1.0 + 2.0 ** -48 <= rho < math.inf:
+        if 1.0 + 2.0 ** -48 <= rho:
             return budget
     term = 1.0
     for k in range(max_terms):
@@ -274,6 +276,16 @@ def fraction_operator_identity_residual(params, degree: int) -> list:
         length=degree + 1,
     )
     return [lv - rv for lv, rv in zip(lhs, rhs)]
+
+
+def theta_identity_reference(spec, q_I: float,
+                             q_II: float) -> tuple[float, float]:
+    """Both sides of binom(n, i) (1-a**2)**(n+1) q_I = binom(-n-1, i)
+    (1-a**2)**(-n) q_II, each character from ``brute_binom``, in the
+    product order of the library's sides."""
+    a, n, i = spec.a_mod, spec.n, spec.i
+    return (float(brute_binom(n, i)) * power(1.0 - a * a, n + 1) * q_I,
+            float(brute_binom(-n - 1, i)) * power(1.0 - a * a, -n) * q_II)
 
 
 def scalar_triple_relations(tp, x, tol: float = 1e-10,

@@ -257,8 +257,8 @@ def test_eval_transformed_side_over_budget_exit_3(capsys):
 
 def test_eval_float_term_past_the_float_range_exit_3(capsys):
     # raw term 1 is inf: the sum stops there, not after the whole budget
-    code, out, err = run(capsys, "eval", "-a=1e308", "-b=1e308", "-c=1",
-                         "-x=0.5")
+    code, out, err = run(capsys, "eval", "-a=2", "-b=1e308", "-c=1e308",
+                         "-x=0.4")
     assert code == 3 and out == ""
     assert err == "no convergence: term 1 is inf, outside the float range\n"
 
@@ -275,11 +275,17 @@ def test_eval_majorant_past_the_budget_exit_3(capsys):
 
 # Exact points whose raw majorant at term 9999 is past 1, about 9.5e303
 # and 1.98: no term can stop the sum.  Stepped through the whole budget,
-# they took 70 s and 177 s on a 2-core x86 host.
+# they took 70 s and 177 s on a 2-core x86 host.  In the other four the
+# majorant overflows to inf; stepped, the fourth took 0.87 s at 500 terms
+# and 38.7 s at 4000, and the last two over 5 s each.
 HOPELESS_EXACT = [
     ["-a=1e308", "-b=31.97985643973101", "-c=41", "-x=0.9528863657076383"],
     ["-a=-9.99999999970619", "-b=1e-300", "-c=-7035.893450427089",
      "-x=-587/1000"],
+    ["-a=1e308", "-b=1e308", "-c=1", "-x=1/2"],
+    ["-a=1e300", "-b=1e300", "-c=1", "-x=-1/2"],
+    ["--tol=1e-100", "-a=1e300", "-b=1e300", "-c=-1/2", "-x=1e-30"],
+    ["--tol=1e300", "-a=1e308", "-b=1e300", "-c=0.5", "-x=-0.9"],
 ]
 
 
@@ -289,8 +295,10 @@ def test_eval_exact_hopeless_sum_fails_before_its_first_term(capsys,
                                                             term_steps,
                                                             point):
     code, out, err = run(capsys, "eval", "--mode", "exact", *point)
+    tol = next((float(w[6:]) for w in point if w.startswith("--tol=")),
+               1e-12)
     assert code == 3 and out == ""
-    assert err == ("no convergence: tail bound still above tol=1e-12 after "
+    assert err == (f"no convergence: tail bound still above tol={tol} after "
                    "10000 terms\n")
     assert term_steps == []
 
@@ -698,9 +706,9 @@ def test_verify_all_runs_the_sign_bridge_once(capsys, monkeypatch):
 
 def test_verify_forms_each_character_once(capsys, monkeypatch):
     # the triple suite forms the three leading characters of each (e, f, h)
-    # once for its three points, the integral suite the four characters of
+    # once for its three points, the integral suite the two characters of
     # each (n, i) once for its four moduli, and the sign bridge each of its
-    # four characters once per (n, i): 510 binom_char calls under
+    # four characters once per (n, i): 478 binom_char calls under
     # `verify all`
     calls = []
     real = binom.binom_char
@@ -712,7 +720,7 @@ def test_verify_forms_each_character_once(capsys, monkeypatch):
     for module in (binom, cli, integrals, transform):
         monkeypatch.setattr(module, "binom_char", counting)
     code, out, _ = run(capsys, "verify", "all")
-    assert code == 0 and len(calls) == 510
+    assert code == 0 and len(calls) == 478
     assert _checks(out)[("binom", "sign-bridge")]["cases"] == 49
     calls.clear()
     code, _, _ = run(capsys, "verify", "triple")
@@ -721,12 +729,11 @@ def test_verify_forms_each_character_once(capsys, monkeypatch):
                      for m in (h, e - h - 1, -f - 1)]
     calls.clear()
     # per (n, i), in loop order: the leads of the two closed forms, which
-    # the ratio identity shares, then the theta identity's characters; the
-    # sign bridge follows
+    # the ratio identity and its theta form share; the sign bridge follows
     code, _, _ = run(capsys, "verify", "integrals")
-    assert code == 0 and len(calls) == 64 + 196
+    assert code == 0 and len(calls) == 32 + 196
     assert calls == [(m, i) for n, i in cli.INTEGRAL_NI
-                     for m in (n + i, -n - 1 + i, -n - 1, n)] + [
+                     for m in (n + i, -n - 1 + i)] + [
         (m, i) for n, i in product(cli.SIGN_RANGE, repeat=2)
         for m in (n, n + i, -n - 1, -n - 1 + i)]
 
@@ -750,16 +757,16 @@ def test_verify_ode_fails_on_a_perturbed_numerator(capsys, monkeypatch, k):
 
 
 @pytest.mark.parametrize("entries,index,flipped", [
-    ("_ode_entries", 3, (0, 3)),        # a residual entry below the survivor
-    ("_ode_entries", 11, (0, 10)),      # the x**(N+1) entry
-    ("_ode_entries", 10, (1, 0)),       # the survivor
-    ("_identity_entries", 4, (2, 4)),
-    ("_identity_entries", 10, (2, 10)),
+    # a residual entry below the survivor, which the identity restates
+    ("_ode_entries", 3, [(0, 3), (2, 3)]),
+    ("_ode_entries", 11, [(0, 10)]),             # the x**(N+1) entry
+    ("_ode_entries", 10, [(1, 0), (2, 10)]),     # the survivor
 ])
 def test_verify_ode_fails_exactly_the_check_of_a_perturbed_entry(
         capsys, monkeypatch, entries, index, flipped):
-    # one integer entry off by one at the first grid point flips the one
-    # ode_checks verdict that compares it, and fails that check once
+    # one integer entry off by one at the first grid point flips the
+    # ode_checks verdicts that compare it, and fails each of their checks
+    # once: the identity's entries are minus the residual's 0..N
     real = getattr(series, entries)
     calls = []
 
@@ -773,14 +780,14 @@ def test_verify_ode_fails_exactly_the_check_of_a_perturbed_entry(
     monkeypatch.setattr(series, entries, perturbed)
     verdicts = series.ode_checks(HypergeometricParams(*ODE_GRID[0]), 10)
     assert [(i, j) for i, cases in enumerate(verdicts)
-            for j, ok in enumerate(cases) if not ok] == [flipped]
+            for j, ok in enumerate(cases) if not ok] == flipped
     calls.clear()
     code, out, _ = run(capsys, "verify", "ode")
     assert code == 1 and json.loads(out)["status"] == "fail"
     checks = _checks(out)
     assert [checks[("ode", name)]["failures"] for name in (
         "residual-zeros", "residual-tip", "operator-identity")] \
-        == [int(i == flipped[0]) for i in range(3)]
+        == [int(any(i == f for f, _ in flipped)) for i in range(3)]
 
 
 def _falling_wrong_sign(p, q, k):
@@ -812,6 +819,23 @@ def test_verify_binom_fails_on_a_faulty_character_numerator(capsys,
     assert code == 1 and json.loads(out)["status"] == "fail"
     assert {check for (_, check), chk in _checks(out).items()
             if chk["failures"]} == failing
+
+
+def test_verify_integrals_fails_on_a_faulty_nonnegative_character(
+        capsys, monkeypatch):
+    # binom(n, i) and binom(n+i, i) off by one for i >= 1: the suite's
+    # closed forms and both identities take their characters from the
+    # closed forms' character series, and the sign bridge, which forms all
+    # four, must still fail the suite
+    real = integrals.binom_char
+
+    def faulty(m, k):
+        return real(m, k) + (m >= 0 and k >= 1)
+
+    monkeypatch.setattr(integrals, "binom_char", faulty)
+    code, out, _ = run(capsys, "verify", "integrals")
+    assert code == 1 and json.loads(out)["status"] == "fail"
+    assert _checks(out)[("integrals", "sign-bridge")]["failures"] > 0
 
 
 def test_verify_triple_at_a_tol_below_its_prefactors(capsys):

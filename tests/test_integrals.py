@@ -18,6 +18,7 @@ from gausshyp import (DomainError, IntegralSpec, QuadratureFailureError,
                       verify_sign_bridge)
 from gausshyp import integrals
 from gausshyp.cli import INTEGRAL_AS, INTEGRAL_NI
+from oracles import theta_identity_reference
 
 
 def V(spec, tol=1e-12):
@@ -284,6 +285,24 @@ def test_theta_identity_zero_character_case():
     lhs, rhs = sides(theta_identity_sides, IntegralSpec(0.5, 1, 2))
     assert lhs == 0.0
     assert rhs == pytest.approx(0.0, abs=1e-9)
+
+
+def test_theta_identity_sides_match_their_own_characters():
+    # theta_identity_sides reads the ratio sides across the sign bridge;
+    # the reference forms binom(n, i) and binom(-n-1, i) itself.  They
+    # agree by value: where a character vanishes a side may read -0.0
+    cases = [(spec, quad_I(spec), quad_II(spec))
+             for spec in (IntegralSpec(a, n, i) for a in INTEGRAL_AS
+                          for n, i in INTEGRAL_NI)]
+    rng = random.Random(1201)
+    for _ in range(300):
+        spec = IntegralSpec(rng.uniform(0.01, 0.99), rng.randint(0, 7),
+                            rng.randint(0, 7))
+        cases.append((spec, rng.uniform(-10.0, 10.0),
+                      rng.uniform(-10.0, 10.0)))
+    for spec, q_I, q_II in cases:
+        assert theta_identity_sides(spec, q_I, q_II) \
+            == theta_identity_reference(spec, q_I, q_II)
 
 
 @pytest.mark.parametrize("a", [0.3, 0.7])

@@ -529,10 +529,11 @@ def test_gated_sums_match_the_reference_loops_at_the_float_edges():
 
 def test_a_float_term_past_the_float_range_stops_the_sum():
     # inf and nan terms stay past the float range, so the sum cannot
-    # converge; it stops at the first such term instead of the budget
+    # converge; it stops at the first such term instead of the budget.
+    # a b overflows in term 1, while rho_9999 = 0.4 * 1.0001 is below 1
     with pytest.raises(NoConvergenceError,
                        match=r"^term 1 is inf, outside the float range$"):
-        eval_series(P(1e308, 1e308, 1.0), 0.5)
+        eval_series(P(2.0, 1e308, 1e308), 0.4)
     with pytest.raises(NoConvergenceError,
                        match=r"^term 2 is nan, outside the float range$"):
         eval_series(P(1.5, 1e308, 1e308), 0.9)
@@ -544,9 +545,9 @@ def test_a_negative_float_term_past_the_float_range_stops_the_sum():
     # budget; both raise
     with pytest.raises(NoConvergenceError,
                        match=r"^term 1 is -inf, outside the float range$"):
-        eval_series(P(1e300, 1e300, 1.0), -0.5)
+        eval_series(P(2.0, 1e308, 1e308), -0.4)
     with pytest.raises(NoConvergenceError):
-        float_eval_series(P(1e300, 1e300, 1.0), -0.5, 1e-12, 10000)
+        float_eval_series(P(2.0, 1e308, 1e308), -0.4, 1e-12, 10000)
 
 
 @pytest.mark.parametrize("abc,x,tol,max_terms", [
@@ -603,11 +604,14 @@ HOPELESS = "tail bound still above tol=1e-12 after 10000 terms"
     ((1e300, 1.0, 1e300), 0.5),        # rho_9999 = 0.5 (1e300 + 9999) / 1e4
     ((1.7e308, 1.0, 2.6e306), 5e-4),   # terms underflow to 0.0 below the gate
     ((10 ** 300, 1, 10 ** 300), F(1, 2)),  # the exact twin of the first
+    ((1e308, 1e308, 1.0), 0.5),        # rho_9999 overflows; term 1 is inf
+    ((1e300, 1e300, 1.0), -0.5),       # and here term 1 is -inf
 ])
 def test_a_hopeless_sum_fails_before_its_first_term(term_steps, abc, x):
-    # a finite majorant >= 1 + 2**-48 at the last budgeted term shows that
-    # no term can stop the sum: _stop_rule refuses it in either loop, where
-    # the float loop used to step all 10000 terms first
+    # a majorant >= 1 + 2**-48 at the last budgeted term, inf included,
+    # shows that no term can stop the sum: _stop_rule refuses it in either
+    # loop, where the float loop used to step all 10000 terms first, or
+    # stop at the first term past the float range
     with pytest.raises(NoConvergenceError, match=f"^{HOPELESS}$"):
         eval_series(P(*abc), x)
     assert term_steps == []
@@ -775,8 +779,8 @@ def test_polynomial_work_matches_the_fraction_reference(abc, degree):
         derivatives = series._derivatives(op[0])
         assert [F(v, op[1]) for v in series._ode_entries(op, *derivatives)] \
             == want[1]
-        assert [F(v, op[1])
-                for v in series._identity_entries(op, *derivatives)] == want[2]
+        assert [F(-v, op[1]) for v in series._ode_entries(
+            op, *derivatives)[:degree + 1]] == want[2]
         survivor = (params.a + degree) * (params.b + degree) * want[0][degree]
         assert want[1][degree] == -survivor and want[2][degree] == survivor
         assert series.ode_checks(params, degree) \
