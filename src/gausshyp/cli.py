@@ -234,8 +234,11 @@ def _within(name: str, pairs, not_applicable: int = 0) -> dict:
     pairs = list(pairs)
     entry = _passes(name, (residual <= allowance
                            for residual, allowance in pairs))
-    entry["worst_residual"] = max((residual for residual, _ in pairs),
-                                  default=0.0)
+    residuals = [residual for residual, _ in pairs]
+    # null, not max(), past a nan or inf: max skips a nan after the first
+    # case, and the report prints no non-finite float
+    entry["worst_residual"] = (max(residuals, default=0.0)
+                               if all(map(math.isfinite, residuals)) else None)
     if not_applicable:
         entry["not_applicable"] = not_applicable
     return entry
@@ -370,6 +373,41 @@ def cmd_bench(args):
 
 
 # ---- entry point ----
+#
+# Each option is declared once, in these tables: build_parser hands every
+# entry to argparse, which owns help, usage, abbreviations and errors, and
+# _read_literal reads a literal argv from the same entries.  A command's
+# own options follow the common ones, in the order help lists them; a key
+# without a leading '-' is a positional.
+
+COMMON_OPTIONS = {
+    "--mode": dict(choices=("exact", "float"), default="float",
+                   help="exact rational arithmetic or doubles"),
+    "--tol": dict(type=float, default=None,
+                  help="series tolerance; for verify, also the identity "
+                       "comparison tolerance"),
+    "--max-terms": dict(type=int, default=10000,
+                        help="term budget per series"),
+    "--output": dict(choices=("json", "csv", "text"), default="json",
+                     help="report format"),
+}
+
+#: command -> (its help line, its own options)
+COMMAND_OPTIONS = {
+    "eval": ("evaluate the series at one point", {
+        flag: dict(required=True, help=f"{flag[1]} value (accepts p/q)")
+        for flag in ("-a", "-b", "-c", "-x")}),
+    "verify": ("run an identity suite on its built-in grid", {
+        "suite": dict(choices=("ode", "triple", "integrals", "binom",
+                               "all"))}),
+    "bench": ("sweep a grid, reporting term counts per representation", {
+        "--grid": dict(default=BENCH_PARAMS,
+                       help="semicolon-separated a,b,c triples "
+                            "(default: built-in grid)"),
+        "-x": dict(dest="x_list", default=BENCH_XS,
+                   help="comma-separated x values (default: %(default)s)")}),
+}
+
 
 @functools.cache  # built on the first call; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
@@ -377,59 +415,96 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gausshyp",
         description="Gauss hypergeometric series with transformation, "
                     "identity verification, and benchmarking")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=("exact", "float"), default="float",
-                        help="exact rational arithmetic or doubles")
-    common.add_argument("--tol", type=float, default=None,
-                        help="series tolerance; for verify, also the "
-                             "identity comparison tolerance")
-    common.add_argument("--max-terms", type=int, default=10000,
-                        help="term budget per series")
-    common.add_argument("--output", choices=("json", "csv", "text"),
-                        default="json", help="report format")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # command name -> its own parser
-
-    p_eval = sub.add_parser("eval", parents=[common],
-                            help="evaluate the series at one point")
-    for flag in ("-a", "-b", "-c", "-x"):
-        p_eval.add_argument(flag, required=True,
-                            help=f"{flag[1]} value (accepts p/q)")
-
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run an identity suite on its built-in grid")
-    p_verify.add_argument("suite",
-                          choices=("ode", "triple", "integrals", "binom", "all"))
-
-    p_bench = sub.add_parser("bench", parents=[common],
-                             help="sweep a grid, reporting term counts per "
-                                  "representation")
-    p_bench.add_argument("--grid", default=BENCH_PARAMS,
-                         help="semicolon-separated a,b,c triples "
-                              "(default: built-in grid)")
-    p_bench.add_argument("-x", dest="x_list", default=BENCH_XS,
-                         help="comma-separated x values "
-                              "(default: %(default)s)")
+    for name, (text, _) in COMMAND_OPTIONS.items():
+        command = sub.add_parser(name, help=text)
+        for flag, spec in _options(name).items():
+            command.add_argument(flag, **spec)
     return parser
+
+
+def _options(name: str) -> dict:
+    """Every option of command name, the common ones first."""
+    return {**COMMON_OPTIONS, **COMMAND_OPTIONS[name][1]}
+
+
+def _dest(flag: str, spec: dict) -> str:
+    """The attribute argparse stores the value of a one-name entry under."""
+    return spec.get("dest") or flag.lstrip("-").replace("-", "_")
+
+
+def _read_literal(name: str, words: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives command name for words, read from the
+    option tables; a later duplicate wins and an option not given takes its
+    default, as in argparse.
+
+    None, which sends words to argparse, unless each word is a full option
+    string with =VALUE or followed by a value that does not start with '-',
+    no value is '--', the command declares no positional, every required
+    option is given and each value takes its option's type and choices.
+    """
+    options = _options(name)
+    given = {}
+    words = iter(words)
+    for word in words:
+        flag, sep, value = word.partition("=")
+        if not sep:
+            value = next(words, "-")  # a missing value declines as '-' does
+        spec = options.get(flag)
+        if spec is None or value == "--" or not sep and value.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        given[flag] = value
+    values = {"command": name}
+    for flag, spec in options.items():
+        positional = not flag.startswith("-")
+        if positional or spec.get("required") and flag not in given:
+            return None
+        values[_dest(flag, spec)] = given.get(flag, spec.get("default"))
+    args = argparse.Namespace()
+    vars(args).update(values)  # as Namespace(**values), without a setattr each
+    return args
 
 
 _COMMANDS = {"eval": cmd_eval, "verify": cmd_verify, "bench": cmd_bench}
 
 
-def main(argv: list[str] | None = None) -> int:
-    # The full parser scans every word before handing the rest to the
-    # command's parser; an argv that names a command is parsed by that
-    # parser alone.  Anything else, or words it leaves over, takes the full
-    # parser, which prints the top-level usage and errors.
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
+def _parse(parser: argparse.ArgumentParser,
+           command: argparse.ArgumentParser | None,
+           argv: list[str]) -> argparse.Namespace:
+    """argv as argparse reads it.  The full parser scans every word before
+    handing the rest to the command's parser, so an argv that names a
+    command is parsed by that parser alone; anything else, or words it
+    leaves over, takes the full parser, which prints the top-level usage
+    and errors."""
     if command is not None:
         args, extras = command.parse_known_args(argv[1:])
         args.command = argv[0]
     if command is None or extras:
         args = parser.parse_args(argv)
+    # argparse before Python 3.13 drops the '--' of an option's "=--" and
+    # stores an empty list, which would reach a command as a value
+    for flag, spec in _options(args.command).items():
+        if getattr(args, _dest(flag, spec)) == []:
+            parser.error(f"argument {flag}: expected one argument")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    # a literal argv that names a command is read from the option tables
+    args = None if command is None else _read_literal(argv[0], argv[1:])
+    if args is None:
+        args = _parse(parser, command, argv)
     try:
         check_budget(_tol(args), args.max_terms)
         report, columns, records, code = _COMMANDS[args.command](args)

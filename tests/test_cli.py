@@ -19,7 +19,7 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from gausshyp import (HypergeometricParams, IntegralSpec, NoConvergenceError,
@@ -895,6 +895,21 @@ def test_within_fails_a_nan_residual():
         == (2, 1, "fail")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+def test_within_reports_no_worst_residual_past_a_non_finite_one(bad, first):
+    # max() skipped a nan after the first case and kept it in the first,
+    # where the report then raised on it
+    pairs = [(0.5, 1.0), (bad, 1.0)]
+    entry = cli._within("c", pairs[::-1] if first else pairs)
+    assert (entry["failures"], entry["worst_residual"], entry["status"]) \
+        == (1, None, "fail")
+    assert render_json(entry) == ('{"check":"c","cases":2,"failures":1,'
+                                  '"status":"fail","worst_residual":null}')
+    assert cli.render_csv(["check", "worst_residual", "status"], [entry]) \
+        == "check,worst_residual,status\nc,,fail\n"
+
+
 # ---- bench ----
 
 def test_bench_csv_default_grid(capsys):
@@ -1126,6 +1141,137 @@ def test_a_command_argv_skips_the_full_parser(capsys, monkeypatch):
     assert main(["verify", "binom", "--output", "csv"]) == 0
     capsys.readouterr()
     assert scans == []
+
+
+# ---- the literal reader ----
+#
+# A literal argv of a command without positionals is read from the option
+# tables before any argparse call; what the reader declines takes argparse
+# as above.  Emptying the parser's command table sends every argv to the
+# full parser, the reference for both.
+
+LITERAL_VALUES = st.sampled_from(
+    ["-3", "-0.5", "-3/4", "--", "", "1e-6", "abc", "exact", "bogus",
+     "0", "0.5", "1", "2", "3/2", "3,1,2;1,1,2"])
+PLAIN_VALUES = ("0", "0.5", "1", "2", "3/2", "1e-6")
+
+
+@st.composite
+def command_argvs(draw):
+    """An eval or bench argv: its required options mostly present with a
+    plain number, more options with a value they take or one of
+    LITERAL_VALUES, each spelled with '=' or as two words and now and then
+    cut short, and in one argv of four -h, --bogus, a stray positional or
+    a bare '--' put anywhere."""
+    name = draw(st.sampled_from(["eval", "bench"]))
+    options = cli._options(name)
+    pairs = [(flag, draw(st.sampled_from(PLAIN_VALUES)))
+             for flag, spec in options.items()
+             if spec.get("required") and draw(st.integers(0, 7))]
+    for flag in draw(st.lists(st.sampled_from(list(options)), max_size=4)):
+        taken = st.sampled_from(options[flag].get("choices", PLAIN_VALUES))
+        pairs.append((flag, draw(st.one_of(taken, taken, LITERAL_VALUES))))
+    words = []
+    for flag, text in draw(st.permutations(pairs)):
+        if flag.startswith("--") and not draw(st.integers(0, 3)):
+            flag = flag[:draw(st.integers(3, len(flag) - 1))]
+        words += [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
+    if not draw(st.integers(0, 3)):
+        for extra in draw(st.lists(st.sampled_from(
+                ["-h", "--bogus", "extra", "--"]), min_size=1, max_size=2)):
+            words.insert(draw(st.integers(0, len(words))), extra)
+    return [name, *words]
+
+
+@seed(2028)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command_argvs())
+def test_literal_reader_matches_the_full_parser(capsys, argv):
+    with pytest.MonkeyPatch.context() as patch:
+        literal = _dispatch(capsys, patch, [argv])
+        patch.setattr(build_parser(), "commands", {})
+        full = _dispatch(capsys, patch, [argv])
+    assert literal == full
+
+
+@pytest.mark.parametrize("argv", [
+    [*EVAL_ARGV, "--out", "csv"], [*EVAL_ARGV, "--max=5"],
+    ["eval", "-a", "-3", "-b", "1", "-c", "2", "-x", "0.5"],
+    [*EVAL_ARGV, "-h"], [*EVAL_ARGV, "--bogus"], [*EVAL_ARGV, "extra"],
+    [*EVAL_ARGV, "--"], [*EVAL_ARGV, "--tol"], ["eval", "-a=1"],
+    ["eval", "-a=--", "-b=1", "-c=2", "-x=0.5"], ["bench", "--grid=--"],
+    [*EVAL_ARGV, "--tol=abc"], [*EVAL_ARGV, "--mode", "bogus"],
+    ["verify", "all"], ["verify", "suite", "all"], ["verify", "--tol=1"]])
+def test_the_literal_reader_declines_what_argparse_reads(argv):
+    assert cli._read_literal(argv[0], argv[1:]) is None
+
+
+def test_a_literal_argv_reaches_no_argparse_parse(capsys, monkeypatch):
+    calls = []
+    for method in ("parse_known_args", "parse_args"):
+        def spy(self, *args, _method=getattr(argparse.ArgumentParser, method),
+                **kwargs):
+            calls.append(self.prog)
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, method, spy)
+    for argv in (["eval", "-a", "1", "-b", "1", "-c", "2", "-x", "0.5"],
+                 EVAL_ARGV,
+                 ["eval", "--mode", "exact", "-a=-2", "-b=3", "-c=1",
+                  "-x=1/4"],
+                 ["bench", "--grid", "3,1,2", "-x", "0.5"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert calls == []
+    # the suite of verify is a positional, and a word after -x that starts
+    # with '-' may be an option: argparse reads both
+    assert main(["verify", "all"]) == 0
+    assert calls == ["gausshyp verify"]
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as rejected:
+        main(["eval", "-a", "1", "-b", "1", "-c", "2", "-x", "-3/4"])
+    assert rejected.value.code == 2
+    usage = next(case["stdout"] for case in HELP
+                 if case["argv"] == ["eval", "--help"]).split("\n\n")[0]
+    assert capsys.readouterr().err == (
+        f"{usage}\ngausshyp eval: error: argument -x: expected one argument\n")
+
+
+@pytest.mark.parametrize("argv", [
+    [*EVAL_ARGV, "--tol=--"], [*EVAL_ARGV, "--mode=--"],
+    [*EVAL_ARGV, "--outpu=--"], [*EVAL_ARGV, "--max-terms=--"],
+    ["eval", "-a=--", "-b=1", "-c=2", "-x=0.5"],
+    ["bench", "--grid=--"], ["bench", "-x=--"],
+    ["verify", "binom", "--tol=--"]])
+def test_an_option_valued_double_dash_exits_2(capsys, argv):
+    # argparse before Python 3.13 stores the value of "OPT=--" as [], which
+    # raised in the command or printed a report of it
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err and "Traceback" not in err
+
+
+# ---- help bytes ----
+#
+# The --help stdout of the parser and each command, pinned as argparse
+# printed it when each option was declared by its own add_argument call
+# and the common ones came through parents=[common].
+
+HELP = json.loads(
+    (pathlib.Path(__file__).resolve().parent / "cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("case", HELP, ids=[" ".join(c["argv"]) for c in HELP])
+def test_help_bytes(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    with pytest.raises(SystemExit) as helped:
+        main(case["argv"])
+    assert helped.value.code == 0
+    assert capsys.readouterr() == (case["stdout"], "")
 
 
 # ---- no command imports NumPy ----
