@@ -49,9 +49,7 @@ from .transform import TripleParams, agreement, evaluate, triple_relations
 def format_float(v: float) -> str:
     if not math.isfinite(v):
         raise ValueError("non-finite float in report")
-    if v == 0.0:
-        v = 0.0
-    return format(v, ".17g")
+    return "%.17g" % (v + 0.0)  # -0.0 + 0.0 is 0.0
 
 
 _quote = json.encoder.encode_basestring_ascii  # what json.dumps(str) calls
@@ -376,9 +374,10 @@ def cmd_bench(args):
 #
 # Each option is declared once, in these tables: build_parser hands every
 # entry to argparse, which owns help, usage, abbreviations and errors, and
-# _read_literal reads a literal argv from the same entries.  A command's
-# own options follow the common ones, in the order help lists them; a key
-# without a leading '-' is a positional.
+# _read_literal reads a literal argv from the same entries, resolved once
+# per command at import.  A command's own options follow the common ones,
+# in the order help lists them; a key without a leading '-' is a
+# positional.
 
 COMMON_OPTIONS = {
     "--mode": dict(choices=("exact", "float"), default="float",
@@ -434,6 +433,24 @@ def _dest(flag: str, spec: dict) -> str:
     return spec.get("dest") or flag.lstrip("-").replace("-", "_")
 
 
+def _resolve(name: str) -> tuple[dict, dict, int]:
+    """Command name's options as _read_literal reads them: flag -> (dest,
+    type, choices) of each option string; the namespace of an argv that
+    gives none, which lacks the required options and the positionals; and
+    the size of a namespace that lacks nothing."""
+    options = _options(name)
+    flags = {flag: (_dest(flag, spec), spec.get("type", str),
+                    spec.get("choices"))
+             for flag, spec in options.items() if flag.startswith("-")}
+    defaults = {_dest(flag, spec): spec.get("default") for flag, spec
+                in options.items() if flag in flags and not spec.get("required")}
+    return flags, {"command": name, **defaults}, len(options) + 1
+
+
+#: command -> its options resolved once, at import
+_LITERAL = {name: _resolve(name) for name in COMMAND_OPTIONS}
+
+
 def _read_literal(name: str, words: list[str]) -> argparse.Namespace | None:
     """The namespace argparse gives command name for words, read from the
     option tables; a later duplicate wins and an option not given takes its
@@ -444,29 +461,26 @@ def _read_literal(name: str, words: list[str]) -> argparse.Namespace | None:
     no value is '--', the command declares no positional, every required
     option is given and each value takes its option's type and choices.
     """
-    options = _options(name)
-    given = {}
+    flags, defaults, size = _LITERAL[name]
+    values = defaults.copy()
     words = iter(words)
     for word in words:
         flag, sep, value = word.partition("=")
         if not sep:
             value = next(words, "-")  # a missing value declines as '-' does
-        spec = options.get(flag)
+        spec = flags.get(flag)
         if spec is None or value == "--" or not sep and value.startswith("-"):
             return None
+        dest, kind, choices = spec
         try:
-            value = spec.get("type", str)(value)
+            value = kind(value)
         except ValueError:
             return None
-        if value not in spec.get("choices", (value,)):
+        if choices and value not in choices:
             return None
-        given[flag] = value
-    values = {"command": name}
-    for flag, spec in options.items():
-        positional = not flag.startswith("-")
-        if positional or spec.get("required") and flag not in given:
-            return None
-        values[_dest(flag, spec)] = given.get(flag, spec.get("default"))
+        values[dest] = value
+    if len(values) < size:  # a required option or a positional is missing
+        return None
     args = argparse.Namespace()
     vars(args).update(values)  # as Namespace(**values), without a setattr each
     return args

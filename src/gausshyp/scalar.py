@@ -30,9 +30,10 @@ def as_integer(value: Scalar) -> int | None:
 
     Floats are taken literally: 3.0 is the integer 3, 3.0000001 is not.
     """
-    # float first: isinstance(value, Fraction) goes through ABCMeta
+    # float first: isinstance(value, Fraction) goes through ABCMeta; inf
+    # and nan are not is_integer()
     if isinstance(value, float):
-        return int(value) if math.isfinite(value) and value.is_integer() else None
+        return int(value) if value.is_integer() else None
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(value, int):
@@ -55,11 +56,8 @@ def check_index(name: str, value: int) -> None:
 
 def check_finite(name: str, value: Scalar) -> None:
     """Reject a float inf or nan, and an exact value past the float range."""
-    if isinstance(value, float):
-        inside = math.isfinite(value)
-    else:
-        inside = abs(value.numerator) <= _FLOAT_MAX_INT * value.denominator
-    if not inside:
+    if not (math.isfinite(value) if isinstance(value, float) else
+            abs(value.numerator) <= _FLOAT_MAX_INT * value.denominator):
         raise DomainError(f"{name} must be finite, inside the float range")
 
 
@@ -67,8 +65,7 @@ def check_printable(name: str, value: Scalar) -> None:
     """Reject an exact value with a numerator or denominator of more decimal
     digits than the interpreter converts to text (sys.get_int_max_str_digits,
     no limit when zero)."""
-    limit = sys.get_int_max_str_digits()
-    if isinstance(value, float) or not limit:
+    if isinstance(value, float) or not (limit := sys.get_int_max_str_digits()):
         return
     for part in (abs(value.numerator), value.denominator):
         if part.bit_length() > 3 * limit:  # 2**(3 limit) < 10**limit

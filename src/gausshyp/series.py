@@ -56,6 +56,9 @@ EXACT_DEGREE_CAP = 256
 _FLOAT_MAX = sys.float_info.max
 #: The least normal double.
 _FLOAT_MIN = sys.float_info.min
+#: A record from the tuple of its fields, as namedtuple's own __new__ forms
+#: it one Python call deeper.
+_pack = tuple.__new__
 
 #: Checked terms past k0 before a float sum may start its first run, and
 #: after a run shorter than this before it may start another (see the
@@ -91,7 +94,7 @@ class HypergeometricParams(namedtuple("HypergeometricParams", "a b c")):
             check_finite(name, value)
         if is_nonpositive_integer(c):
             raise InvalidCError(f"c = {c} is zero or a negative integer")
-        return super().__new__(cls, a, b, c)
+        return _pack(cls, (a, b, c))
 
     @classmethod
     def _make(cls, fields) -> HypergeometricParams:
@@ -237,13 +240,6 @@ def termination_index(params: HypergeometricParams) -> int | None:
 # only at a k >= k0 + 1 with k >= 1, so a+k, b+k, 1+k and c+k are all
 # >= 1 there and stay so.
 
-def _positivity_index(a: float, b: float, c: float) -> int:
-    worst = min(a, b, c)
-    if worst > 0.0:
-        return 0
-    return int(math.floor(-worst)) + 1
-
-
 def _tail_gate(ax: float, tol: float) -> float:
     """A gate g for |x| = ax: fl(fl(g ax) / fl(1 - ax)) > tol, or inf.
 
@@ -257,7 +253,7 @@ def _tail_gate(ax: float, tol: float) -> float:
     if not ax > 0.0:
         return math.inf
     d = 1.0 - ax
-    g = max(tol / ax * d * (1.0 + 2.0 ** -49), 5e-324)
+    g = tol / ax * d * (1.0 + 2.0 ** -49) or 5e-324  # the product is >= 0
     for _ in range(4):
         if g * ax / d > tol:
             return g
@@ -292,16 +288,28 @@ def _run_length(k: int, span: int, lt: float, floor: float, ceiling: float,
     the stop rule can fire: the m for which every term k+1 .. k+m stays
     within [2**floor, 2**ceiling], lt being log2 |t_k|.
 
-    k is at least k0 + 1 and 1 (see the tail majorant); a sigma_k below
-    the normal doubles, whose rounding has no relative bound, gives no
-    run.
+    eval_series calls it at a k >= k0 + 64 and >= 64 (see the tail
+    majorant), with t_k finite, |t_k| |x|**64 at least a normal gate and
+    the last budgeted term below 2**53.  There sigma_k is a normal double,
+    so its log and its rounding are those slack allows for.  Proof: as
+    |t_k| <= 2**1024 and the gate is >= 2**-1022, |x| >= 2**-32, so
+    _stop_rule made its refusal and passed it: rho_last < 2.  Past k0 a
+    factor f = f1 or f2 of the ratio that is below 1 rises with j, so
+    f(j) <= f(k) for k0 < j <= k; one that is at least 1 falls, with
+    (1 + j) f1(j) = a + j <= (1 + last) f1(last) and (c + j) f2(j) <=
+    (c + last) f2(last), c + j >= 1, so f(j) < B = 2**54 / |x|.  If
+    sigma_k = |x| min(1, f1(k)) min(1, f2(k)) were below 2**-1022, a
+    factor would be below 1, as |x| >= 2**-32; each ratio t_{j+1} / t_j,
+    k0 < j < k, would be at most B sigma_k < 2**-936 if the other factor
+    is at least 1, or sigma_k if it is not.  The 63 or more such steps
+    from |t_{k0+1}| <= 2**1024, each rounded within a relative 2**-50
+    and an absolute 2**-1074, would leave |t_k| |x|**64 below 2**-1022,
+    and no run would be computed.
     """
-    sigma = _ratio_minorant(k, af, bf, cf, ax)
-    if sigma < _FLOAT_MIN:
-        return 0
     slack = _MARGIN * (16.0 + abs(af) / (af + k) + abs(bf) / (bf + k)
                           + abs(cf) / (cf + k))
-    m = min(span, (lt - floor - _LOG_MARGIN) / (slack - math.log2(sigma)))
+    m = min(span, (lt - floor - _LOG_MARGIN)
+            / (slack - math.log2(_ratio_minorant(k, af, bf, cf, ax))))
     rise = slack + math.log2(_ratio_majorant(k, af, bf, cf, ax))
     if rise > 0.0:
         m = min(m, (ceiling - lt - _LOG_MARGIN) / rise)
@@ -332,7 +340,7 @@ def _budget_spent(tol: float, max_terms: int) -> NoConvergenceError:
 
 def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
                max_terms: int):
-    """Check x and the budget and set up the stop rule of one sum, shared
+    """The stop rule of one sum at a checked x, tol and max_terms, shared
     by every summation loop.
 
     Returns (last, polynomial, k0, gate, af, bf, cf, ax): the index of
@@ -353,8 +361,6 @@ def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
     No term up to the last can stop that sum, so it raises the error of a
     spent budget.
     """
-    check_eval_point(x)
-    check_budget(tol, max_terms)
     af, bf, cf = float(params.a), float(params.b), float(params.c)
     stop = termination_index(params)
     if stop is not None:
@@ -364,7 +370,8 @@ def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
         return stop, True, max_terms, math.inf, af, bf, cf, 0.0
     if x == 0:
         return None
-    k0 = _positivity_index(af, bf, cf)
+    # the first k with a+k, b+k and c+k all positive
+    k0 = 0 if (worst := min(af, bf, cf)) > 0.0 else math.floor(-worst) + 1
     if k0 > max_terms - 1:
         raise NoConvergenceError(
             f"the tail bound applies from term {k0} on, past "
@@ -460,13 +467,15 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     first such term it checks.  Exact params and x are summed by
     _integer_sum.
     """
+    check_eval_point(x)
+    check_budget(tol, max_terms)
     if params.exact() and is_exact(x):
         return _integer_sum(params, x, tol, max_terms, None)
     rule = _stop_rule(params, x, tol, max_terms)
     if rule is None:
         return SeriesEvaluation(1.0, 1, False, 0.0)
     last, polynomial, k0, gate, af, bf, cf, ax = rule
-    a, b, c = params.a, params.b, params.c
+    a, b, c = params
     term = total = 1.0
     # kf is k, stepped by one: 1.0 beside float parameters, else 1.  The
     # step forms k+1 once, as k1, for its denominator and the next kf.  kf
@@ -505,8 +514,10 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
                 break
             # a term here is finite and past k0, but may lie below the
             # gate.  As sigma_k <= |x|, one below about
-            # gate / |x|**_RUN_AFTER starts no run worth computing.
-            if abs(term) * ax ** _RUN_AFTER < gate:
+            # gate / |x|**_RUN_AFTER starts no run worth computing; nor
+            # does a budget past 2**53, where _stop_rule refuses nothing,
+            # which the proof of _run_length needs.
+            if abs(term) * ax ** _RUN_AFTER < gate or last >= 2 ** 53:
                 m = 0
             else:
                 rooms = rooms or (math.log2(gate),
@@ -526,7 +537,7 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
         term = term * (a + kf) * (b + kf) / ((k1 := kf + one) * (c + kf)) * x
         total = total + term
         kf = k1
-    return SeriesEvaluation(total, int(kf) + 1, terminated, bound)
+    return _pack(SeriesEvaluation, (total, int(kf) + 1, terminated, bound))
 
 
 def _start_width(tol: float, max_terms: int) -> int:
@@ -563,7 +574,8 @@ def _sum_double(lo: int, hi: int, one: int) -> float | None:
 
 def _integer_sum(params: HypergeometricParams, x: Scalar, tol: float,
                  max_terms: int, width: int | None) -> SeriesEvaluation | None:
-    """eval_series for exact params and x, on integers.
+    """eval_series for exact params and x, on integers, at a checked x, tol
+    and max_terms.
 
     Width None sums exactly and returns a Fraction value.  An int width
     sums in width-bit fixed point and returns the value rounded to a
@@ -578,7 +590,7 @@ def _integer_sum(params: HypergeometricParams, x: Scalar, tol: float,
     if rule is None:
         return SeriesEvaluation(Fraction(1) if exact else 1.0, 1, False, 0.0)
     last, polynomial, k0, gate, af, bf, cf, ax = rule
-    a, b, c = params.a, params.b, params.c
+    a, b, c = params
     na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
     nc, dc = c.numerator, c.denominator
     nx_dc, dabx = x.numerator * dc, da * db * x.denominator
@@ -640,14 +652,24 @@ def scaled_sum(scale: Scalar, params: HypergeometricParams, x: Scalar,
     through eval_series.
     """
     check_finite("prefactor", scale)
-    mag = abs(float(scale))
+    check_eval_point(x)
+    return _scaled_sum(scale, abs(float(scale)), params, x, tol, max_terms)
+
+
+def _scaled_sum(scale: Scalar, mag: float, params: HypergeometricParams,
+                x: Scalar, tol: float, max_terms: int) -> SeriesEvaluation:
+    """scaled_sum at a checked x, for a scale checked finite, of magnitude
+    mag.  A float sum is taken by eval_series, an exact one by
+    _integer_sum once max_terms is checked."""
     inner_tol = tol / mag if mag > 0.0 else tol
     if not 0.0 < inner_tol < math.inf:
         raise DomainError(f"tol {tol} over the prefactor magnitude {mag} "
                           "leaves the positive float range")
     out = None
-    if isinstance(scale, float) and params.exact() and is_exact(x):
-        width = _start_width(inner_tol, max_terms)
+    if params.exact() and is_exact(x):
+        check_budget(inner_tol, max_terms)
+        # an exact scale takes the exact sum, width None, which decides
+        width = None if is_exact(scale) else _start_width(inner_tol, max_terms)
         for _ in range(4):
             out = _integer_sum(params, x, inner_tol, max_terms, width)
             if out is not None:
@@ -657,8 +679,8 @@ def scaled_sum(scale: Scalar, params: HypergeometricParams, x: Scalar,
         out = eval_series(params, x, inner_tol, max_terms)
     if not (is_exact(scale) and is_exact(out.value)):
         check_finite("scaled series value", out.value)
-    return SeriesEvaluation(scale * out.value, out.terms_used, out.terminated,
-                            out.tail_bound * mag)
+    return _pack(SeriesEvaluation, (scale * out.value, out.terms_used,
+                                    out.terminated, out.tail_bound * mag))
 
 
 # ---- operator residuals ----

@@ -29,8 +29,8 @@ from .binom import binom_char
 from .errors import DomainError, NoConvergenceError, no_convergence_in
 from .scalar import (Scalar, as_integer, check_finite, check_index,
                      is_exact, power)
-from .series import (HypergeometricParams, SeriesEvaluation, check_budget,
-                     check_eval_point, eval_series, scaled_sum)
+from .series import (HypergeometricParams, SeriesEvaluation, _pack,
+                     _scaled_sum, check_budget, check_eval_point, eval_series)
 
 
 # ---- parameter maps ----
@@ -86,7 +86,9 @@ def eval_transformed(params: HypergeometricParams, x: Scalar,
     """
     check_eval_point(x)
     z_params, exponent = euler_transform_params(params)
-    return scaled_sum(power(1 - x, exponent), z_params, x, tol, max_terms)
+    scale = power(1 - x, exponent)
+    check_finite("prefactor", scale)
+    return _scaled_sum(scale, abs(float(scale)), z_params, x, tol, max_terms)
 
 
 class Representation(str, Enum):
@@ -108,19 +110,18 @@ def select_representation(raw: SeriesEvaluation,
     A side that terminated wins over one that did not; otherwise the side
     that took fewer terms wins, with ties going to raw.
     """
-    # sorted is stable, so a tie keeps raw first
-    (win, best), (lose, other) = sorted(
-        ((Representation.RAW, raw), (Representation.TRANSFORMED, transformed)),
-        key=lambda side: (not side[1].terminated, side[1].terms_used))
+    (best, win), (other, lose) = (raw, "raw"), (transformed, "transformed")
+    if (not other.terminated, other.terms_used) < (not best.terminated,
+                                                   best.terms_used):
+        (best, win), (other, lose) = (other, lose), (best, win)
     if best.terminated != other.terminated:
-        reason = (f"{win.value} series terminates after {best.terms_used} "
-                  f"terms; {lose.value} does not")
+        reason = (f"{win} series terminates after {best.terms_used} "
+                  f"terms; {lose} does not")
     elif best.terms_used < other.terms_used:
-        reason = f"{best.terms_used} terms vs {other.terms_used} {lose.value}"
+        reason = f"{best.terms_used} terms vs {other.terms_used} {lose}"
     else:
-        reason = (f"both sides take {best.terms_used} terms; "
-                  f"tie goes to {win.value}")
-    return RepresentationChoice(win, reason)
+        reason = f"both sides take {best.terms_used} terms; tie goes to {win}"
+    return _pack(RepresentationChoice, (Representation(win), reason))
 
 
 def evaluate(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
@@ -155,7 +156,7 @@ def agreement(params: HypergeometricParams, x: Scalar, tol: float,
     """
     floor = 0.0
     if is_exact(raw.value) and isinstance(transformed.value, float):
-        e = float(euler_transform_params(params)[1])
+        e = float(params.c - params.a - params.b)  # as euler_transform_params
         floor = (abs(e) + 3.0 * abs(e * math.log(float(1 - x))) + 4.0) * 2.0 ** -52
     allowance = max(100.0 * tol, floor) * (1.0 + abs(float(raw.value)))
     check_finite("agreement allowance", allowance)
@@ -194,11 +195,12 @@ def _character_sum(lead: Scalar, params: HypergeometricParams, x: Scalar,
     """lead * s(params; x), the character sum of _character, for a checked
     x, tol and max_terms.
 
-    scaled_sum sums the series with the lead as the scale.  A zero factor
-    terminates the sum exactly; a zero lead makes it vanish.  tol applies
-    to the product, but the series itself is summed to no less than the
-    least positive double: a tol below 5e-324 |lead| is raised to it,
-    where tol / |lead| would underflow to 0.
+    series._scaled_sum sums the series with the lead as the scale, which
+    is checked here, once.  A zero factor terminates the sum exactly; a
+    zero lead makes it vanish.  tol applies to the product, but the series
+    itself is summed to no less than the least positive double: a tol
+    below 5e-324 |lead| is raised to it, where tol / |lead| would
+    underflow to 0.
     """
     check_finite("prefactor", lead)
     if not (is_exact(params.a) and is_exact(x)):
@@ -209,8 +211,8 @@ def _character_sum(lead: Scalar, params: HypergeometricParams, x: Scalar,
     # fl(|lead| 5e-324) is n 5e-324 with n >= |lead| - 1/2, so its quotient
     # by |lead| is at least 2/3 of 5e-324 and rounds back to it, never to
     # 0; a normal one is off by a relative 2**-53 only.
-    tol = max(tol, abs(float(lead)) * 5e-324)
-    return scaled_sum(lead, params, x, tol, max_terms)
+    mag = abs(float(lead))
+    return _scaled_sum(lead, mag, params, x, max(tol, mag * 5e-324), max_terms)
 
 
 # ---- the three proportional sums ----

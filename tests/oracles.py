@@ -16,9 +16,10 @@ the operator residuals one ``Fraction`` operation at a time (floats too);
 differences of ``Scalar`` sides;
 ``theta_identity_reference``, the theta identity's sides from its own two
 characters binom(n, i) and binom(-n-1, i);
-``float_binom``, the running product of (m-j+1)/j in doubles; and
+``float_binom``, the running product of (m-j+1)/j in doubles;
 ``isinstance_render_json``, the report renderer as a chain of isinstance
-tests with ``json.dumps`` for every string.
+tests with ``json.dumps`` for every string; and ``reference_format_float``,
+the float it renders, as format(v, ".17g") with "-0" read as "0".
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from fractions import Fraction
 
 from gausshyp import (NoConvergenceError, binom_char, termination_index,
                       triple_sums)
-from gausshyp.cli import format_float
 from gausshyp.scalar import Scalar, power
 
 
@@ -319,6 +319,15 @@ def scalar_triple_relations(tp, x, tol: float = 1e-10,
     return tuple(results), tuple(allowances), passed, sums
 
 
+def reference_format_float(v: float) -> str:
+    """A finite double at 17 significant digits, "-0" read as "0"; a
+    non-finite one has no JSON form and raises ValueError."""
+    if math.isnan(v) or math.isinf(v):
+        raise ValueError("non-finite float in report")
+    text = format(v, ".17g")
+    return "0" if text == "-0" else text
+
+
 def isinstance_render_json(value) -> str:
     """Canonical JSON of a report: the first isinstance test that holds."""
     if value is None:
@@ -328,7 +337,7 @@ def isinstance_render_json(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return format_float(value)
+        return reference_format_float(value)
     if isinstance(value, Fraction):
         return json.dumps(str(value))
     if isinstance(value, str):

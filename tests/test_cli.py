@@ -11,6 +11,7 @@ import math
 import os
 import pathlib
 import random
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -30,7 +31,7 @@ from gausshyp import binom, cli, integrals, series, transform
 from gausshyp.cli import (INTEGRAL_AS, INTEGRAL_NI, ODE_GRID, _verify_integrals,
                           build_parser, format_float, main, render_json)
 from gausshyp.scalar import is_exact, parse_scalar
-from oracles import isinstance_render_json
+from oracles import isinstance_render_json, reference_format_float
 
 
 def run(capsys, *argv):
@@ -47,6 +48,31 @@ def test_format_float():
     assert format_float(2.0) == "2"
     with pytest.raises(ValueError):
         format_float(float("inf"))
+
+
+def _seeded_doubles(n: int) -> list[float]:
+    """Every finite double of n seeded bit patterns, so that each exponent,
+    the subnormals among them, is drawn alike, and n seeded uniform draws
+    in [-10, 10], where report values mostly lie."""
+    rng = random.Random(2029)
+    patterns = [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+                for _ in range(n)]
+    return ([v for v in patterns if math.isfinite(v)]
+            + [rng.uniform(-10.0, 10.0) for _ in range(n)])
+
+
+def test_format_float_is_17_significant_digits_with_no_negative_zero():
+    # the reference is format(v, ".17g") with "-0" read as "0"; it does not
+    # go through cli, as the render_json tests' oracle does not either
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+             2.225073858507201e-308, sys.float_info.max, -sys.float_info.max,
+             1e22, 1e-7, 0.1, 2.0, 1.9911, -1.3732]
+    for v in edges + _seeded_doubles(20000):
+        assert format_float(v) == reference_format_float(v), v
+        assert format_float(np.float64(v)) == reference_format_float(v), v
+    for bad in (math.inf, -math.inf, math.nan, -math.nan, np.float64("nan")):
+        with pytest.raises(ValueError, match="non-finite float in report"):
+            format_float(bad)
 
 
 def test_render_json_round_trip():
@@ -338,6 +364,25 @@ def test_eval_exact_floor_still_fails_a_perturbed_euler_value(capsys,
     monkeypatch.setattr(transform, "eval_transformed", perturbed)
     code, out, _ = run(capsys, *FLOOR_ARGV)
     assert code == 1 and json.loads(out)["status"] == "fail"
+
+
+def test_eval_exact_forms_the_euler_parameters_once(capsys, monkeypatch):
+    # c-a-b = 43/12 is not an integer, so the Euler side is a double and
+    # the allowance takes the prefactor's rounding floor, which reads c-a-b
+    # and 1-x without forming the Euler parameters a second time
+    calls = []
+    real = transform.euler_transform_params
+
+    def spy(params):
+        calls.append(params)
+        return real(params)
+
+    monkeypatch.setattr(transform, "euler_transform_params", spy)
+    code, out, err = run(capsys, "eval", "--mode", "exact", "-a=-40",
+                         "-b=5/4", "-c=7/3", "-x=-1/4")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["outputs"]["agreement_allowance"] > 0
+    assert calls == [HypergeometricParams(-40, Fraction(5, 4), Fraction(7, 3))]
 
 
 def _two_branch_allowance(params, x, tol, raw, transformed):

@@ -673,8 +673,9 @@ def test_float_runs_match_the_checked_loop(a, b, c, x, tol, max_terms):
     # 80 terms; term 64 lies above the ceiling, where a step could overflow
     ((0.6207657883604654, 2.2900742318142037e+160, 1.1272546433801317e+163),
      -0.98, 1.3189165994837873e-212),
-    # sigma_64 = 1.25e-308 lies below the normal doubles, where no run may
-    # start; rho_9999 = 8.5e300, so _stop_rule refuses the sum before that
+    # sigma_64 = 1.25e-308 lies below the normal doubles, where _run_length
+    # shows no run starts: rho_9999 = 8.5e300, so _stop_rule refuses the
+    # sum before its first term
     ((1.7e308, 1.0, 2.6e306), 5e-4, 1e-310),
 ])
 def test_no_run_starts_where_its_rounding_is_not_bounded(abc, x, tol):
@@ -682,6 +683,28 @@ def test_no_run_starts_where_its_rounding_is_not_bounded(abc, x, tol):
     params = P(*abc)
     assert _float_sum(params, x, tol, 10000) \
         == _float_reference(params, x, tol, 10000)
+
+
+def test_no_run_is_computed_under_a_budget_past_2_53(monkeypatch):
+    # _stop_rule refuses nothing there, and _run_length's proof that sigma_k
+    # is a normal double rests on that refusal.  (2**1023.99, 0.5; 2**1017.5)
+    # at x = 2**-11 shows why: its sigma_64 is 1.6e-308, its terms stay above
+    # the gate until then, and its rho_k stays above 1 for some 2**1000
+    # terms, so under any budget up to 2**53 it is refused at once
+    params, x = P(2.0 ** 1023.99, 0.5, 2.0 ** 1017.5), 2.0 ** -11
+    with pytest.raises(NoConvergenceError, match="after 9007199254740992 "):
+        eval_series(params, x, 2e-311, 2 ** 53)
+    # 3416 terms, 3374 of them in runs under a budget of 10000
+    params, x = P(2.3, 4.1, 0.6), 0.98
+    want = eval_series(params, x, 1e-12, 10000)
+    calls = []
+    run_length = series._run_length
+    monkeypatch.setattr(series, "_run_length",
+                        lambda *args: calls.append(args) or run_length(*args))
+    assert eval_series(params, x, 1e-12, 10000) == want and calls
+    calls.clear()
+    assert eval_series(params, x, 1e-12, 2 ** 53 + 1) == want
+    assert calls == []
 
 
 def test_a_float_step_that_overflows_stops_the_sum_at_its_term(term_steps):

@@ -14,7 +14,8 @@ from gausshyp import (DomainError, HypergeometricParams, Representation,
                       euler_transform_params, params_from_triple,
                       select_representation, termination_index, triple_params,
                       triple_sums, verify_triple_relations)
-from gausshyp.transform import _relation, evaluate
+from gausshyp import series, transform
+from gausshyp.transform import _relation, evaluate, triple_relations
 from oracles import brute_char_sum, brute_series, scalar_triple_relations
 
 P = HypergeometricParams
@@ -210,6 +211,49 @@ def test_character_series_below_the_least_double_over_its_lead():
         out = character_series(m1, m2, shift, x, 5e-324)
         assert 1.0 < lead and out.tail_bound <= lead * 5e-324
         assert not out.terminated
+
+
+def _count_checks(monkeypatch) -> tuple[list, list]:
+    """The points check_eval_point sees and the leads check_finite sees as
+    a prefactor, in series and transform, from here on."""
+    points, prefactors = [], []
+    real_point, real_finite = series.check_eval_point, series.check_finite
+
+    def point(value):
+        points.append(value)
+        return real_point(value)
+
+    def finite(name, value):
+        if name == "prefactor":
+            prefactors.append(value)
+        return real_finite(name, value)
+
+    for module in (series, transform):
+        monkeypatch.setattr(module, "check_eval_point", point)
+        monkeypatch.setattr(module, "check_finite", finite)
+    return points, prefactors
+
+
+@pytest.mark.parametrize("m1,m2,shift,x", [
+    (-3, -2, 1, F(1, 4)),   # an infinite exact sum
+    (2, 3, 1, F(1, 2)),     # a terminating one
+])
+def test_character_series_checks_its_lead_and_x_once(monkeypatch, m1, m2,
+                                                     shift, x):
+    # the public entry checks x, the sum its lead; an exact sum makes
+    # neither check again below them
+    points, prefactors = _count_checks(monkeypatch)
+    character_series(m1, m2, shift, x)
+    assert points == [x]
+    assert prefactors == [binom_char(m2, shift)]
+
+
+def test_triple_relations_check_each_point_and_lead_once(monkeypatch):
+    points, prefactors = _count_checks(monkeypatch)
+    xs = (F(0), F(1, 4), F(1, 2))
+    list(triple_relations(TripleParams(1, 2, 1), xs, 1e-10, 10000))
+    assert points == list(xs)
+    assert len(prefactors) == 3 * len(xs)  # one per nonzero sum at each x
 
 
 def test_character_series_validation():
