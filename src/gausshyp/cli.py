@@ -227,18 +227,20 @@ def _passes(name: str, outcomes) -> dict:
             "status": "pass" if failures == 0 else "fail"}
 
 
-def _within(name: str, pairs, not_applicable: int = 0) -> dict:
-    """Entry of a check whose cases are (residual, allowance) pairs."""
+def _within(name: str, pairs) -> dict:
+    """Entry of a check whose cases are (residual, allowance) pairs, each
+    None where the check does not apply, counted apart."""
     pairs = list(pairs)
+    applied = [pair for pair in pairs if pair is not None]
     entry = _passes(name, (residual <= allowance
-                           for residual, allowance in pairs))
-    residuals = [residual for residual, _ in pairs]
+                           for residual, allowance in applied))
+    residuals = [residual for residual, _ in applied]
     # null, not max(), past a nan or inf: max skips a nan after the first
     # case, and the report prints no non-finite float
     entry["worst_residual"] = (max(residuals, default=0.0)
                                if all(map(math.isfinite, residuals)) else None)
-    if not_applicable:
-        entry["not_applicable"] = not_applicable
+    if len(applied) < len(pairs):
+        entry["not_applicable"] = len(pairs) - len(applied)
     return entry
 
 
@@ -274,18 +276,12 @@ def _verify_ode(args, bridge: dict | None = None) -> list[dict]:
 
 def _verify_triple(args, bridge: dict | None = None) -> list[dict]:
     tol = _tol(args, 1e-10)
-    pairs = []
-    skipped = 0
-    for e, f, h in TRIPLE_EFH:
-        for _, checks in triple_relations(
-                TripleParams(e, f, h), TRIPLE_XS, tol, args.max_terms):
-            for check in checks:
-                if check is None:
-                    skipped += 1
-                else:
-                    residual, allowance = check
-                    pairs.append((float(residual), allowance))
-    return [_within("three-series-relations", pairs, not_applicable=skipped)]
+    pairs = [None if check is None else (float(check[0]), check[1])
+             for e, f, h in TRIPLE_EFH
+             for _, checks in triple_relations(
+                 TripleParams(e, f, h), TRIPLE_XS, tol, args.max_terms)
+             for check in checks]
+    return [_within("three-series-relations", pairs)]
 
 
 def _verify_integrals(args, bridge: dict | None = None) -> list[dict]:
@@ -415,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gauss hypergeometric series with transformation, "
                     "identity verification, and benchmarking")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # command name -> its own parser
     for name, (text, _) in COMMAND_OPTIONS.items():
         command = sub.add_parser(name, help=text)
         for flag, spec in _options(name).items():
@@ -489,19 +484,11 @@ def _read_literal(name: str, words: list[str]) -> argparse.Namespace | None:
 _COMMANDS = {"eval": cmd_eval, "verify": cmd_verify, "bench": cmd_bench}
 
 
-def _parse(parser: argparse.ArgumentParser,
-           command: argparse.ArgumentParser | None,
-           argv: list[str]) -> argparse.Namespace:
-    """argv as argparse reads it.  The full parser scans every word before
-    handing the rest to the command's parser, so an argv that names a
-    command is parsed by that parser alone; anything else, or words it
-    leaves over, takes the full parser, which prints the top-level usage
-    and errors."""
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:])
-        args.command = argv[0]
-    if command is None or extras:
-        args = parser.parse_args(argv)
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv as the full parser reads it, which prints the usage and
+    errors."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     # argparse before Python 3.13 drops the '--' of an option's "=--" and
     # stores an empty list, which would reach a command as a value
     for flag, spec in _options(args.command).items():
@@ -513,12 +500,11 @@ def _parse(parser: argparse.ArgumentParser,
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
     # a literal argv that names a command is read from the option tables
-    args = None if command is None else _read_literal(argv[0], argv[1:])
+    args = (_read_literal(argv[0], argv[1:])
+            if argv and argv[0] in _LITERAL else None)
     if args is None:
-        args = _parse(parser, command, argv)
+        args = _parse(argv)
     try:
         check_budget(_tol(args), args.max_terms)
         report, columns, records, code = _COMMANDS[args.command](args)

@@ -133,11 +133,12 @@ def check_eval_point(x: Scalar) -> None:
 
 
 def check_budget(tol: float, max_terms: int) -> None:
-    """Reject a tol that is not positive and finite, or a budget below one."""
+    """Reject a tol that is not positive and finite, or a budget below 1
+    or above 2**53, which no sum can spend."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms}")
+    if not 1 <= max_terms <= 2 ** 53:
+        raise DomainError(f"max_terms must lie in [1, 2**53], got {max_terms}")
 
 
 # ---- coefficients and termination ----
@@ -290,7 +291,7 @@ def _run_length(k: int, span: int, lt: float, floor: float, ceiling: float,
 
     eval_series calls it at a k >= k0 + 64 and >= 64 (see the tail
     majorant), with t_k finite, |t_k| |x|**64 at least a normal gate and
-    the last budgeted term below 2**53.  There sigma_k is a normal double,
+    the sum let through by _stop_rule.  There sigma_k is a normal double,
     so its log and its rounding are those slack allows for.  Proof: as
     |t_k| <= 2**1024 and the gate is >= 2**-1022, |x| >= 2**-32, so
     _stop_rule made its refusal and passed it: rho_last < 2.  Past k0 a
@@ -357,7 +358,7 @@ def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
     the float loop and the integer loop alike: a polynomial over budget; a
     sum whose majorant applies only from a term k0 past the budget; and a
     sum whose computed majorant at the last budgeted term is at least
-    1 + 2**-48, inf included, with that term below 2**53 and |x| normal.
+    1 + 2**-48, inf included, with |x| normal.
     No term up to the last can stop that sum, so it raises the error of a
     spent budget.
     """
@@ -377,7 +378,7 @@ def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
             f"the tail bound applies from term {k0} on, past "
             f"max_terms={max_terms}")
     ax, last = abs(float(x)) or 5e-324, max_terms - 1
-    if last < 2 ** 53 and ax >= _FLOAT_MIN:
+    if ax >= _FLOAT_MIN:
         # A sum whose majorant at the last budgeted term is >= 1 + 32u,
         # u = 2**-53, fails here, before its first term, with the error of
         # a spent budget.  Past k0, rho_k is non-increasing in k
@@ -514,10 +515,8 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
                 break
             # a term here is finite and past k0, but may lie below the
             # gate.  As sigma_k <= |x|, one below about
-            # gate / |x|**_RUN_AFTER starts no run worth computing; nor
-            # does a budget past 2**53, where _stop_rule refuses nothing,
-            # which the proof of _run_length needs.
-            if abs(term) * ax ** _RUN_AFTER < gate or last >= 2 ** 53:
+            # gate / |x|**_RUN_AFTER starts no run worth computing.
+            if abs(term) * ax ** _RUN_AFTER < gate:
                 m = 0
             else:
                 rooms = rooms or (math.log2(gate),

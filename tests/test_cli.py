@@ -579,6 +579,47 @@ def test_verify_max_terms_must_be_positive(capsys, suite):
     assert "max_terms" in err and "Traceback" not in err
 
 
+# No sum can spend a budget past 2**53, and every command refuses one before
+# it sums a term.  Under such a budget the float and the exact point below
+# were summed without end, where a budget of 2**53 turns each away at once,
+# and a budget past the float range overflowed the float loop's counter:
+# an OverflowError, exit 1.
+HOPELESS_FLOAT = ["eval", "-a=1.7852755613304564e+308", "-b=0.5",
+                  "-c=1.9861890721150725e+306", "-x=0.00048828125",
+                  "--tol", "2e-311"]
+PAST_2_53, PAST_FLOATS = str(2 ** 53 + 1), str(10 ** 309)
+
+
+@pytest.mark.parametrize("argv", [
+    [*HOPELESS_FLOAT, "--max-terms", PAST_2_53],
+    ["eval", "--mode", "exact", "-a=" + "10" * 50, "-b=1/3", "-c=-7/2",
+     "-x=-0.5", "--tol=5e-324", "--max-terms=" + PAST_2_53],
+    ["eval", "-a=0.3", "-b=0.7", "-c=1.5", "-x=0.5", "--max-terms",
+     PAST_FLOATS],
+    ["bench", "--max-terms", PAST_FLOATS],
+    ["verify", "triple", "--max-terms", PAST_2_53],
+    ["verify", "integrals", "--max-terms", PAST_2_53],
+], ids=["float-sum", "exact-sum", "float-counter", "bench", "triple",
+        "integrals"])
+def test_a_budget_past_2_53_is_a_domain_error(capsys, term_steps, argv):
+    code, out, err = run(capsys, *argv)
+    budget = argv[-1].rpartition("=")[2]
+    assert code == 2 and out == ""
+    assert err == ("domain error: max_terms must lie in [1, 2**53], "
+                   f"got {budget}\n")
+    assert term_steps == []
+
+
+def test_a_budget_of_2_53_turns_a_hopeless_sum_away_at_once(capsys,
+                                                            term_steps):
+    code, out, err = run(capsys, *HOPELESS_FLOAT, "--max-terms",
+                         str(2 ** 53))
+    assert code == 3 and out == ""
+    assert err == ("no convergence: tail bound still above tol=2e-311 after "
+                   "9007199254740992 terms\n")
+    assert term_steps == []
+
+
 @pytest.mark.parametrize("budget", ["1", "60", "70"])
 def test_verify_integrals_sums_its_closed_forms_within_max_terms(capsys,
                                                                  budget):
@@ -642,9 +683,9 @@ def test_verify_integrals_pairs_match_the_per_spec_functions(monkeypatch,
     seen = {}
     real = cli._within
 
-    def recording(name, pairs, not_applicable=0):
+    def recording(name, pairs):
         seen[name] = pairs = list(pairs)
-        return real(name, pairs, not_applicable)
+        return real(name, pairs)
 
     monkeypatch.setattr(cli, "_within", recording)
     _verify_integrals(build_parser().parse_args(
@@ -1166,7 +1207,7 @@ def _dispatch(capsys, monkeypatch, argvs):
 
 def test_command_parser_matches_the_full_parser(capsys, monkeypatch):
     direct = _dispatch(capsys, monkeypatch, DISPATCH_ARGVS)
-    monkeypatch.setattr(build_parser(), "commands", {})
+    monkeypatch.setattr(cli, "_read_literal", lambda name, words: None)
     full = _dispatch(capsys, monkeypatch, DISPATCH_ARGVS)
     for argv, got, want in zip(DISPATCH_ARGVS, direct, full):
         assert got == want, argv
@@ -1178,22 +1219,26 @@ def test_command_parser_matches_the_full_parser(capsys, monkeypatch):
 
 
 def test_a_command_argv_skips_the_full_parser(capsys, monkeypatch):
-    scans = []
-    parser = build_parser()
-    monkeypatch.setattr(parser, "parse_known_args",
-                        lambda *args: scans.append(args))
+    # the literal reader reads EVAL_ARGV; it declines the positional of
+    # verify, which one parse_args call on the full parser reads
+    parses = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *args: parses.append(self)
+                        or parse_args(self, *args))
     assert main(EVAL_ARGV) == 0
+    assert parses == []
     assert main(["verify", "binom", "--output", "csv"]) == 0
     capsys.readouterr()
-    assert scans == []
+    assert parses == [build_parser()]
 
 
 # ---- the literal reader ----
 #
 # A literal argv of a command without positionals is read from the option
-# tables before any argparse call; what the reader declines takes argparse
-# as above.  Emptying the parser's command table sends every argv to the
-# full parser, the reference for both.
+# tables before any argparse call; what the reader declines takes the full
+# parser.  Switching the reader off sends every argv to the full parser,
+# the reference for both.
 
 LITERAL_VALUES = st.sampled_from(
     ["-3", "-0.5", "-3/4", "--", "", "1e-6", "abc", "exact", "bogus",
@@ -1235,7 +1280,7 @@ def command_argvs(draw):
 def test_literal_reader_matches_the_full_parser(capsys, argv):
     with pytest.MonkeyPatch.context() as patch:
         literal = _dispatch(capsys, patch, [argv])
-        patch.setattr(build_parser(), "commands", {})
+        patch.setattr(cli, "_read_literal", lambda name, words: None)
         full = _dispatch(capsys, patch, [argv])
     assert literal == full
 
@@ -1253,11 +1298,14 @@ def test_the_literal_reader_declines_what_argparse_reads(argv):
 
 
 def test_a_literal_argv_reaches_no_argparse_parse(capsys, monkeypatch):
+    # the parses called from outside argparse, not those of a subparser
+    # the full parser hands its words to
     calls = []
     for method in ("parse_known_args", "parse_args"):
         def spy(self, *args, _method=getattr(argparse.ArgumentParser, method),
                 **kwargs):
-            calls.append(self.prog)
+            if sys._getframe(1).f_globals["__name__"] != "argparse":
+                calls.append(self.prog)
             return _method(self, *args, **kwargs)
         monkeypatch.setattr(argparse.ArgumentParser, method, spy)
     for argv in (["eval", "-a", "1", "-b", "1", "-c", "2", "-x", "0.5"],
@@ -1269,9 +1317,9 @@ def test_a_literal_argv_reaches_no_argparse_parse(capsys, monkeypatch):
     capsys.readouterr()
     assert calls == []
     # the suite of verify is a positional, and a word after -x that starts
-    # with '-' may be an option: argparse reads both
+    # with '-' may be an option: the full parser reads both
     assert main(["verify", "all"]) == 0
-    assert calls == ["gausshyp verify"]
+    assert calls == ["gausshyp"]
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as rejected:
         main(["eval", "-a", "1", "-b", "1", "-c", "2", "-x", "-3/4"])

@@ -685,12 +685,15 @@ def test_no_run_starts_where_its_rounding_is_not_bounded(abc, x, tol):
         == _float_reference(params, x, tol, 10000)
 
 
-def test_no_run_is_computed_under_a_budget_past_2_53(monkeypatch):
-    # _stop_rule refuses nothing there, and _run_length's proof that sigma_k
-    # is a normal double rests on that refusal.  (2**1023.99, 0.5; 2**1017.5)
-    # at x = 2**-11 shows why: its sigma_64 is 1.6e-308, its terms stay above
-    # the gate until then, and its rho_k stays above 1 for some 2**1000
-    # terms, so under any budget up to 2**53 it is refused at once
+def test_no_run_is_computed_under_a_budget_past_2_53(monkeypatch,
+                                                     term_steps):
+    # check_budget refuses such a budget, which no sum can spend, before
+    # any term: _run_length's proof that sigma_k is a normal double rests
+    # on _stop_rule's refusal, which holds only up to 2**53.
+    # (2**1023.99, 0.5; 2**1017.5) at x = 2**-11 shows why: its sigma_64 is
+    # 1.6e-308, its terms stay above the gate until then, and its rho_k
+    # stays above 1 for some 2**1000 terms, so under any budget up to 2**53
+    # it is refused at once
     params, x = P(2.0 ** 1023.99, 0.5, 2.0 ** 1017.5), 2.0 ** -11
     with pytest.raises(NoConvergenceError, match="after 9007199254740992 "):
         eval_series(params, x, 2e-311, 2 ** 53)
@@ -703,8 +706,19 @@ def test_no_run_is_computed_under_a_budget_past_2_53(monkeypatch):
                         lambda *args: calls.append(args) or run_length(*args))
     assert eval_series(params, x, 1e-12, 10000) == want and calls
     calls.clear()
-    assert eval_series(params, x, 1e-12, 2 ** 53 + 1) == want
-    assert calls == []
+    steps = len(term_steps)
+    with pytest.raises(DomainError, match=r"^max_terms must lie in "
+                       r"\[1, 2\*\*53\], got 9007199254740993$"):
+        eval_series(params, x, 1e-12, 2 ** 53 + 1)
+    assert calls == [] and len(term_steps) == steps
+
+
+def test_check_budget_admits_budgets_up_to_2_53():
+    series.check_budget(1e-12, 1)
+    series.check_budget(1e-12, 2 ** 53)
+    for budget in (0, 2 ** 53 + 1):
+        with pytest.raises(DomainError, match=r"^max_terms must lie in "):
+            series.check_budget(1e-12, budget)
 
 
 def test_a_float_step_that_overflows_stops_the_sum_at_its_term(term_steps):
