@@ -22,16 +22,16 @@ sum is wanted, under a float prefactor, it runs in W-bit fixed point with
 running error bounds e and E, and rounds once.  The term's double is
 taken from |P| and |Q|, since Q turns negative after a step where
 c + k < 0.  Past the index where the majorant of the term ratios applies,
-a minorant applies too; where the two, with a rounding margin, keep the
-next terms above the gate below which the stop rule can fire, and each
-intermediate of the step inside the normal doubles, the float loop steps
-those terms as a run, with no check.  The exact coefficients and the two
-operator residuals work the same way: integer numerators over one common
-denominator, each returned value reduced once.  The operator identity is
--x**(b-1) times the differential operator, so its residual is read from
-the entries of the ODE residual, which are formed once.  ``ode_checks``,
-which ``gausshyp verify ode`` runs, compares those integers and reduces
-nothing.
+the float loop steps blocks of terms with no check, and keeps a block
+only where its last term shows that no check within it could have fired;
+otherwise it steps the block again with every check.  The exact loop
+refuses a sum whose integers outgrow the bit cap of scalar.power.  The
+exact coefficients and the two operator residuals work the same way:
+integer numerators over one common denominator, each returned value
+reduced once.  The operator identity is -x**(b-1) times the differential
+operator, so its residual is read from the entries of the ODE residual,
+which are formed once.  ``ode_checks``, which ``gausshyp verify ode``
+runs, compares those integers and reduces nothing.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from fractions import Fraction
 from itertools import repeat
 
 from .errors import DomainError, InvalidCError, NoConvergenceError
-from .scalar import (_FLOAT_MAX_INT, Scalar, as_integer, check_finite,
-                     is_exact, is_nonpositive_integer)
+from .scalar import (_FLOAT_MAX_INT, Scalar, _power_bits, as_integer,
+                     check_finite, is_exact, is_nonpositive_integer)
 
 #: Largest truncation degree accepted by the exact-mode polynomial
 #: operations.  Their integers have about N log N digits at degree N; an
@@ -60,24 +60,15 @@ _FLOAT_MIN = sys.float_info.min
 #: it one Python call deeper.
 _pack = tuple.__new__
 
-#: Checked terms past k0 before a float sum may start its first run, and
-#: after a run shorter than this before it may start another (see the
-#: tail majorant).  Computing a run costs about 2 us, some 15 float
-#: steps, and saves about a fifth of each step it skips.  Summing both
-#: sides of 24 points with |a|, |b| <= 5 and c in [0.5, 5] on a 2-core
-#: x86 host under Python 3.11, median of 60 alternating rounds against
-#: the loop without runs: at x = -0.4 and 0.5, whose sums stop a median
-#: 23 and 34 terms past k0, 16 took 12 and 13 % longer, 32 took 1 and
-#: 5 % longer, and 64 and 128 were flat; at x = 0.9 and 0.98, 64 took 9
-#: and 23 % less.
-_RUN_AFTER = 64
-#: 32 u, u = 2**-53: the margin allowed each rounding of a ratio, in the
-#: slack of a run and in the refusal of a hopeless sum (see _run_length
-#: and _stop_rule).
+#: The terms a float block steps with no check (see the blocks), and the
+#: checked terms past k0 before a sum's first block, after a block that is
+#: stepped again, and after a mark whose term lies below the lift.  On the
+#: benchmark's float-eval pool of seed 1, first blocks at k0 itself were
+#: stepped again 22 times, mostly in short sums, against 2 times here.
+_BLOCK = 64
+#: 32 u, u = 2**-53: the margin allowed each rounding of a ratio in the
+#: refusal of a hopeless sum (see _stop_rule).
 _MARGIN = 2.0 ** -48
-#: Bits taken off every room a run is computed from: the rounding of the
-#: logs and of the quotient, far below it, cannot lengthen a run.
-_LOG_MARGIN = 2.0 ** -20
 
 
 class HypergeometricParams(namedtuple("HypergeometricParams", "a b c")):
@@ -223,23 +214,6 @@ def termination_index(params: HypergeometricParams) -> int | None:
 # latter exceed tol is a gate: no term at or above it can stop the sum,
 # so such a term needs neither rho_k nor the bound.  Any larger g is a
 # gate too, inf included, so the gate need only be sound, not least.
-#
-# The minorant.  By the same monotone argument the factors' infima over
-# j >= k are min(1, value at k), so
-#
-#     sigma_k = |x| * min(1, (a+k)/(1+k)) * min(1, (b+k)/(c+k))
-#
-# is at most every later term ratio, and terms k+1 .. k+m lie in
-# [|t_k| sigma_k**m, |t_k| rho_k**m].  While that interval stays above the
-# gate no check can fire, so the float loop steps those terms as a run,
-# with no test at all.  _run_length takes the logs of both ends and
-# allows per step a rounding margin, slack, in bits: sigma_k and rho_k
-# are formed in doubles from the doubles of a, b and c, and a float step
-# rounds up to eight times.  Each rounding moves a ratio by at most u = 2**-53, and
-# rounding p in p + k by at most u |p| / (p + k); slack counts 2**-48 =
-# 32 u for each, which covers the second-order terms too.  A run starts
-# only at a k >= k0 + 1 with k >= 1, so a+k, b+k, 1+k and c+k are all
-# >= 1 there and stay so.
 
 def _tail_gate(ax: float, tol: float) -> float:
     """A gate g for |x| = ax: fl(fl(g ax) / fl(1 - ax)) > tol, or inf.
@@ -272,66 +246,6 @@ def _ratio_majorant(k: int, af: float, bf: float, cf: float,
     f1 = (af + k) / (1.0 + k)
     f2 = (bf + k) / (cf + k)
     return ax * (f1 if f1 > 1.0 else 1.0) * (f2 if f2 > 1.0 else 1.0)
-
-
-def _ratio_minorant(k: int, af: float, bf: float, cf: float,
-                    ax: float) -> float:
-    """sigma_k, which every term ratio past term k is at least once
-    k >= k0."""
-    f1 = (af + k) / (1.0 + k)
-    f2 = (bf + k) / (cf + k)
-    return ax * (f1 if f1 < 1.0 else 1.0) * (f2 if f2 < 1.0 else 1.0)
-
-
-def _run_length(k: int, span: int, lt: float, floor: float, ceiling: float,
-                af: float, bf: float, cf: float, ax: float) -> int:
-    """How many terms after term k, at most span, lie where no check of
-    the stop rule can fire: the m for which every term k+1 .. k+m stays
-    within [2**floor, 2**ceiling], lt being log2 |t_k|.
-
-    eval_series calls it at a k >= k0 + 64 and >= 64 (see the tail
-    majorant), with t_k finite, |t_k| |x|**64 at least a normal gate and
-    the sum let through by _stop_rule.  There sigma_k is a normal double,
-    so its log and its rounding are those slack allows for.  Proof: as
-    |t_k| <= 2**1024 and the gate is >= 2**-1022, |x| >= 2**-32, so
-    _stop_rule made its refusal and passed it: rho_last < 2.  Past k0 a
-    factor f = f1 or f2 of the ratio that is below 1 rises with j, so
-    f(j) <= f(k) for k0 < j <= k; one that is at least 1 falls, with
-    (1 + j) f1(j) = a + j <= (1 + last) f1(last) and (c + j) f2(j) <=
-    (c + last) f2(last), c + j >= 1, so f(j) < B = 2**54 / |x|.  If
-    sigma_k = |x| min(1, f1(k)) min(1, f2(k)) were below 2**-1022, a
-    factor would be below 1, as |x| >= 2**-32; each ratio t_{j+1} / t_j,
-    k0 < j < k, would be at most B sigma_k < 2**-936 if the other factor
-    is at least 1, or sigma_k if it is not.  The 63 or more such steps
-    from |t_{k0+1}| <= 2**1024, each rounded within a relative 2**-50
-    and an absolute 2**-1074, would leave |t_k| |x|**64 below 2**-1022,
-    and no run would be computed.
-    """
-    slack = _MARGIN * (16.0 + abs(af) / (af + k) + abs(bf) / (bf + k)
-                          + abs(cf) / (cf + k))
-    m = min(span, (lt - floor - _LOG_MARGIN)
-            / (slack - math.log2(_ratio_minorant(k, af, bf, cf, ax))))
-    rise = slack + math.log2(_ratio_majorant(k, af, bf, cf, ax))
-    if rise > 0.0:
-        m = min(m, (ceiling - lt - _LOG_MARGIN) / rise)
-    elif lt > ceiling - _LOG_MARGIN:
-        return 0
-    return int(max(m, 0.0))
-
-
-def _float_ceiling(last: int, af: float, bf: float, cf: float,
-                   ax: float) -> float:
-    """log2 of the largest |t| for which a float step, up to term last,
-    keeps every intermediate below 2**1022; -inf where none does.
-
-    Past a run's start the factors a+j, b+j, j+1 and c+j lie in [1, M],
-    M = max(|a|, |b|, |c|) + last + 1, so each intermediate is at most
-    max(|t|, 1) M**2 / |x|: the largest of |t| (a+j) (b+j), (j+1) (c+j),
-    and the quotient, which is |t_{j+1} / x|.
-    """
-    room = 1022.0 + math.log2(ax) - 2.0 * math.log2(
-        max(abs(af), abs(bf), abs(cf)) + last + 1)
-    return room if room >= 0.0 else -math.inf
 
 
 def _budget_spent(tol: float, max_terms: int) -> NoConvergenceError:
@@ -413,15 +327,39 @@ def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
 # +-0.0 lies in neither half, no comparison holds for nan, and +-inf lies
 # past hi, also where gate = inf.
 #
-# A float run (see the tail majorant) keeps every term in [gate, hi] only
-# where the step rounds each operand and result within u: where every
-# intermediate of the step, not only the term it ends in, stays finite and
-# normal.  A run starts only under a normal gate, and its terms stay above
-# it, so the factors, all >= 1, keep each intermediate normal; from above,
-# _float_ceiling bounds the terms so that t (a+k) (b+k), which overflows
-# before the division where the term itself would not, stays finite.
-# Runs are computed only after _RUN_AFTER checked terms past k0, and again
-# _RUN_AFTER terms after a run shorter than that.
+# The blocks.  Beside float parameters, a mark past k0 whose term lies at
+# or above lift = gate / |x|**(2 _BLOCK) starts a block: eval_series saves
+# (term, total, kf), steps the next _BLOCK terms with no check, and keeps
+# them when the last lies in the signed gate range.  Otherwise it restores
+# the saved state and steps the same terms again, with every check.  The
+# step line is the checked loop's, so a kept block's terms and total are
+# that loop's; it remains to show that a check in the block that fires, a
+# stop or an inf or nan, leaves its last term out of the range.  Blocks
+# start at a k >= k0 + 1, under a gate g >= 2**-1021, with |x| <= 1 -
+# 2**-40, and with |x| normal, as |x|**(2 _BLOCK) is not 0.0; the proof
+# holds for any _BLOCK <= 2**48.  Let u = 2**-53, and A_i, B_i, C_i and
+# D_i the doubles of a+i, b+i, c+i and (i+1) C_i, each >= 1 past k0.
+#
+# Inf or nan.  As the factors are positive and x is finite and nonzero, a
+# step takes inf to inf or nan and nan to nan: such a term stays out of
+# the range at every later step.
+#
+# A stop at term j needs |t_j| < g, rho_j < 1 and a computed bound <= tol.
+# For i >= j the monotony of the tail majorant, with the roundings of A_i,
+# B_i, C_i and D_i, of rho_j's quotients A_j / (1+j) and B_j / C_j and of
+# its two products, gives ax A_i B_i / D_i <= rho_j (1+u)**3 / (1-u)**8.
+# A rounding of z >= 0 gives at most max(z (1+u), 2**-1022), so with the
+# four of the step, and A_i, D_i >= 1 and ax (1+u) <= 1, a step that does
+# not overflow multiplies w = max(|t|, 2**-1022) by at most
+# q = max(1, rho_j (1 + 16u)).  An overflow in a product gives inf or nan,
+# and in D_i alone 0.0.  So m steps after t_j a term is inf or nan, or has
+# w <= w_j q**m:
+# - if rho_j (1 + 16u) <= 1, q = 1 and w <= max(|t_j|, 2**-1022) < g;
+# - else fl(1 - rho_j) <= 16u and rho_j >= 1/2, so the bound is at least
+#   fl(|t_j| / 2) 2**49, while tol < g 2**40, as fl(g ax) <= g and
+#   fl(1 - ax) >= 2**-40.  Then |t_j| < g 2**-8 + 2**-1074 < g / 128,
+#   w_j <= g / 2, and q**m <= exp(16 u m) < 2 for m <= 2**48: w < g.
+# Either way no term after a stop, to the block's last, is in the range.
 #
 # _integer_sum steps it on integers: with a = na/da, b = nb/db,
 # c = nc/dc and x = nx/dx, each step multiplies in p(k) = (na + k da)
@@ -459,14 +397,14 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     inputs are exact).  Otherwise terms accumulate until the geometric
     majorant bound on the remaining tail drops to tol.  Only a term below
     the gate of _tail_gate can meet tol, so only such a term pays for
-    rho_k and the bound, and a long sum steps runs of terms shown to stay
-    above the gate with no test at all; the terms, the stop, the value
-    and the bound are those of a loop that checks every term.  A sum that
-    _stop_rule shows no term can stop raises NoConvergenceError before its
-    first term.  A float term past the float range (inf or nan) never
-    comes back, so another sum that is not a polynomial raises it at the
-    first such term it checks.  Exact params and x are summed by
-    _integer_sum.
+    rho_k and the bound, and a long sum steps blocks of terms with no test
+    at all, each stepped again with every test where its last term left
+    the gate range; the terms, the stop, the value and the bound are
+    those of a loop that checks every term.  A sum that _stop_rule shows
+    no term can stop raises NoConvergenceError before its first term.  A
+    float term past the float range (inf or nan) never comes back, so
+    another sum that is not a polynomial raises it at the first such term
+    it checks.  Exact params and x are summed by _integer_sum.
     """
     check_eval_point(x)
     check_budget(tol, max_terms)
@@ -482,16 +420,17 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     # step forms k+1 once, as k1, for its denominator and the next kf.  kf
     # is the loop's only counter, and k0, last and mark take its type, so
     # that each test compares two floats or two ints.
-    kf = 0.0 if type(a) is type(b) is type(c) is float else 0
+    floats = type(a) is type(b) is type(c) is float
+    kf = 0.0 if floats else 0
     one = kf + 1
     k0, last = kf + k0, kf + last
     hi, nhi, ngate = _FLOAT_MAX, -_FLOAT_MAX, -gate
-    # the next term at which a run may start or the sum must end; under a
-    # gate among the subnormals no run starts.  rooms, the logs of the gate
-    # and of the ceiling that bound every run, are formed at the first run
-    # computed, so that a short sum forms neither.
-    mark = min(k0 + _RUN_AFTER, last) if gate >= _FLOAT_MIN else last
-    rooms = None
+    # the next term at which a block may start or the sum must end; where
+    # the blocks' proof does not hold, lift is inf and no block starts
+    mark = min(k0 + _BLOCK, last)
+    fall = ax ** (2 * _BLOCK)
+    lift = (gate / fall if floats and fall and gate >= 2.0 ** -1021
+            and ax <= 1.0 - 2.0 ** -40 else math.inf)
     terminated = False
     while True:
         if kf >= k0:
@@ -513,26 +452,23 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
                     raise _budget_spent(tol, max_terms)
                 terminated, bound = True, 0.0
                 break
-            # a term here is finite and past k0, but may lie below the
-            # gate.  As sigma_k <= |x|, one below about
-            # gate / |x|**_RUN_AFTER starts no run worth computing.
-            if abs(term) * ax ** _RUN_AFTER < gate:
-                m = 0
-            else:
-                rooms = rooms or (math.log2(gate),
-                                  _float_ceiling(last, af, bf, cf, ax))
-                m = _run_length(kf, last - kf - 1, math.log2(abs(term)),
-                                *rooms, af, bf, cf, ax)
-            if m < _RUN_AFTER:
-                mark = min(kf + m + _RUN_AFTER, last)
-            # terms k+1 .. k+m need no check: step them in a loop of their
-            # own, which leaves kf at k+m.  The step is the one below,
-            # written twice so that neither loop pays for the other's
-            # tests; the two must stay the same.
-            for _ in repeat(None, m):
-                term = term * (a + kf) * (b + kf) / ((k1 := kf + one) * (c + kf)) * x
-                total = total + term
-                kf = k1
+            if kf + _BLOCK <= last and (lift <= term <= hi
+                                        or nhi <= term <= -lift):
+                # terms k+1 .. k+_BLOCK with no check, on the step below,
+                # written twice so that neither loop pays for the other's
+                # tests; the two must stay the same.  A last term in the
+                # gate range shows no check could have fired (see the
+                # blocks), and is checked next; else the block is stepped
+                # again, checked.
+                saved = term, total, kf
+                for _ in repeat(None, _BLOCK):
+                    term = term * (a + kf) * (b + kf) / ((k1 := kf + one) * (c + kf)) * x
+                    total = total + term
+                    kf = k1
+                if gate <= term <= hi or nhi <= term <= ngate:
+                    continue
+                term, total, kf = saved
+            mark = min(kf + _BLOCK, last)
         term = term * (a + kf) * (b + kf) / ((k1 := kf + one) * (c + kf)) * x
         total = total + term
         kf = k1
@@ -582,7 +518,9 @@ def _integer_sum(params: HypergeometricParams, x: Scalar, tol: float,
     rejects as it rejects the exact sum; or None where the width cannot
     decide the term count or the value.  NoConvergenceError is raised
     where the exact sum raises it, before the first term where _stop_rule
-    turns the sum away.
+    turns the sum away.  An exact sum whose Q passes the bit cap of
+    scalar.power, _power_bits(), raises DomainError at that term: its
+    value could not be printed, and its steps would grow without bound.
     """
     rule = _stop_rule(params, x, tol, max_terms)
     exact = width is None
@@ -597,6 +535,7 @@ def _integer_sum(params: HypergeometricParams, x: Scalar, tol: float,
     P = T = Q
     e = E = 0
     bq = Q.bit_length()  # only the exact step changes Q
+    cap = _power_bits() if exact else None
     gate_exp = math.frexp(gate)[1] if gate < math.inf else math.inf
     terminated = False
     for k in range(last + 1):
@@ -624,6 +563,9 @@ def _integer_sum(params: HypergeometricParams, x: Scalar, tol: float,
             Q *= q
             T = T * q + P
             bq = Q.bit_length()
+            if bq > cap:
+                raise DomainError(f"the exact sum's denominator passes "
+                                  f"{cap} bits at term {k + 1}")
         else:
             P = P * p // q
             e = -(-e * abs(p) // abs(q)) + 1

@@ -27,7 +27,7 @@ from gausshyp import (HypergeometricParams, IntegralSpec, NoConvergenceError,
                       check_closed_form_I, check_closed_form_II,
                       quad_I, quad_II, ratio_identity_sides,
                       theta_identity_sides)
-from gausshyp import binom, cli, integrals, series, transform
+from gausshyp import binom, cli, integrals, scalar, series, transform
 from gausshyp.cli import (INTEGRAL_AS, INTEGRAL_NI, ODE_GRID, _verify_integrals,
                           build_parser, format_float, main, render_json)
 from gausshyp.scalar import is_exact, parse_scalar
@@ -334,6 +334,27 @@ def test_term_step_spy_sees_an_exact_sum(capsys, term_steps):
                      "-c=5/9", "-x=1/2")
     assert code == 0
     assert term_steps[:3] == [0, 1, 2]
+
+
+# Exact sums whose denominator outgrows the bit cap of scalar.power, each
+# stopped at the term named: the first ran for minutes, the second exited
+# 2 on its Euler prefactor after some 10 s of exact steps.
+CAPPED_EXACT = {
+    267: ["-a=7/3", "-b=1", "-c=1e-305", "-x=-0.99"],
+    1332: ["-a=4792.554954931658", "-b=-0.9999999993392749",
+           "-c=-7527.34172419949", "-x=0.08964856403863841"],
+}
+
+
+@pytest.mark.parametrize("term", list(CAPPED_EXACT))
+def test_an_exact_sum_past_the_bit_cap_is_a_domain_error(capsys, term_steps,
+                                                         term):
+    code, out, err = run(capsys, "eval", "--mode", "exact",
+                         *CAPPED_EXACT[term])
+    assert code == 2 and out == ""
+    assert err == ("domain error: the exact sum's denominator passes "
+                   f"{scalar._power_bits()} bits at term {term}\n")
+    assert term_steps == list(range(term))
 
 
 # An exact raw value against a double Euler value, c-a-b not an integer:

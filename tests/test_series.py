@@ -619,16 +619,18 @@ def test_a_hopeless_sum_fails_before_its_first_term(term_steps, abc, x):
 
 
 def test_the_step_spy_sees_every_float_step(term_steps):
-    # checked steps and run steps alike: 3416 terms, 3374 in runs
+    # checked steps and block steps alike: 3416 terms, whose 3415 steps
+    # include 3264 in blocks
     assert eval_series(P(2.3, 4.1, 0.6), 0.98).terms_used == 3416
     assert term_steps == list(range(3415))
 
 
-# ---- runs: terms stepped with no check ----
+# ---- blocks: terms stepped with no check ----
 #
-# Past k0 a sum that has shown it is long steps the terms that lie between
-# its minorant and majorant bounds, above the gate, with no test.  Every
-# outcome must be that of a loop that tests every term.
+# Past k0 a sum that has shown it is long steps blocks of terms with no
+# test, and steps a block again with every test where its last term left
+# the gate range.  Every outcome must be that of a loop that tests every
+# term.
 
 wide_scalars = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e6, 1e6),
                          st.floats(-1e300, 1e300))
@@ -657,9 +659,9 @@ def _float_reference(params, x, tol, max_terms):
        st.one_of(st.sampled_from([0.9, -0.9, 0.98, -0.98, 0.999, -0.999]),
                  st.floats(-0.999, 0.999)),
        st.floats(-323.3, -3).map(lambda e: 10.0 ** e), st.integers(1, 10000))
-@example(2.3, 4.1, 0.6, 0.98, 1e-12, 10000)      # 3416 terms, 3374 in runs
-@example(1e-305, 1.0, 1.0, -0.98, 5e-324, 10000)  # subnormal gate: no runs
-@example(5.0, 5.0, 0.5, 0.999, 1e-300, 10000)    # runs while terms grow
+@example(2.3, 4.1, 0.6, 0.98, 1e-12, 10000)      # 3416 terms, 3264 in blocks
+@example(1e-305, 1.0, 1.0, -0.98, 5e-324, 10000)  # subnormal gate: no blocks
+@example(5.0, 5.0, 0.5, 0.999, 1e-300, 10000)    # blocks while terms grow
 def test_float_runs_match_the_checked_loop(a, b, c, x, tol, max_terms):
     # value bits, term count, termination, tail bound and the exact text
     # of a NoConvergenceError all stay those of the reference loop
@@ -669,17 +671,48 @@ def test_float_runs_match_the_checked_loop(a, b, c, x, tol, max_terms):
         == _float_reference(params, x, tol, max_terms)
 
 
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+@seed(3101)
+@settings(max_examples=30, deadline=None)
+@given(wide_scalars, wide_scalars, wide_scalars,
+       st.one_of(st.sampled_from([0.9, -0.9, 0.98, -0.98, 0.999, -0.999]),
+                 st.floats(-0.999, 0.999)),
+       st.floats(-323.3, -3).map(lambda e: 10.0 ** e), st.integers(1, 10000))
+@example(2.3, 4.1, 0.6, 0.98, 1e-12, 10000)
+@example(1e-305, 1.0, 1.0, -0.98, 5e-324, 10000)
+@example(5.0, 5.0, 0.5, 0.999, 1e-300, 10000)
+# |x| = 1 - 2**-40 takes blocks, the next double above it none
+@example(0.5, 0.5, 1.5, 1.0 - 2.0 ** -40, 1e-3, 3000)
+@example(0.5, 0.5, 1.5, 1.0 - 2.0 ** -40 + 2.0 ** -53, 1e-3, 3000)
+# a gate just above 2**-1021 takes blocks, one just below it none
+@example(1.0, 1.0, 1.0, 0.5, 2.0 ** -1021, 10000)
+@example(1.0, 1.0, 1.0, 0.5, 2.0 ** -1021 * (1.0 - 2.0 ** -40), 10000)
+# the sum stops at term 126, inside a block of 64, which is stepped again
+@example(0.019, -0.4132, 3.8349, 0.98, 1e-12, 10000)
+def test_blocks_of_any_length_match_the_checked_loop(block, a, b, c, x, tol,
+                                                     max_terms):
+    # short blocks step many a block again, where the last term of one left
+    # the gate range; every outcome stays the reference loop's
+    assume(not (c.is_integer() and c <= 0.0))
+    params = P(a, b, c)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_BLOCK", block)
+        got = _float_sum(params, x, tol, max_terms)
+    assert got == _float_reference(params, x, tol, max_terms)
+
+
 @pytest.mark.parametrize("abc,x,tol", [
-    # 80 terms; term 64 lies above the ceiling, where a step could overflow
+    # 80 terms: the block from term 64 steps past the stop at term 80, so
+    # it is stepped again, checked
     ((0.6207657883604654, 2.2900742318142037e+160, 1.1272546433801317e+163),
      -0.98, 1.3189165994837873e-212),
-    # sigma_64 = 1.25e-308 lies below the normal doubles, where _run_length
-    # shows no run starts: rho_9999 = 8.5e300, so _stop_rule refuses the
-    # sum before its first term
+    # rho_9999 = 8.5e300, so _stop_rule refuses the sum before its first
+    # term, and no block starts
     ((1.7e308, 1.0, 2.6e306), 5e-4, 1e-310),
 ])
 def test_no_run_starts_where_its_rounding_is_not_bounded(abc, x, tol):
-    # no run is stepped there, and the outcome stays the reference loop's
+    # no block keeps a term past a check that fires, and the outcome stays
+    # the reference loop's
     params = P(*abc)
     assert _float_sum(params, x, tol, 10000) \
         == _float_reference(params, x, tol, 10000)
@@ -688,29 +721,25 @@ def test_no_run_starts_where_its_rounding_is_not_bounded(abc, x, tol):
 def test_no_run_is_computed_under_a_budget_past_2_53(monkeypatch,
                                                      term_steps):
     # check_budget refuses such a budget, which no sum can spend, before
-    # any term: _run_length's proof that sigma_k is a normal double rests
-    # on _stop_rule's refusal, which holds only up to 2**53.
-    # (2**1023.99, 0.5; 2**1017.5) at x = 2**-11 shows why: its sigma_64 is
-    # 1.6e-308, its terms stay above the gate until then, and its rho_k
-    # stays above 1 for some 2**1000 terms, so under any budget up to 2**53
-    # it is refused at once
+    # any term: the float loop's counter, and the blocks it steps, count
+    # on every k being a double.  (2**1023.99, 0.5; 2**1017.5) at
+    # x = 2**-11 has a rho_k above 1 for some 2**1000 terms, so under any
+    # budget up to 2**53 it is refused at once
     params, x = P(2.0 ** 1023.99, 0.5, 2.0 ** 1017.5), 2.0 ** -11
     with pytest.raises(NoConvergenceError, match="after 9007199254740992 "):
         eval_series(params, x, 2e-311, 2 ** 53)
-    # 3416 terms, 3374 of them in runs under a budget of 10000
+    # 3416 terms, 3264 of them stepped in blocks under a budget of 10000;
+    # with the block longer than the budget no block is taken, and the
+    # record is the same
     params, x = P(2.3, 4.1, 0.6), 0.98
     want = eval_series(params, x, 1e-12, 10000)
-    calls = []
-    run_length = series._run_length
-    monkeypatch.setattr(series, "_run_length",
-                        lambda *args: calls.append(args) or run_length(*args))
-    assert eval_series(params, x, 1e-12, 10000) == want and calls
-    calls.clear()
+    monkeypatch.setattr(series, "_BLOCK", 10001)
+    assert eval_series(params, x, 1e-12, 10000) == want
     steps = len(term_steps)
     with pytest.raises(DomainError, match=r"^max_terms must lie in "
                        r"\[1, 2\*\*53\], got 9007199254740993$"):
         eval_series(params, x, 1e-12, 2 ** 53 + 1)
-    assert calls == [] and len(term_steps) == steps
+    assert len(term_steps) == steps
 
 
 def test_check_budget_admits_budgets_up_to_2_53():
@@ -723,10 +752,11 @@ def test_check_budget_admits_budgets_up_to_2_53():
 
 def test_a_float_step_that_overflows_stops_the_sum_at_its_term(term_steps):
     # t (a+k) (b+k) overflows before the division, where the term itself
-    # would not: the run must end before that step, so the term that
-    # reports inf is the one the checked loop reports.  rho_9999 < 1, so
-    # _stop_rule lets both sums start, and runs step most terms of 65 .. 428
-    # and of 65 .. 416
+    # would not: the term that reports inf is the one the checked loop
+    # reports.  rho_9999 < 1, so _stop_rule lets both sums start.  Blocks
+    # step terms 65 .. 448 and 65 .. 384; the next block of each, from
+    # term 448 and from term 384, ends past the float range and is stepped
+    # again, checked
     with pytest.raises(NoConvergenceError,
                        match=r"^term 474 is inf, outside the float range$"):
         eval_series(P(1049.746940488801, 1859.8876491658357,
@@ -735,7 +765,8 @@ def test_a_float_step_that_overflows_stops_the_sum_at_its_term(term_steps):
                        match=r"^term 425 is -inf, outside the float range$"):
         eval_series(P(250.6858155266171, 853.0961221479135,
                       323.7432882309041), -0.9)
-    assert term_steps == list(range(474)) + list(range(425))
+    assert term_steps == [*range(512), *range(448, 474),
+                          *range(448), *range(384, 425)]
 
 
 # ---- differential-operator residuals ----
