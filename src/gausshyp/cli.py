@@ -33,7 +33,8 @@ from .binom import binom_char, pascal_holds, reflection_holds
 from .errors import (DomainError, NoConvergenceError, QuadratureFailureError)
 from .integrals import integral_checks, verify_sign_bridge
 from .scalar import Scalar, check_finite, check_printable, parse_scalar
-from .series import HypergeometricParams, check_budget, ode_checks
+from .series import (HypergeometricParams, check_budget,
+                     check_eval_point, ode_checks)
 from .transform import TripleParams, agreement, evaluate, triple_relations
 
 
@@ -344,6 +345,8 @@ def cmd_bench(args):
         params = HypergeometricParams(a, b, c)
         for x in xs:
             row = {"a": a, "b": b, "c": c, "x": x}
+            # a point outside (-1, 1) fails the command, not its row
+            check_eval_point(x)
             try:
                 raw, trans, choice = evaluate(params, x, tol, args.max_terms)
                 row.update({
@@ -354,11 +357,13 @@ def cmd_bench(args):
                     "selected": choice.representation.value,
                     "status": "ok",
                 })
-            except NoConvergenceError:
+            except (NoConvergenceError, DomainError) as exc:
                 row.update({
                     "raw_terms": None, "raw_terminated": None,
                     "transformed_terms": None, "transformed_terminated": None,
-                    "selected": None, "status": "no-convergence",
+                    "selected": None, "status": (
+                        "domain-error" if isinstance(exc, DomainError)
+                        else "no-convergence"),
                 })
             rows.append(row)
     report = {"command": "bench", "mode": args.mode, "tol": tol,

@@ -8,30 +8,30 @@ through the coefficient recurrence
 
     (k+1)(c+k) c_{k+1} = (a+k)(b+k) c_k,      c_0 = 1,
 
-in exact rational arithmetic or in doubles, depending on the inputs.  When a
-or b is a nonpositive integer the series is a polynomial and is summed
+in exact rational arithmetic or in doubles, depending on the inputs.  When
+a or b is a nonpositive integer the series is a polynomial and is summed
 completely; otherwise summation stops once a geometric tail bound falls
 below the requested tolerance.  Two loops share that stop rule: a float
-loop, and an integer loop for exact inputs.  They share its refusals too:
-a sum whose majorant at the last budgeted term shows that no term within
-the budget can stop it fails before its first term in either loop.  The
-integer loop runs in one of two modes.  Exact, it steps an integer
-numerator P, denominator Q and partial sum T per term and reduces the sum
-to lowest terms once, when it is returned.  Where only the double of the
-sum is wanted, under a float prefactor, it runs in W-bit fixed point with
-running error bounds e and E, and rounds once.  The term's double is
-taken from |P| and |Q|, since Q turns negative after a step where
-c + k < 0.  Past the index where the majorant of the term ratios applies,
-the float loop steps blocks of terms with no check, and keeps a block
-only where its last term shows that no check within it could have fired;
-otherwise it steps the block again with every check.  The exact loop
-refuses a sum whose integers outgrow the bit cap of scalar.power.  The
-exact coefficients and the two operator residuals work the same way:
-integer numerators over one common denominator, each returned value
-reduced once.  The operator identity is -x**(b-1) times the differential
-operator, so its residual is read from the entries of the ODE residual,
-which are formed once.  ``ode_checks``, which ``gausshyp verify ode``
-runs, compares those integers and reduces nothing.
+loop on the doubles of the inputs, and an integer loop for exact inputs.
+They share its refusals too: a sum whose majorant at the last budgeted
+term shows that no term within the budget can stop it fails before its
+first term in either loop.  The integer loop runs in one of two modes.
+Exact, it steps an integer numerator P, denominator Q and partial sum T
+per term and reduces the sum to lowest terms once, when it is returned.
+Where only the double of the sum is wanted, under a float prefactor, it
+runs in W-bit fixed point with running error bounds e and E, and rounds
+once.  The term's double is taken from |P| and |Q|, since Q turns negative
+after a step where c + k < 0.  Past the index where the majorant of the
+term ratios applies, the float loop steps blocks of terms with no check,
+and keeps a block only where its last term shows that no check within it
+could have fired; otherwise it steps the block again with every check.  The
+exact loop refuses a sum whose integers outgrow the bit cap of
+scalar.power.  The exact coefficients and the two operator residuals work
+the same way: integer numerators over one common denominator, each
+returned value reduced once.  The operator identity is -x**(b-1) times the
+differential operator, so its residual is read from the entries of the ODE
+residual, which are formed once.  ``ode_checks``, which ``gausshyp verify
+ode`` runs, compares those integers and reduces nothing.
 """
 
 from __future__ import annotations
@@ -164,6 +164,15 @@ def _integer_coefficients(params: HypergeometricParams,
     return [p * r for p, r in zip(P, R)], R[0]
 
 
+def _check_double_c(params: HypergeometricParams, c: float) -> None:
+    """Refuse the double c of params.c where it is zero or a negative
+    integer, as only an exact c can round to: a step on doubles would
+    divide by zero at k = -c."""
+    if c <= 0.0 and c.is_integer():
+        raise InvalidCError(f"c = {params.c} is {c} as a double, zero or a "
+                            "negative integer")
+
+
 def coefficients(params: HypergeometricParams, degree: int) -> list[Scalar]:
     """Series coefficients c_0 .. c_degree from the recurrence.
 
@@ -174,7 +183,8 @@ def coefficients(params: HypergeometricParams, degree: int) -> list[Scalar]:
     if params.exact():
         num, D = _integer_coefficients(params, degree)
         return [Fraction(n, D) for n in num]
-    a, b, c = params.a, params.b, params.c
+    a, b, c = float(params.a), float(params.b), float(params.c)
+    _check_double_c(params, c)
     coeffs: list[Scalar] = [1.0]
     for k in range(degree):
         coeffs.append(coeffs[k] * (a + k) * (b + k) / ((k + 1) * (c + k)))
@@ -262,11 +272,11 @@ def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
     the last term the sum may reach; True when that term ends the series,
     which then needs no majorant, False when reaching it spends the
     budget; the first term whose majorant is checked; the gate of
-    _tail_gate; and the parameters as doubles and |x|, for rho_k.  A sum
-    that is not a polynomial at x = 0 is its first term alone, with a
-    zero tail: None.  An exact x whose double is 0.0 takes |x| as the
-    least double 5e-324, which is at least |x|: rho_k = 0 would call its
-    nonzero tail 0.
+    _tail_gate; and the parameters as doubles and |x|, for rho_k and the
+    float loop's step.  A sum that is not a polynomial at x = 0 is its
+    first term alone, with a zero tail: None.  An exact x whose double is
+    0.0 takes |x| as the least double 5e-324, which is at least |x|:
+    rho_k = 0 would call its nonzero tail 0.
 
     This is the one place that turns a sum away before its first term, for
     the float loop and the integer loop alike: a polynomial over budget; a
@@ -319,26 +329,27 @@ def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
 #
 # Two loops sum the series.  eval_series steps the term recurrence in
 # doubles, t_{k+1} = t_k (a+k) (b+k) / ((k+1)(c+k)) x in that operand
-# order.  Beside float parameters k is a float counter stepped by 1.0:
-# every k < 2**53 is a double, so each add in the step is float + float,
-# with the bits of float + int.  Its gate test is the signed range
+# order, on the doubles of a, b, c and x.  k is a float counter stepped by
+# 1.0: every k < 2**53 is a double, so each add in the step is float +
+# float, with the bits of float + int.  Its gate test is the signed range
 # gate <= t <= hi or -hi <= t <= -gate, with hi the largest double; as
 # gate > 0 this holds on exactly the doubles where gate <= |t| <= hi does:
 # +-0.0 lies in neither half, no comparison holds for nan, and +-inf lies
 # past hi, also where gate = inf.
 #
-# The blocks.  Beside float parameters, a mark past k0 whose term lies at
-# or above lift = gate / |x|**(2 _BLOCK) starts a block: eval_series saves
+# The blocks.  A mark past k0 whose term lies at or above
+# lift = gate / |x|**(2 _BLOCK) starts a block: eval_series saves
 # (term, total, kf), steps the next _BLOCK terms with no check, and keeps
 # them when the last lies in the signed gate range.  Otherwise it restores
 # the saved state and steps the same terms again, with every check.  The
 # step line is the checked loop's, so a kept block's terms and total are
 # that loop's; it remains to show that a check in the block that fires, a
 # stop or an inf or nan, leaves its last term out of the range.  Blocks
-# start at a k >= k0 + 1, under a gate g >= 2**-1021, with |x| <= 1 -
-# 2**-40, and with |x| normal, as |x|**(2 _BLOCK) is not 0.0; the proof
-# holds for any _BLOCK <= 2**48.  Let u = 2**-53, and A_i, B_i, C_i and
-# D_i the doubles of a+i, b+i, c+i and (i+1) C_i, each >= 1 past k0.
+# start at a k >= k0 + 1, under a gate g >= 2**-1021, with
+# |x| <= 1 - 2**-40, and with |x| normal, as |x|**(2 _BLOCK) is not 0.0;
+# the proof holds for any _BLOCK <= 2**48.  Let u = 2**-53, and A_i, B_i,
+# C_i and D_i the doubles of a+i, b+i, c+i and (i+1) C_i, each >= 1 past
+# k0.
 #
 # Inf or nan.  As the factors are positive and x is finite and nonzero, a
 # step takes inf to inf or nan and nan to nan: such a term stays out of
@@ -404,7 +415,10 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     no term can stop raises NoConvergenceError before its first term.  A
     float term past the float range (inf or nan) never comes back, so
     another sum that is not a polynomial raises it at the first such term
-    it checks.  Exact params and x are summed by _integer_sum.
+    it checks, and so does one whose bound meets tol after a denominator
+    (k+1)(c+k) past the float range has zeroed its terms.  Exact params
+    and x are summed by _integer_sum; any other sum runs on the doubles of
+    its inputs, with the bits of the same call on them.
     """
     check_eval_point(x)
     check_budget(tol, max_terms)
@@ -413,23 +427,21 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     rule = _stop_rule(params, x, tol, max_terms)
     if rule is None:
         return SeriesEvaluation(1.0, 1, False, 0.0)
-    last, polynomial, k0, gate, af, bf, cf, ax = rule
-    a, b, c = params
+    # the step runs on the doubles of the parameters and of x
+    last, polynomial, k0, gate, a, b, c, ax = rule
+    _check_double_c(params, c)
+    x = float(x)
     term = total = 1.0
-    # kf is k, stepped by one: 1.0 beside float parameters, else 1.  The
-    # step forms k+1 once, as k1, for its denominator and the next kf.  kf
-    # is the loop's only counter, and k0, last and mark take its type, so
-    # that each test compares two floats or two ints.
-    floats = type(a) is type(b) is type(c) is float
-    kf = 0.0 if floats else 0
-    one = kf + 1
-    k0, last = kf + k0, kf + last
+    # kf is k as a double, stepped by 1.0; the step forms k+1 once, as k1,
+    # for its denominator and the next kf.  k0, last and mark are doubles
+    # too, so that each test compares two floats.
+    kf, k0, last = 0.0, float(k0), float(last)
     hi, nhi, ngate = _FLOAT_MAX, -_FLOAT_MAX, -gate
     # the next term at which a block may start or the sum must end; where
     # the blocks' proof does not hold, lift is inf and no block starts
     mark = min(k0 + _BLOCK, last)
     fall = ax ** (2 * _BLOCK)
-    lift = (gate / fall if floats and fall and gate >= 2.0 ** -1021
+    lift = (gate / fall if fall and gate >= 2.0 ** -1021
             and ax <= 1.0 - 2.0 ** -40 else math.inf)
     terminated = False
     while True:
@@ -441,10 +453,17 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
                 if not abs(term) <= hi:
                     raise NoConvergenceError(
                         f"term {int(kf)} is {term}, outside the float range")
-                rho = _ratio_majorant(kf, af, bf, cf, ax)
+                rho = _ratio_majorant(kf, a, b, c, ax)
                 if rho < 1.0:
                     bound = abs(term) * rho / (1.0 - rho)
                     if bound <= tol:
+                        # the last step's denominator, rebuilt exactly,
+                        # is inf where any step's was, as past k0 it grows
+                        # with k: then the terms were zeroed, not small
+                        if kf * (c + (kf - 1.0)) > hi:
+                            raise NoConvergenceError(
+                                f"the denominator of term {int(kf)} is inf, "
+                                "outside the float range")
                         break
         if kf >= mark:
             if kf == last:
@@ -462,14 +481,14 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
                 # again, checked.
                 saved = term, total, kf
                 for _ in repeat(None, _BLOCK):
-                    term = term * (a + kf) * (b + kf) / ((k1 := kf + one) * (c + kf)) * x
+                    term = term * (a + kf) * (b + kf) / ((k1 := kf + 1.0) * (c + kf)) * x
                     total = total + term
                     kf = k1
                 if gate <= term <= hi or nhi <= term <= ngate:
                     continue
                 term, total, kf = saved
             mark = min(kf + _BLOCK, last)
-        term = term * (a + kf) * (b + kf) / ((k1 := kf + one) * (c + kf)) * x
+        term = term * (a + kf) * (b + kf) / ((k1 := kf + 1.0) * (c + kf)) * x
         total = total + term
         kf = k1
     return _pack(SeriesEvaluation, (total, int(kf) + 1, terminated, bound))

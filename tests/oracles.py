@@ -123,6 +123,8 @@ def float_eval_series(params, x: float, tol: float, max_terms: int):
             if rho < 1.0:
                 bound = abs(term) * rho / (1.0 - rho)
                 if bound <= tol:
+                    if k * (c + (k - 1)) == math.inf:
+                        raise NoConvergenceError("a denominator overflowed")
                     break
         if k == last:
             if stop is None:
@@ -142,7 +144,9 @@ def float_eval_error(params, x: float, tol: float, max_terms: int) -> str:
     budget, and a majorant of at least 1 + 2**-48, inf included, at the
     last budgeted term, below 2**53 with |x| normal, are refused first; else a
     term outside the float range stops the sum at the first one past k0,
-    as no later term comes back; else the budget runs out.
+    as no later term comes back, or a term whose bound meets tol after a
+    denominator k (c + k - 1) past the float range, which zeroed the terms;
+    else the budget runs out.
     """
     stop = termination_index(params)
     if stop is not None:
@@ -160,8 +164,14 @@ def float_eval_error(params, x: float, tol: float, max_terms: int) -> str:
             return budget
     term = 1.0
     for k in range(max_terms):
-        if k >= k0 and not math.isfinite(term):
-            return f"term {k} is {term}, outside the float range"
+        if k >= k0:
+            if not math.isfinite(term):
+                return f"term {k} is {term}, outside the float range"
+            rho = _ratio_majorant(a, b, c, x, k)
+            if (rho < 1.0 and abs(term) * rho / (1.0 - rho) <= tol
+                    and k * (c + (k - 1)) == math.inf):
+                return (f"the denominator of term {k} is inf, outside the "
+                        "float range")
         term = term * (a + k) * (b + k) / ((k + 1) * (c + k)) * x
     return budget
 

@@ -289,6 +289,20 @@ def test_eval_float_term_past_the_float_range_exit_3(capsys):
     assert err == "no convergence: term 1 is inf, outside the float range\n"
 
 
+@pytest.mark.parametrize("c", ["1e307", f"{10 ** 307}/1"],
+                         ids=["float-c", "exact-c"])
+def test_eval_float_denominator_past_the_float_range_exit_3(capsys, c):
+    # (k+1)(c+k) overflows to inf at k = 17 and zeroes term 18, whose bound
+    # would read 0: the sum stops there with exit 3, where it printed a
+    # value off by about 0.17 with a tail bound of 0, or, for an exact c,
+    # ended in an OverflowError
+    code, out, err = run(capsys, "eval", "-a=0.5", "-b=1e307", f"-c={c}",
+                         "-x=0.9")
+    assert code == 3 and out == ""
+    assert err == ("no convergence: the denominator of term 18 is inf, "
+                   "outside the float range\n")
+
+
 def test_eval_majorant_past_the_budget_exit_3(capsys):
     # a+k > 0 only from k0 = 20001 on, past the 10000-term budget: the sum
     # fails before its first term, so the inf term 1 is never formed
@@ -1106,6 +1120,19 @@ def test_bench_rows_are_eval_at_each_point(capsys, mode):
                     outputs["transformed_terms_used"],
                     outputs["transformed_terminated"],
                     outputs["selected_representation"]))
+
+
+def test_bench_reports_a_point_whose_sum_is_a_domain_error(capsys):
+    # the exact raw sum's denominator passes the bit cap at term 1910: the
+    # row reads domain-error and the command goes on, where it exited 2
+    code, out, err = run(capsys, "bench", "--mode", "exact",
+                         "--grid=-9402.123456789012,0.1234567890123,"
+                         "0.9876543210987;3,1,2", "-x=1/2", "--output", "csv")
+    assert code == 0 and err == ""
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    status = header.index("status")
+    assert [row[status] for row in rows] == ["domain-error", "ok"]
+    assert rows[0][4:status] == [""] * 5
 
 
 def test_bench_bad_grid_exit_2(capsys):

@@ -18,7 +18,7 @@ from gausshyp import (EXACT_DEGREE_CAP, DomainError, HypergeometricParams,
                       operator_identity_residual, substitution_residual,
                       termination_index)
 from gausshyp import series
-from gausshyp.scalar import check_finite
+from gausshyp.scalar import check_finite, is_nonpositive_integer
 from gausshyp.series import _integer_sum, _start_width, _tail_gate
 from oracles import (brute_coefficient, brute_series, float_eval_error,
                      float_eval_series,
@@ -460,6 +460,85 @@ def test_a_point_whose_double_is_zero_keeps_a_tail_bound():
         assert F(out.tail_bound) >= x / 2
 
 
+# ---- float sums of exact inputs ----
+#
+# A sum with any float input runs on the doubles of its inputs: exact
+# parameters beside a float x, float parameters beside an exact x, and any
+# mix of the two give the bits of the same call on the doubles.
+
+wide_exact = st.one_of(
+    exact_scalars,
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                 max_denominator=10 ** 12),
+    st.integers(-2 ** 60, 2 ** 60))                        # past 2**53
+wide_points = st.fractions(min_value=F(-999, 1000), max_value=F(999, 1000),
+                           max_denominator=10 ** 12)
+
+
+def _double_bits(call, *args):
+    """A call's record, or its list of coefficients, with every float as
+    hex; or the text of its NoConvergenceError."""
+    try:
+        out = call(*args)
+    except NoConvergenceError as exc:
+        return str(exc)
+    if isinstance(out, list):
+        return [v.hex() for v in out]
+    return (out.value.hex(), *out[1:])
+
+
+@seed(3202)
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(wide_exact, wide_exact, wide_exact), wide_points,
+       st.one_of(st.sampled_from([(False, False, False, True),
+                                  (True, True, True, False)]),
+                 st.tuples(*[st.booleans()] * 4).filter(any)),
+       st.floats(-300, -3).map(lambda e: 10.0 ** e), st.integers(1, 3000),
+       st.integers(0, 40))
+@example((F(1, 3), F(2, 7), F(5, 9)), F(9, 10), (False,) * 3 + (True,),
+         1e-12, 3000, 40)                  # p/q parameters, a float x
+@example((2 ** 53 + 1, -(2 ** 60), F(3, 2)), F(1, 2),
+         (False,) * 3 + (True,), 1e-12, 3000, 5)  # ints past 2**53
+@example((-7, 5, 2), F(-1, 2), (False,) * 3 + (True,), 1e-12, 3000, 9)
+@example((F(1, 3), F(2, 7), F(5, 9)), F(9, 10), (True,) * 3 + (False,),
+         1e-12, 3000, 5)                   # an exact x beside floats
+def test_a_float_sum_runs_on_the_doubles_of_its_inputs(abc, x, doubled, tol,
+                                                       max_terms, degree):
+    # the inputs marked in doubled are given as their doubles, at least
+    # one of them: eval_series and coefficients give the bits of the same
+    # call on the doubles of every input, so no int or Fraction reaches a
+    # float step.  Doubles that are no valid triple, or whose a or b is a
+    # nonpositive integer where the exact one is not, are drawn only from
+    # huge ints and fractions of huge denominators, and left out.
+    *given, x_given = [float(v) if d else v
+                       for v, d in zip((*abc, x), doubled)]
+    assume(not is_nonpositive_integer(abc[2])
+           and not is_nonpositive_integer(float(abc[2])))
+    params, doubles = P(*given), P(*map(float, given))
+    assume(termination_index(params) == termination_index(doubles))
+    assert _double_bits(eval_series, params, x_given, tol, max_terms) \
+        == _double_bits(eval_series, doubles, float(x_given), tol, max_terms)
+    if not params.exact():
+        assert _double_bits(coefficients, params, degree) \
+            == _double_bits(coefficients, doubles, degree)
+
+
+def test_an_exact_c_whose_double_is_a_pole_is_refused_beside_a_float():
+    # -3 + 2**-60 and 2**-1100 are valid exact c whose doubles -3.0 and 0.0
+    # are not: a step on doubles would divide by zero, so a float sum and
+    # float coefficients refuse them as they refuse those doubles, while
+    # the exact sum takes the first
+    for c, double in ((-3 + F(1, 2 ** 60), "-3.0"), (F(1, 2 ** 1100), "0.0")):
+        message = f"^c = {c} is {double} as a double, zero or a negative"
+        with pytest.raises(InvalidCError, match=message):
+            eval_series(P(F(1, 2), F(1, 3), c), 0.5)
+        for call, x in ((eval_series, F(1, 2)), (coefficients, 5)):
+            with pytest.raises(InvalidCError, match=message):
+                call(P(0.5, F(1, 3), c), x)
+    exact = eval_series(P(F(1, 2), F(1, 3), -3 + F(1, 2 ** 60)), F(1, 2))
+    assert type(exact.value) is F
+
+
 # ---- the tail gate ----
 
 EDGE_TOLS = (5e-324, 1e-320, 1e-12)
@@ -491,13 +570,14 @@ def test_gated_sums_match_the_reference_loops_at_the_float_edges():
     # the gate and the float counter leave every outcome bit for bit as
     # the reference loops give it: the least tols, points down to the
     # least subnormal, k0 > 0, f1 or f2 above 1 past k0, and parameters
-    # that are not floats beside a float x
+    # that are not floats beside a float x, which are summed on their doubles
     for abc in EDGE_TRIPLES:
-        for params in (P(*map(float, abc)), P(*abc)):
+        doubles = P(*map(float, abc))
+        for params in (doubles, P(*abc)):
             for x in EDGE_XS:
                 for tol in EDGE_TOLS:
                     got = _outcome(eval_series, params, x, tol, 3000)
-                    want = _outcome(float_eval_series, params, x, tol, 3000)
+                    want = _outcome(float_eval_series, doubles, x, tol, 3000)
                     assert (got is None) == (want is None)
                     if want is not None:
                         assert (got.value.hex(), got.terms_used, got.terminated,
@@ -537,6 +617,19 @@ def test_a_float_term_past_the_float_range_stops_the_sum():
     with pytest.raises(NoConvergenceError,
                        match=r"^term 2 is nan, outside the float range$"):
         eval_series(P(1.5, 1e308, 1e308), 0.9)
+
+
+def test_a_float_denominator_past_the_float_range_stops_the_sum():
+    # (k+1)(c+k) overflows to inf at k = 179 and zeroes every later term: a
+    # stop on the zero term 180 would return a tail bound of 0 with a value
+    # off by 2.4e-9, so the sum raises there, as the reference loop does
+    params = P(0.5, 1e306, 1e306)
+    message = "the denominator of term 180 is inf, outside the float range"
+    with pytest.raises(NoConvergenceError, match=f"^{message}$"):
+        eval_series(params, 0.9)
+    with pytest.raises(NoConvergenceError):
+        float_eval_series(params, 0.9, 1e-12, 10000)
+    assert float_eval_error(params, 0.9, 1e-12, 10000) == message
 
 
 def test_a_negative_float_term_past_the_float_range_stops_the_sum():
