@@ -22,16 +22,15 @@ Where only the double of the sum is wanted, under a float prefactor, it
 runs in W-bit fixed point with running error bounds e and E, and rounds
 once.  The term's double is taken from |P| and |Q|, since Q turns negative
 after a step where c + k < 0.  Past the index where the majorant of the
-term ratios applies, the float loop steps blocks of terms with no check,
-and keeps a block only where its last term shows that no check within it
-could have fired; otherwise it steps the block again with every check.  The
-exact loop refuses a sum whose integers outgrow the bit cap of
-scalar.power.  The exact coefficients and the two operator residuals work
-the same way: integer numerators over one common denominator, each
-returned value reduced once.  The operator identity is -x**(b-1) times the
-differential operator, so its residual is read from the entries of the ODE
-residual, which are formed once.  ``ode_checks``, which ``gausshyp verify
-ode`` runs, compares those integers and reduces nothing.
+term ratios applies, both loops check every term, and a term above the
+tail gate costs the float loop one range test.  The exact loop refuses a
+sum whose integers outgrow the bit cap of scalar.power.  The exact
+coefficients and the two operator residuals work the same way: integer
+numerators over one common denominator, each returned value reduced once.
+The operator identity is -x**(b-1) times the differential operator, so its
+residual is read from the entries of the ODE residual, which are formed
+once.  ``ode_checks``, which ``gausshyp verify ode`` runs, compares those
+integers and reduces nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import math
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from itertools import repeat
 
 from .errors import DomainError, InvalidCError, NoConvergenceError
 from .scalar import (_FLOAT_MAX_INT, Scalar, _power_bits, as_integer,
@@ -60,12 +58,6 @@ _FLOAT_MIN = sys.float_info.min
 #: it one Python call deeper.
 _pack = tuple.__new__
 
-#: The terms a float block steps with no check (see the blocks), and the
-#: checked terms past k0 before a sum's first block, after a block that is
-#: stepped again, and after a mark whose term lies below the lift.  On the
-#: benchmark's float-eval pool of seed 1, first blocks at k0 itself were
-#: stepped again 22 times, mostly in short sums, against 2 times here.
-_BLOCK = 64
 #: 32 u, u = 2**-53: the margin allowed each rounding of a ratio in the
 #: refusal of a hopeless sum (see _stop_rule).
 _MARGIN = 2.0 ** -48
@@ -335,42 +327,9 @@ def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
 # gate <= t <= hi or -hi <= t <= -gate, with hi the largest double; as
 # gate > 0 this holds on exactly the doubles where gate <= |t| <= hi does:
 # +-0.0 lies in neither half, no comparison holds for nan, and +-inf lies
-# past hi, also where gate = inf.
-#
-# The blocks.  A mark past k0 whose term lies at or above
-# lift = gate / |x|**(2 _BLOCK) starts a block: eval_series saves
-# (term, total, kf), steps the next _BLOCK terms with no check, and keeps
-# them when the last lies in the signed gate range.  Otherwise it restores
-# the saved state and steps the same terms again, with every check.  The
-# step line is the checked loop's, so a kept block's terms and total are
-# that loop's; it remains to show that a check in the block that fires, a
-# stop or an inf or nan, leaves its last term out of the range.  Blocks
-# start at a k >= k0 + 1, under a gate g >= 2**-1021, with
-# |x| <= 1 - 2**-40, and with |x| normal, as |x|**(2 _BLOCK) is not 0.0;
-# the proof holds for any _BLOCK <= 2**48.  Let u = 2**-53, and A_i, B_i,
-# C_i and D_i the doubles of a+i, b+i, c+i and (i+1) C_i, each >= 1 past
-# k0.
-#
-# Inf or nan.  As the factors are positive and x is finite and nonzero, a
-# step takes inf to inf or nan and nan to nan: such a term stays out of
-# the range at every later step.
-#
-# A stop at term j needs |t_j| < g, rho_j < 1 and a computed bound <= tol.
-# For i >= j the monotony of the tail majorant, with the roundings of A_i,
-# B_i, C_i and D_i, of rho_j's quotients A_j / (1+j) and B_j / C_j and of
-# its two products, gives ax A_i B_i / D_i <= rho_j (1+u)**3 / (1-u)**8.
-# A rounding of z >= 0 gives at most max(z (1+u), 2**-1022), so with the
-# four of the step, and A_i, D_i >= 1 and ax (1+u) <= 1, a step that does
-# not overflow multiplies w = max(|t|, 2**-1022) by at most
-# q = max(1, rho_j (1 + 16u)).  An overflow in a product gives inf or nan,
-# and in D_i alone 0.0.  So m steps after t_j a term is inf or nan, or has
-# w <= w_j q**m:
-# - if rho_j (1 + 16u) <= 1, q = 1 and w <= max(|t_j|, 2**-1022) < g;
-# - else fl(1 - rho_j) <= 16u and rho_j >= 1/2, so the bound is at least
-#   fl(|t_j| / 2) 2**49, while tol < g 2**40, as fl(g ax) <= g and
-#   fl(1 - ax) >= 2**-40.  Then |t_j| < g 2**-8 + 2**-1074 < g / 128,
-#   w_j <= g / 2, and q**m <= exp(16 u m) < 2 for m <= 2**48: w < g.
-# Either way no term after a stop, to the block's last, is in the range.
+# past hi, also where gate = inf.  The loop tests that range before
+# k >= k0; both tests are pure comparisons, so their order changes no
+# outcome, and a term above the gate costs one test.
 #
 # _integer_sum steps it on integers: with a = na/da, b = nb/db,
 # c = nc/dc and x = nx/dx, each step multiplies in p(k) = (na + k da)
@@ -407,87 +366,65 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     Terminating parameter sets are summed completely (exactly when all
     inputs are exact).  Otherwise terms accumulate until the geometric
     majorant bound on the remaining tail drops to tol.  Only a term below
-    the gate of _tail_gate can meet tol, so only such a term pays for
-    rho_k and the bound, and a long sum steps blocks of terms with no test
-    at all, each stepped again with every test where its last term left
-    the gate range; the terms, the stop, the value and the bound are
-    those of a loop that checks every term.  A sum that _stop_rule shows
-    no term can stop raises NoConvergenceError before its first term.  A
-    float term past the float range (inf or nan) never comes back, so
-    another sum that is not a polynomial raises it at the first such term
-    it checks, and so does one whose bound meets tol after a denominator
+    the gate of _tail_gate can meet tol, so the float loop tests each term
+    against the gate range first, and only a term below the gate, past
+    k0, pays for rho_k and the bound.  A sum that _stop_rule shows no term
+    can stop raises NoConvergenceError before its first term.  A float
+    term past the float range (inf or nan) never comes back, so another
+    sum that is not a polynomial raises it at the first such term it
+    checks, and so does one whose bound meets tol after a denominator
     (k+1)(c+k) past the float range has zeroed its terms.  Exact params
     and x are summed by _integer_sum; any other sum runs on the doubles of
-    its inputs, with the bits of the same call on them.
+    its inputs, and ends where they do, with the bits of the same call on
+    them.
     """
     check_eval_point(x)
     check_budget(tol, max_terms)
     if params.exact() and is_exact(x):
         return _integer_sum(params, x, tol, max_terms, None)
-    rule = _stop_rule(params, x, tol, max_terms)
+    # the step runs on the doubles of the parameters and of x, so the sum
+    # ends where they do: an exact a or b whose double is a nonpositive
+    # integer gives a polynomial at that double's index
+    rule = _stop_rule(_pack(HypergeometricParams, tuple(map(float, params))),
+                      x, tol, max_terms)
     if rule is None:
         return SeriesEvaluation(1.0, 1, False, 0.0)
-    # the step runs on the doubles of the parameters and of x
     last, polynomial, k0, gate, a, b, c, ax = rule
     _check_double_c(params, c)
     x = float(x)
     term = total = 1.0
     # kf is k as a double, stepped by 1.0; the step forms k+1 once, as k1,
-    # for its denominator and the next kf.  k0, last and mark are doubles
-    # too, so that each test compares two floats.
+    # for its denominator and the next kf.  k0 and last are doubles too, so
+    # that each test compares two floats.
     kf, k0, last = 0.0, float(k0), float(last)
     hi, nhi, ngate = _FLOAT_MAX, -_FLOAT_MAX, -gate
-    # the next term at which a block may start or the sum must end; where
-    # the blocks' proof does not hold, lift is inf and no block starts
-    mark = min(k0 + _BLOCK, last)
-    fall = ax ** (2 * _BLOCK)
-    lift = (gate / fall if fall and gate >= 2.0 ** -1021
-            and ax <= 1.0 - 2.0 ** -40 else math.inf)
     terminated = False
     while True:
-        if kf >= k0:
-            # gate <= |term| <= hi, as a signed range: only a term below
-            # the gate can meet tol; an inf or nan fails the range test
-            # too, and stops the sum here
-            if not (gate <= term <= hi or nhi <= term <= ngate):
-                if not abs(term) <= hi:
-                    raise NoConvergenceError(
-                        f"term {int(kf)} is {term}, outside the float range")
-                rho = _ratio_majorant(kf, a, b, c, ax)
-                if rho < 1.0:
-                    bound = abs(term) * rho / (1.0 - rho)
-                    if bound <= tol:
-                        # the last step's denominator, rebuilt exactly,
-                        # is inf where any step's was, as past k0 it grows
-                        # with k: then the terms were zeroed, not small
-                        if kf * (c + (kf - 1.0)) > hi:
-                            raise NoConvergenceError(
-                                f"the denominator of term {int(kf)} is inf, "
-                                "outside the float range")
-                        break
-        if kf >= mark:
-            if kf == last:
-                if not polynomial:
-                    raise _budget_spent(tol, max_terms)
-                terminated, bound = True, 0.0
-                break
-            if kf + _BLOCK <= last and (lift <= term <= hi
-                                        or nhi <= term <= -lift):
-                # terms k+1 .. k+_BLOCK with no check, on the step below,
-                # written twice so that neither loop pays for the other's
-                # tests; the two must stay the same.  A last term in the
-                # gate range shows no check could have fired (see the
-                # blocks), and is checked next; else the block is stepped
-                # again, checked.
-                saved = term, total, kf
-                for _ in repeat(None, _BLOCK):
-                    term = term * (a + kf) * (b + kf) / ((k1 := kf + 1.0) * (c + kf)) * x
-                    total = total + term
-                    kf = k1
-                if gate <= term <= hi or nhi <= term <= ngate:
-                    continue
-                term, total, kf = saved
-            mark = min(kf + _BLOCK, last)
+        # gate <= |term| <= hi, as a signed range: only a term below the
+        # gate can meet tol; an inf or nan fails the range test too, and
+        # stops the sum here.  The range test comes first, so that a term
+        # above the gate costs one test
+        if not (gate <= term <= hi or nhi <= term <= ngate) and kf >= k0:
+            if not abs(term) <= hi:
+                raise NoConvergenceError(
+                    f"term {int(kf)} is {term}, outside the float range")
+            rho = _ratio_majorant(kf, a, b, c, ax)
+            if rho < 1.0:
+                bound = abs(term) * rho / (1.0 - rho)
+                if bound <= tol:
+                    # the last step's denominator, rebuilt exactly, is inf
+                    # where any step's was, as past k0 it grows with k:
+                    # then the terms were zeroed, not small
+                    if kf * (c + (kf - 1.0)) > hi:
+                        raise NoConvergenceError(
+                            f"the denominator of term {int(kf)} is inf, "
+                            "outside the float range")
+                    break
+        if kf == last:
+            if not polynomial:
+                raise _budget_spent(tol, max_terms)
+            terminated, bound = True, 0.0
+            break
         term = term * (a + kf) * (b + kf) / ((k1 := kf + 1.0) * (c + kf)) * x
         total = total + term
         kf = k1

@@ -21,8 +21,8 @@ def _step_lines(func, step: str) -> set[int]:
 def term_steps():
     """The k of every term step either summation loop takes while the test
     runs: in _integer_sum the line that forms the factor p(k), in
-    eval_series's float loop either line that forms t_{k+1}, in a block or
-    checked.  A block that is stepped again, checked, shows its k twice.
+    eval_series's float loop the one line that forms t_{k+1}.  Each loop
+    steps each term once, so no k shows twice within one sum.
 
     A line tracer on those two functions alone records k each time a step
     line runs, so that a test asserts on the work done rather than on wall

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import assume, example, given, seed, settings
+from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import gausshyp
@@ -502,20 +502,22 @@ def _double_bits(call, *args):
 @example((-7, 5, 2), F(-1, 2), (False,) * 3 + (True,), 1e-12, 3000, 9)
 @example((F(1, 3), F(2, 7), F(5, 9)), F(9, 10), (True,) * 3 + (False,),
          1e-12, 3000, 5)                   # an exact x beside floats
+@example((F(-3 * 2 ** 60 + 1, 2 ** 60), F(1, 3), F(1, 2)), F(1, 2),
+         (False,) * 3 + (True,), 1e-12, 4, 5)  # a is -3.0 as a double
 def test_a_float_sum_runs_on_the_doubles_of_its_inputs(abc, x, doubled, tol,
                                                        max_terms, degree):
     # the inputs marked in doubled are given as their doubles, at least
     # one of them: eval_series and coefficients give the bits of the same
     # call on the doubles of every input, so no int or Fraction reaches a
-    # float step.  Doubles that are no valid triple, or whose a or b is a
-    # nonpositive integer where the exact one is not, are drawn only from
-    # huge ints and fractions of huge denominators, and left out.
+    # float step.  An a or b whose double is a nonpositive integer where
+    # the exact one is not ends both sums at that double's index.  A c
+    # whose double is no valid c, drawn only from huge ints and fractions
+    # of huge denominators, is left out.
     *given, x_given = [float(v) if d else v
                        for v, d in zip((*abc, x), doubled)]
     assume(not is_nonpositive_integer(abc[2])
            and not is_nonpositive_integer(float(abc[2])))
     params, doubles = P(*given), P(*map(float, given))
-    assume(termination_index(params) == termination_index(doubles))
     assert _double_bits(eval_series, params, x_given, tol, max_terms) \
         == _double_bits(eval_series, doubles, float(x_given), tol, max_terms)
     if not params.exact():
@@ -712,18 +714,16 @@ def test_a_hopeless_sum_fails_before_its_first_term(term_steps, abc, x):
 
 
 def test_the_step_spy_sees_every_float_step(term_steps):
-    # checked steps and block steps alike: 3416 terms, whose 3415 steps
-    # include 3264 in blocks
+    # 3416 terms, whose 3415 steps each run once
     assert eval_series(P(2.3, 4.1, 0.6), 0.98).terms_used == 3416
     assert term_steps == list(range(3415))
 
 
-# ---- blocks: terms stepped with no check ----
+# ---- the checked float loop ----
 #
-# Past k0 a sum that has shown it is long steps blocks of terms with no
-# test, and steps a block again with every test where its last term left
-# the gate range.  Every outcome must be that of a loop that tests every
-# term.
+# The float loop tests every term against the gate range, and past k0
+# every term below the gate against its tail bound.  Every outcome must be
+# that of the reference loop, with each term stepped once.
 
 wide_scalars = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e6, 1e6),
                          st.floats(-1e300, 1e300))
@@ -746,15 +746,27 @@ def _float_reference(params, x, tol, max_terms):
     return (value.hex(), *rest)
 
 
+float_draws = (
+    wide_scalars, wide_scalars, wide_scalars,
+    st.one_of(st.sampled_from([0.9, -0.9, 0.98, -0.98, 0.999, -0.999]),
+              st.floats(-0.999, 0.999)),
+    st.floats(-323.3, -3).map(lambda e: 10.0 ** e), st.integers(1, 10000))
+
+
 @seed(2402)
 @settings(max_examples=300, deadline=None)
-@given(wide_scalars, wide_scalars, wide_scalars,
-       st.one_of(st.sampled_from([0.9, -0.9, 0.98, -0.98, 0.999, -0.999]),
-                 st.floats(-0.999, 0.999)),
-       st.floats(-323.3, -3).map(lambda e: 10.0 ** e), st.integers(1, 10000))
-@example(2.3, 4.1, 0.6, 0.98, 1e-12, 10000)      # 3416 terms, 3264 in blocks
-@example(1e-305, 1.0, 1.0, -0.98, 5e-324, 10000)  # subnormal gate: no blocks
-@example(5.0, 5.0, 0.5, 0.999, 1e-300, 10000)    # blocks while terms grow
+@given(*float_draws)
+@example(2.3, 4.1, 0.6, 0.98, 1e-12, 10000)      # 3416 terms
+@example(1e-305, 1.0, 1.0, -0.98, 5e-324, 10000)  # a subnormal gate
+@example(5.0, 5.0, 0.5, 0.999, 1e-300, 10000)    # terms that grow past k0
+# |x| = 1 - 2**-40 and the next double above it
+@example(0.5, 0.5, 1.5, 1.0 - 2.0 ** -40, 1e-3, 3000)
+@example(0.5, 0.5, 1.5, 1.0 - 2.0 ** -40 + 2.0 ** -53, 1e-3, 3000)
+# gates just above and just below 2**-1021
+@example(1.0, 1.0, 1.0, 0.5, 2.0 ** -1021, 10000)
+@example(1.0, 1.0, 1.0, 0.5, 2.0 ** -1021 * (1.0 - 2.0 ** -40), 10000)
+# the sum stops at term 126
+@example(0.019, -0.4132, 3.8349, 0.98, 1e-12, 10000)
 def test_float_runs_match_the_checked_loop(a, b, c, x, tol, max_terms):
     # value bits, term count, termination, tail bound and the exact text
     # of a NoConvergenceError all stay those of the reference loop
@@ -764,75 +776,57 @@ def test_float_runs_match_the_checked_loop(a, b, c, x, tol, max_terms):
         == _float_reference(params, x, tol, max_terms)
 
 
-@pytest.mark.parametrize("block", [1, 2, 7, 64])
 @seed(3101)
-@settings(max_examples=30, deadline=None)
-@given(wide_scalars, wide_scalars, wide_scalars,
-       st.one_of(st.sampled_from([0.9, -0.9, 0.98, -0.98, 0.999, -0.999]),
-                 st.floats(-0.999, 0.999)),
-       st.floats(-323.3, -3).map(lambda e: 10.0 ** e), st.integers(1, 10000))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(*float_draws)
 @example(2.3, 4.1, 0.6, 0.98, 1e-12, 10000)
-@example(1e-305, 1.0, 1.0, -0.98, 5e-324, 10000)
-@example(5.0, 5.0, 0.5, 0.999, 1e-300, 10000)
-# |x| = 1 - 2**-40 takes blocks, the next double above it none
-@example(0.5, 0.5, 1.5, 1.0 - 2.0 ** -40, 1e-3, 3000)
-@example(0.5, 0.5, 1.5, 1.0 - 2.0 ** -40 + 2.0 ** -53, 1e-3, 3000)
-# a gate just above 2**-1021 takes blocks, one just below it none
-@example(1.0, 1.0, 1.0, 0.5, 2.0 ** -1021, 10000)
-@example(1.0, 1.0, 1.0, 0.5, 2.0 ** -1021 * (1.0 - 2.0 ** -40), 10000)
-# the sum stops at term 126, inside a block of 64, which is stepped again
 @example(0.019, -0.4132, 3.8349, 0.98, 1e-12, 10000)
-def test_blocks_of_any_length_match_the_checked_loop(block, a, b, c, x, tol,
-                                                     max_terms):
-    # short blocks step many a block again, where the last term of one left
-    # the gate range; every outcome stays the reference loop's
+@example(1049.746940488801, 1859.8876491658357, 2922.405936076036, 0.9,
+         1e-12, 10000)                         # term 474 is inf
+def test_every_float_term_is_stepped_once(term_steps, a, b, c, x, tol,
+                                          max_terms):
+    # a returned sum steps terms 0 .. terms_used - 2, each once; a sum that
+    # raised stepped k = 0, 1, 2, ... and repeated none
     assume(not (c.is_integer() and c <= 0.0))
-    params = P(a, b, c)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(series, "_BLOCK", block)
-        got = _float_sum(params, x, tol, max_terms)
-    assert got == _float_reference(params, x, tol, max_terms)
+    term_steps.clear()
+    try:
+        out = eval_series(P(a, b, c), x, tol, max_terms)
+    except NoConvergenceError:
+        assert term_steps == list(range(len(term_steps)))
+    else:
+        assert term_steps == list(range(out.terms_used - 1))
 
 
 @pytest.mark.parametrize("abc,x,tol", [
-    # 80 terms: the block from term 64 steps past the stop at term 80, so
-    # it is stepped again, checked
+    # 80 terms under a tol of 1.3e-212; the sum stops at term 79
     ((0.6207657883604654, 2.2900742318142037e+160, 1.1272546433801317e+163),
      -0.98, 1.3189165994837873e-212),
     # rho_9999 = 8.5e300, so _stop_rule refuses the sum before its first
-    # term, and no block starts
+    # term
     ((1.7e308, 1.0, 2.6e306), 5e-4, 1e-310),
 ])
 def test_no_run_starts_where_its_rounding_is_not_bounded(abc, x, tol):
-    # no block keeps a term past a check that fires, and the outcome stays
-    # the reference loop's
+    # the outcome stays the reference loop's
     params = P(*abc)
     assert _float_sum(params, x, tol, 10000) \
         == _float_reference(params, x, tol, 10000)
 
 
-def test_no_run_is_computed_under_a_budget_past_2_53(monkeypatch,
-                                                     term_steps):
+def test_no_run_is_computed_under_a_budget_past_2_53(term_steps):
     # check_budget refuses such a budget, which no sum can spend, before
-    # any term: the float loop's counter, and the blocks it steps, count
-    # on every k being a double.  (2**1023.99, 0.5; 2**1017.5) at
-    # x = 2**-11 has a rho_k above 1 for some 2**1000 terms, so under any
-    # budget up to 2**53 it is refused at once
+    # any term: the float loop's counter counts on every k being a double.
+    # (2**1023.99, 0.5; 2**1017.5) at x = 2**-11 has a rho_k above 1 for
+    # some 2**1000 terms, so under any budget up to 2**53 it is refused at
+    # once
     params, x = P(2.0 ** 1023.99, 0.5, 2.0 ** 1017.5), 2.0 ** -11
     with pytest.raises(NoConvergenceError, match="after 9007199254740992 "):
         eval_series(params, x, 2e-311, 2 ** 53)
-    # 3416 terms, 3264 of them stepped in blocks under a budget of 10000;
-    # with the block longer than the budget no block is taken, and the
-    # record is the same
-    params, x = P(2.3, 4.1, 0.6), 0.98
-    want = eval_series(params, x, 1e-12, 10000)
-    monkeypatch.setattr(series, "_BLOCK", 10001)
-    assert eval_series(params, x, 1e-12, 10000) == want
-    steps = len(term_steps)
+    assert term_steps == []
     with pytest.raises(DomainError, match=r"^max_terms must lie in "
                        r"\[1, 2\*\*53\], got 9007199254740993$"):
-        eval_series(params, x, 1e-12, 2 ** 53 + 1)
-    assert len(term_steps) == steps
+        eval_series(P(2.3, 4.1, 0.6), 0.98, 1e-12, 2 ** 53 + 1)
+    assert term_steps == []
 
 
 def test_check_budget_admits_budgets_up_to_2_53():
@@ -845,11 +839,9 @@ def test_check_budget_admits_budgets_up_to_2_53():
 
 def test_a_float_step_that_overflows_stops_the_sum_at_its_term(term_steps):
     # t (a+k) (b+k) overflows before the division, where the term itself
-    # would not: the term that reports inf is the one the checked loop
-    # reports.  rho_9999 < 1, so _stop_rule lets both sums start.  Blocks
-    # step terms 65 .. 448 and 65 .. 384; the next block of each, from
-    # term 448 and from term 384, ends past the float range and is stepped
-    # again, checked
+    # would not: the term that reports inf is the one the reference loop
+    # reports.  rho_9999 < 1, so _stop_rule lets both sums start, and each
+    # steps its terms once, up to the first past the float range
     with pytest.raises(NoConvergenceError,
                        match=r"^term 474 is inf, outside the float range$"):
         eval_series(P(1049.746940488801, 1859.8876491658357,
@@ -858,8 +850,7 @@ def test_a_float_step_that_overflows_stops_the_sum_at_its_term(term_steps):
                        match=r"^term 425 is -inf, outside the float range$"):
         eval_series(P(250.6858155266171, 853.0961221479135,
                       323.7432882309041), -0.9)
-    assert term_steps == [*range(512), *range(448, 474),
-                          *range(448), *range(384, 425)]
+    assert term_steps == [*range(474), *range(425)]
 
 
 # ---- differential-operator residuals ----
