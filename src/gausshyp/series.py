@@ -183,14 +183,15 @@ def coefficients(params: HypergeometricParams, degree: int) -> list[Scalar]:
     return coeffs
 
 
-def termination_index(params: HypergeometricParams) -> int | None:
-    """Smallest m >= 0 with a+m == 0 or b+m == 0, or None.
+def termination_index(params) -> int | None:
+    """Smallest m >= 0 with a+m == 0 or b+m == 0, or None, for any
+    sequence (a, b, c).
 
     Past that index every coefficient vanishes, so the series is a
     polynomial of degree m.
     """
     stops = []
-    for p in (params.a, params.b):
+    for p in params[:2]:
         n = as_integer(p)
         if n is not None and n <= 0:
             stops.append(-n)
@@ -278,7 +279,7 @@ def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
     No term up to the last can stop that sum, so it raises the error of a
     spent budget.
     """
-    af, bf, cf = float(params.a), float(params.b), float(params.c)
+    af, bf, cf = map(float, params)
     stop = termination_index(params)
     if stop is not None:
         if stop + 1 > max_terms:
@@ -385,8 +386,7 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     # the step runs on the doubles of the parameters and of x, so the sum
     # ends where they do: an exact a or b whose double is a nonpositive
     # integer gives a polynomial at that double's index
-    rule = _stop_rule(_pack(HypergeometricParams, tuple(map(float, params))),
-                      x, tol, max_terms)
+    rule = _stop_rule(tuple(map(float, params)), x, tol, max_terms)
     if rule is None:
         return SeriesEvaluation(1.0, 1, False, 0.0)
     last, polynomial, k0, gate, a, b, c, ax = rule
@@ -527,12 +527,9 @@ def _integer_sum(params: HypergeometricParams, x: Scalar, tol: float,
             e = -(-e * abs(p) // abs(q)) + 1
             T += P
             E += e
-    if exact:
-        return SeriesEvaluation(Fraction(T, Q), k + 1, terminated, bound)
-    value = _sum_double(T - E, T + E, Q)
-    if value is None:
-        return None
-    return SeriesEvaluation(value, k + 1, terminated, bound)
+    value = Fraction(T, Q) if exact else _sum_double(T - E, T + E, Q)
+    return (None if value is None
+            else SeriesEvaluation(value, k + 1, terminated, bound))
 
 
 def scaled_sum(scale: Scalar, params: HypergeometricParams, x: Scalar,
@@ -562,18 +559,18 @@ def _scaled_sum(scale: Scalar, mag: float, params: HypergeometricParams,
     if not 0.0 < inner_tol < math.inf:
         raise DomainError(f"tol {tol} over the prefactor magnitude {mag} "
                           "leaves the positive float range")
-    out = None
-    if params.exact() and is_exact(x):
+    if not (params.exact() and is_exact(x)):
+        out = eval_series(params, x, inner_tol, max_terms)
+    else:
         check_budget(inner_tol, max_terms)
-        # an exact scale takes the exact sum, width None, which decides
-        width = None if is_exact(scale) else _start_width(inner_tol, max_terms)
-        for _ in range(4):
+        # an exact scale takes the exact sum, width None, which decides; a
+        # float one tries W, 2W, 4W and 8W bits first
+        w = _start_width(inner_tol, max_terms)
+        widths = (None,) if is_exact(scale) else (w, 2 * w, 4 * w, 8 * w, None)
+        for width in widths:
             out = _integer_sum(params, x, inner_tol, max_terms, width)
             if out is not None:
                 break
-            width *= 2
-    if out is None:
-        out = eval_series(params, x, inner_tol, max_terms)
     if not (is_exact(scale) and is_exact(out.value)):
         check_finite("scaled series value", out.value)
     return _pack(SeriesEvaluation, (scale * out.value, out.terms_used,

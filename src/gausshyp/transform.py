@@ -30,7 +30,8 @@ from .errors import DomainError, NoConvergenceError, no_convergence_in
 from .scalar import (Scalar, as_integer, check_finite, check_index,
                      is_exact, power)
 from .series import (HypergeometricParams, SeriesEvaluation, _pack,
-                     _scaled_sum, check_budget, check_eval_point, eval_series)
+                     _scaled_sum, check_budget, check_eval_point, eval_series,
+                     scaled_sum)
 
 
 # ---- parameter maps ----
@@ -86,9 +87,7 @@ def eval_transformed(params: HypergeometricParams, x: Scalar,
     """
     check_eval_point(x)
     z_params, exponent = euler_transform_params(params)
-    scale = power(1 - x, exponent)
-    check_finite("prefactor", scale)
-    return _scaled_sum(scale, abs(float(scale)), z_params, x, tol, max_terms)
+    return scaled_sum(power(1 - x, exponent), z_params, x, tol, max_terms)
 
 
 class Representation(str, Enum):

@@ -431,21 +431,21 @@ def test_fixed_point_sum_matches_the_fraction_loop(abc, x, tol, max_terms):
 def test_an_undecided_fixed_point_sum_falls_back_to_the_integer_loop(
         monkeypatch):
     # the start width decides this sum, but 8 bits cannot pin down a
-    # 53-bit double; with every width that small, scaled_sum must run the
-    # integer loop and return its result
+    # 53-bit double; with every width that small, scaled_sum must end its
+    # ladder in the exact integer loop, width None, and return its result
     params, x = P(F(1, 3), F(2, 7), F(5, 9)), F(1, 2)
     assert _integer_sum(params, x, 2e-12, 10000,
                         _start_width(2e-12, 10000)) is not None
     assert _integer_sum(params, x, 2e-12, 10000, 8) is None
     monkeypatch.setattr(series, "_start_width", lambda tol, max_terms: 1)
-    calls = []
-    eval_series_ = series.eval_series
-    monkeypatch.setattr(series, "eval_series",
-                        lambda *args: calls.append(args) or eval_series_(*args))
+    widths = []
+    integer_sum = series._integer_sum
+    monkeypatch.setattr(series, "_integer_sum", lambda *args: widths.append(
+        args[-1]) or integer_sum(*args))
     got = series.scaled_sum(0.5, params, x, 1e-12, 10000)
     value, terms, terminated, bound = fraction_eval_series(params, x, 2e-12,
                                                            10000)
-    assert len(calls) == 1
+    assert widths == [1, 2, 4, 8, None]
     assert (got.value, got.terms_used, got.terminated, got.tail_bound) \
         == (0.5 * float(value), terms, terminated, bound * 0.5)
 
