@@ -119,8 +119,8 @@ _POWER_BITS_LEAST = 64 * sys.int_info.str_digits_check_threshold
 def power(base: Scalar, exponent: Scalar) -> Scalar:
     """base**exponent, staying exact for integer exponents on exact bases.
 
-    Non-integer exponents require base > 0 and go through exp(p*log(base)).
-    A result whose magnitude lies past the float range is rejected before
+    Non-integer exponents require base > 0 and an exponent inside the float
+    range, and go through exp(p*log(base)).  A result whose magnitude lies past the float range is rejected before
     any power is formed, and so is an exact power m**n of a numerator or
     denominator m where |n| (bl(m) - 1), a lower bound on its bit length,
     exceeds _power_bits().
@@ -130,6 +130,7 @@ def power(base: Scalar, exponent: Scalar) -> Scalar:
         b = float(base)
         if b <= 0.0:
             raise DomainError(f"non-integer exponent needs a positive base, got {base!r}")
+        check_finite("non-integer exponent", exponent)
         log_mag = float(exponent) * math.log(b)
     else:
         # no double holds an n past the float range, so float arithmetic

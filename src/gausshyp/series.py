@@ -281,13 +281,17 @@ def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
     """
     af, bf, cf = map(float, params)
     stop = termination_index(params)
+    if x == 0:
+        # every term past the first is 0: a polynomial ends at its first
+        # term, whatever its degree
+        if stop is None:
+            return None
+        stop = 0
     if stop is not None:
         if stop + 1 > max_terms:
             raise NoConvergenceError(
                 f"series terminates after {stop + 1} terms but max_terms={max_terms}")
         return stop, True, max_terms, math.inf, af, bf, cf, 0.0
-    if x == 0:
-        return None
     # the first k with a+k, b+k and c+k all positive
     k0 = 0 if (worst := min(af, bf, cf)) > 0.0 else math.floor(-worst) + 1
     if k0 > max_terms - 1:
@@ -423,6 +427,11 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
         if kf == last:
             if not polynomial:
                 raise _budget_spent(tol, max_terms)
+            # no term of a polynomial is range-tested, but an inf or nan
+            # term leaves the sum inf or nan
+            if not abs(total) <= hi:
+                raise DomainError(f"the polynomial's sum is {total}, "
+                                  "outside the float range")
             terminated, bound = True, 0.0
             break
         term = term * (a + kf) * (b + kf) / ((k1 := kf + 1.0) * (c + kf)) * x

@@ -106,12 +106,15 @@ def float_eval_series(params, x: float, tol: float, max_terms: int):
     """
     a, b, c = params.a, params.b, params.c
     stop = termination_index(params)
+    if x == 0:
+        # the terms past the first are 0: a polynomial ends at its first
+        if stop is None:
+            return 1.0, 1, False, 0.0
+        stop = 0
     if stop is not None:
         if stop + 1 > max_terms:
             raise NoConvergenceError("terminating sum over budget")
         last, k0 = stop, max_terms
-    elif x == 0:
-        return 1.0, 1, False, 0.0
     else:
         af, bf, cf = float(a), float(b), float(c)
         last, k0 = max_terms - 1, _positivity_index(af, bf, cf)
@@ -184,12 +187,15 @@ def fraction_eval_series(params, x, tol: float, max_terms: int):
     """
     a, b, c = params.a, params.b, params.c
     stop = termination_index(params)
+    if x == 0:
+        # the terms past the first are 0: a polynomial ends at its first
+        if stop is None:
+            return Fraction(1), 1, False, 0.0
+        stop = 0
     if stop is not None:
         if stop + 1 > max_terms:
             raise NoConvergenceError("terminating sum over budget")
         last, k0 = stop, max_terms
-    elif x == 0:
-        return Fraction(1), 1, False, 0.0
     else:
         af, bf, cf = float(a), float(b), float(c)
         last, k0 = max_terms - 1, _positivity_index(af, bf, cf)

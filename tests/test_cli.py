@@ -20,7 +20,7 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from gausshyp import (HypergeometricParams, IntegralSpec, NoConvergenceError,
@@ -222,26 +222,66 @@ def test_eval_domain_error_exit_2(capsys):
         assert word in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("a, c, exponent", [("1e308", "52/8", "-1e+308"),
-                                             ("3e5", "6", "-299987.0")])
+@pytest.mark.parametrize("a, b, c, exponent",
+                         [("1e308", "-1", "52/8", "-1e+308"),
+                          ("3e5", "-7", "6", "-299987.0")])
 def test_eval_rejects_an_exact_power_too_large_to_form(capsys, monkeypatch,
-                                                       a, c, exponent):
+                                                       a, b, c, exponent):
     # c-a-b is an integral double and 1-x the exact 41/35, so the Euler
     # prefactor is an exact power, refused before it is formed.  At -1e308
-    # it would never be formed.  At -299987 it would take about a second,
-    # after which the Euler side, 299995 terms long, would fail its budget
-    # (exit 3); the refusal comes first, so that argv exits 2 as well.
+    # it would never be formed; b = -1 keeps the raw side, a polynomial of
+    # degree 1, inside the float range.  At -299987 it would take about a
+    # second, after which the Euler side, 299995 terms long, would fail its
+    # budget (exit 3); the refusal comes first, so that argv exits 2 as well.
     formed = []
     pow_ = Fraction.__pow__
     monkeypatch.setattr(Fraction, "__pow__",
                         lambda *args: formed.append(args) or pow_(*args))
-    code, out, err = run(capsys, "eval", f"-a={a}", "-b=-7", f"-c={c}",
+    code, out, err = run(capsys, "eval", f"-a={a}", f"-b={b}", f"-c={c}",
                          "-x=-6/35")
     assert (code, out) == (2, "")
     assert err == (f"domain error: (41/35)**{exponent} would have more than "
                    f"{64 * sys.get_int_max_str_digits()} bits in its "
                    "numerator or denominator\n")
     assert formed == []
+
+
+def test_eval_refuses_a_raw_polynomial_past_the_float_range_first(
+        capsys, monkeypatch):
+    # with b = -7 the raw side is a polynomial of degree 7 whose sum passes
+    # the float range: it is refused at its last term, before the Euler
+    # prefactor (41/35)**-1e308 is reached
+    formed = []
+    pow_ = Fraction.__pow__
+    monkeypatch.setattr(Fraction, "__pow__",
+                        lambda *args: formed.append(args) or pow_(*args))
+    code, out, err = run(capsys, "eval", "-a=1e308", "-b=-7", "-c=52/8",
+                         "-x=-6/35")
+    assert (code, out) == (2, "")
+    assert err == ("domain error: the polynomial's sum is inf, outside the "
+                   "float range\n")
+    assert formed == []
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_eval_of_a_long_polynomial_at_zero_is_its_first_term(capsys,
+                                                             term_steps, mode):
+    # s = 1 at x = 0 whatever the degree: a polynomial of 20001 terms, past
+    # the budget, ends at its first term and steps none
+    code, out, err = run(capsys, "eval", f"--mode={mode}", "-a=-20000",
+                         "-b=1", "-c=1", "-x=0")
+    assert (code, err) == (0, "")
+    outputs = json.loads(out)["outputs"]
+    assert outputs["value"] in (1, "1")
+    assert (outputs["terms_used"], outputs["terminated"],
+            outputs["tail_bound"]) == (1, True, 0)
+    assert term_steps == []
+    # a short one, which used to step its zero terms: a tie, to raw
+    code, out, _ = run(capsys, "eval", f"--mode={mode}", "-a=-3", "-b=1",
+                       "-c=1", "-x=0")
+    outputs = json.loads(out)["outputs"]
+    assert (code, outputs["terms_used"], outputs["selection_reason"]) \
+        == (0, 1, "both sides take 1 terms; tie goes to raw")
 
 
 def test_eval_selects_the_side_with_fewer_terms(capsys):
@@ -348,6 +388,83 @@ def test_term_step_spy_sees_an_exact_sum(capsys, term_steps):
                      "-c=5/9", "-x=1/2")
     assert code == 0
     assert term_steps[:3] == [0, 1, 2]
+
+
+# ---- fuzzed eval and bench argv ----
+#
+# Each call exits 0-3 with one report, or with one error line, and steps no
+# term past its budget.  The values are the edges that hand fuzzing found
+# hangs and tracebacks at: zeros, halves, p/q, the float range's ends, nan,
+# inf, 1/0, long polynomials and points near +-1.
+
+FUZZ_VALUES = st.sampled_from(
+    ["0.5", "-0.5", "3/7", "-22/7", "1", "2", "0", "1e308", "-1e308",
+     "5e-324", "-20000", "-1020", "-7"])
+# c as a nonpositive integer is one of the refused values
+FUZZ_C = st.sampled_from(
+    ["0.5", "-0.5", "3/7", "-22/7", "1", "2", "1e308", "5e-324",
+     "-20001/2"])
+FUZZ_POINTS = st.sampled_from(
+    ["0.5", "-0.5", "3/7", "0", "5e-324", "0.99", "-0.99", "99/100",
+     "-999999/1000000", "0.9999999999999999", "-0.9999999999999999"])
+FUZZ_REFUSED = st.sampled_from(["nan", "inf", "-inf", "1/0", "1", "0", "-7"])
+
+
+@st.composite
+def fuzz_argvs(draw):
+    """An eval or bench argv in either mode, every value spelled with '='.
+    In one argv of four, one value is nan, inf, 1/0, 1, which is no point
+    of (-1, 1), or 0 or -7, which are no c."""
+    bench = draw(st.booleans())
+    triples, points = ((draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+                       if bench else (1, 1))
+    values = [draw(FUZZ_C if i % 3 == 2 else FUZZ_VALUES)
+              for i in range(3 * triples)]
+    values += [draw(FUZZ_POINTS) for _ in range(points)]
+    if not draw(st.integers(0, 3)):
+        values[draw(st.integers(0, len(values) - 1))] = draw(FUZZ_REFUSED)
+    if bench:
+        grid = [values[i:i + 3] for i in range(0, 3 * triples, 3)]
+        words = ["bench", "--grid=" + ";".join(map(",".join, grid)),
+                 "-x=" + ",".join(values[3 * triples:])]
+    else:
+        words = ["eval", *map("-{}={}".format, "abcx", values)]
+    if draw(st.booleans()):
+        words.append("--tol=" + draw(st.sampled_from(
+            ["5e-324", "1e-320", "1e-300", "1e-30", "1e-12", "1e-3"])))
+    max_terms = draw(st.integers(1, 500))
+    return [*words, f"--mode={draw(st.sampled_from(['float', 'exact']))}",
+            f"--max-terms={max_terms}",
+            f"--output={draw(st.sampled_from(['json', 'csv', 'text']))}"]
+
+
+@seed(3402)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzz_argvs())
+@example(["eval", "-a=-20000", "-b=1", "-c=1", "-x=0", "--mode=exact",
+          "--max-terms=500", "--output=json"])
+@example(["eval", "-a=-2000", "-b=1", "-c=1", "-x=-0.99", "--mode=float",
+          "--max-terms=500", "--output=csv"])
+@example(["bench", "--grid=1e308,1e308,-0.5", "-x=0", "--mode=exact",
+          "--max-terms=60", "--output=text"])  # raised OverflowError
+def test_fuzzed_argv_exit_0_to_3_within_budget(capsys, term_steps, argv):
+    term_steps.clear()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if code in (0, 1):
+        assert err == ""
+        if argv[-1] == "--output=json":
+            assert json.loads(out)["command"] == argv[0]
+            assert out.count("\n") == 1
+        else:
+            assert out.endswith("\n") and out.strip()
+    else:
+        assert code in (2, 3) and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(("domain error: ", "no convergence: "))
+    assert all(k < int(argv[-2][12:]) for k in term_steps)
 
 
 # Exact sums whose denominator outgrows the bit cap of scalar.power, each

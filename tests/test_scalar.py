@@ -85,6 +85,16 @@ def test_power_of_an_integer_exponent_past_the_float_range():
         (-1.0, 10 ** 400))] == ["0.0", "0.0", "0.0", "1.0"]
 
 
+def test_power_rejects_a_non_integer_exponent_past_the_float_range():
+    # an exact c - a - b past the float range, from a = b = 1e308 and
+    # c = -1/2, raised OverflowError from float() in the Euler prefactor,
+    # even at x = 0, where the base is 1
+    for base in (F(1), 1.0, F(1, 2)):
+        with pytest.raises(DomainError, match="^non-integer exponent must "
+                           "be finite, inside the float range$"):
+            power(base, F(-4 * 10 ** 308 - 1, 2))
+
+
 def test_power_rejects_a_nonpositive_base_with_a_non_integer_exponent():
     with pytest.raises(DomainError, match="needs a positive base"):
         power(-0.5, 0.5)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction as F
 
 import mpmath
@@ -180,6 +181,25 @@ def test_eval_at_zero():
                     series.scaled_sum(1.0, params, x, 1e-12, 10000)):
             assert (out.value, out.terms_used, out.terminated,
                     out.tail_bound) == (1, 1, False, 0.0)
+
+
+@pytest.mark.parametrize("a", [0, -3, -20000])
+def test_a_polynomial_at_zero_ends_at_its_first_term(term_steps, a):
+    # every term past the first is 0 at x = 0: a polynomial is complete
+    # after one term, whatever its degree and budget, exact or in doubles,
+    # and steps no term
+    for params, x in ((P(a, 1, 1), F(0)), (P(float(a), 1.0, 1.0), 0.0)):
+        for out in (eval_series(params, x),
+                    eval_series(params, x, 1e-12, 1),
+                    series.scaled_sum(1.0, params, x, 1e-12, 10000),
+                    series.scaled_sum(F(1), params, x, 1e-12, 10000)):
+            assert (out.value, out.terms_used, out.terminated,
+                    out.tail_bound) == (1, 1, True, 0.0)
+        assert _outcome(float_eval_series, params, x, 1e-12, 1) \
+            == (1, 1, True, 0.0)
+        assert _outcome(fraction_eval_series, params, x, 1e-12, 1) \
+            == (1, 1, True, 0.0)
+    assert term_steps == []
 
 
 def test_eval_log_value():
@@ -645,6 +665,29 @@ def test_a_negative_float_term_past_the_float_range_stops_the_sum():
         float_eval_series(P(2.0, 1e308, 1e308), -0.4, 1e-12, 10000)
 
 
+@pytest.mark.parametrize("abc,x,total", [
+    ((-42.0, 1.5860692240571233e+57, -1.5591547224237399), 0.5, "nan"),
+    ((-42.0, 1.5860692240571233e+57, -1.5591547224237399), F(614, 643),
+     "nan"),
+    ((-42.0, 1e200, 0.5), 0.5, "nan"),
+    ((-1.0, 1e308, 0.1), 0.5, "-inf"),          # term 1 is -inf
+    ((-2000.0, 1.0, 1.0), -0.99, "inf"),        # finite terms, an inf sum
+    ((-1020, 3, 1), -0.99, "inf"),              # ints beside a float x
+    ((-7, 1e308, F(13, 2)), F(-6, 35), "inf"),  # raw side of an eval argv
+])
+def test_a_float_polynomial_past_the_float_range_is_refused(abc, x, total):
+    # a polynomial's terms are not range-tested, and a sum of 43 terms used
+    # to come back as a complete nan; its last term now refuses an inf or
+    # nan sum, in eval_series and so in scaled_sum under any scale
+    message = f"^the polynomial's sum is {total}, outside the float range$"
+    params = P(*abc)
+    for call in (lambda: eval_series(params, x),
+                 lambda: series.scaled_sum(1.0, params, x, 1e-12, 10000),
+                 lambda: series.scaled_sum(F(1, 2), params, x, 1e-12, 10000)):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
 @pytest.mark.parametrize("abc,x,tol,max_terms", [
     ((0.3, 0.7, 1.5), -0.98, 1e-12, 10000),    # stops at a negative term
     ((2.5, -3.5, 1.5), -0.98, 1e-3, 10000),    # k0 = 4
@@ -711,6 +754,45 @@ def test_a_hopeless_sum_fails_before_its_first_term(term_steps, abc, x):
         eval_series(P(*abc), x)
     assert term_steps == []
     assert float_eval_error(P(*abc), x, 1e-12, 10000) == HOPELESS
+
+
+def _majorant_refusals(n: int) -> list:
+    """Seeded (a, b, c, x, max_terms) draws, two given first, whose rho at
+    the last budgeted term is at least 1 + 2**-48, with |x| normal, and
+    whose series is no polynomial."""
+    rng = random.Random(3403)
+
+    def wide(lo, hi):
+        return rng.choice([rng.uniform(lo, 1e3), rng.uniform(lo, 1e6),
+                           rng.choice([1e300, 1e308, 0.5])])
+
+    draws = [(1e300, 1.0, 1e300, 0.5, 300),      # rho_299 about 150
+             (1e308, 1e308, 1.0, -0.5, 10)]      # rho_9 overflows to inf
+    while len(draws) < n:
+        a, b, c = wide(-1e3, 1e3), wide(-1e3, 1e3), wide(1e-3, 1e3)
+        x, max_terms = rng.uniform(-0.999, 0.999), rng.randint(1, 300)
+        if (termination_index((a, b, c)) is None
+                and not (c.is_integer() and c <= 0.0)
+                and series._ratio_majorant(max_terms - 1, a, b, c,
+                                           abs(x)) >= 1.0 + 2.0 ** -48):
+            draws.append((a, b, c, x, max_terms))
+    return draws
+
+
+def test_every_sum_refused_by_its_majorant_steps_no_term(term_steps):
+    # wherever rho at the last budgeted term is at least 1 + 2**-48 with
+    # |x| normal, no term can stop the sum: the float loop, on doubles and
+    # on exact parameters beside a float x, and both modes of the integer
+    # loop raise before their first term
+    for a, b, c, x, max_terms in _majorant_refusals(300):
+        exact = P(F(a), F(b), F(c))
+        for params in (P(a, b, c), exact):
+            with pytest.raises(NoConvergenceError):
+                eval_series(params, x, 1e-12, max_terms)
+        for width in (None, 200):
+            with pytest.raises(NoConvergenceError):
+                _integer_sum(exact, F(x), 1e-12, max_terms, width)
+    assert term_steps == []
 
 
 def test_the_step_spy_sees_every_float_step(term_steps):
