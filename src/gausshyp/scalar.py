@@ -119,11 +119,12 @@ _POWER_BITS_LEAST = 64 * sys.int_info.str_digits_check_threshold
 def power(base: Scalar, exponent: Scalar) -> Scalar:
     """base**exponent, staying exact for integer exponents on exact bases.
 
-    Non-integer exponents require base > 0 and an exponent inside the float
-    range, and go through exp(p*log(base)).  A result whose magnitude lies past the float range is rejected before
-    any power is formed, and so is an exact power m**n of a numerator or
-    denominator m where |n| (bl(m) - 1), a lower bound on its bit length,
-    exceeds _power_bits().
+    Non-integer exponents require base > 0 and an exponent inside the
+    float range, and go through exp(p*log(base)).  A result whose
+    magnitude lies past the float range is rejected before any power is
+    formed, and so is an exact power m**n of a numerator or denominator m
+    where |n| (bl(m) - 1), a lower bound on its bit length, exceeds
+    _power_bits().
     """
     n = as_integer(exponent)
     if n is None:

@@ -10,21 +10,25 @@ through the coefficient recurrence
 
 in exact rational arithmetic or in doubles, depending on the inputs.  When
 a or b is a nonpositive integer the series is a polynomial and is summed
-completely; otherwise summation stops once a geometric tail bound falls
-below the requested tolerance.  Two loops share that stop rule: a float
-loop on the doubles of the inputs, and an integer loop for exact inputs.
-They share its refusals too: a sum whose majorant at the last budgeted
-term shows that no term within the budget can stop it fails before its
-first term in either loop.  The integer loop runs in one of two modes.
-Exact, it steps an integer numerator P, denominator Q and partial sum T
-per term and reduces the sum to lowest terms once, when it is returned.
-Where only the double of the sum is wanted, under a float prefactor, it
-runs in W-bit fixed point with running error bounds e and E, and rounds
-once.  The term's double is taken from |P| and |Q|, since Q turns negative
-after a step where c + k < 0.  Past the index where the majorant of the
-term ratios applies, both loops check every term, and a term above the
-tail gate costs the float loop one range test.  The exact loop refuses a
-sum whose integers outgrow the bit cap of scalar.power.  The exact
+completely, at x = 0 after its first term whatever its degree; otherwise
+summation stops once a geometric tail bound falls below the requested
+tolerance.  Two loops share that stop rule: a float loop on the doubles of
+the inputs, and an integer loop for exact inputs.  They share its
+refusals too: a sum whose majorant at the last budgeted term shows that
+no term within the budget can stop it fails before its first term in
+either loop.  The float loop tests no term of a polynomial against the
+float range, so it refuses one whose sum is inf or nan at its last term.
+The integer loop runs in one of two modes.  Exact, it steps an integer
+numerator P, denominator Q and partial sum T per term and reduces the sum
+to lowest terms once, when it is returned.  Where only the double of the
+sum is wanted, under a float prefactor, scaled_sum runs it in W-bit fixed
+point with running error bounds e and E, rounding once, at W, 2W, 4W and
+8W bits, and exactly where none of them decides.  The term's double is
+taken from |P| and |Q|, since Q turns negative after a step where
+c + k < 0.  Past the index where the majorant of the term ratios applies,
+both loops check every term, and a term above the tail gate costs the
+float loop one range test.  The exact loop refuses a sum whose integers
+outgrow the bit cap of scalar.power.  The exact
 coefficients and the two operator residuals work the same way: integer
 numerators over one common denominator, each returned value reduced once.
 The operator identity is -x**(b-1) times the differential operator, so its
@@ -256,23 +260,26 @@ def _budget_spent(tol: float, max_terms: int) -> NoConvergenceError:
         f"tail bound still above tol={tol} after {max_terms} terms")
 
 
-def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
-               max_terms: int):
+def _stop_rule(params, x: Scalar, tol: float, max_terms: int):
     """The stop rule of one sum at a checked x, tol and max_terms, shared
-    by every summation loop.
+    by every summation loop.  params is any sequence (a, b, c): the float
+    loop passes the plain tuple of its doubles, whose c is unchecked.
 
     Returns (last, polynomial, k0, gate, af, bf, cf, ax): the index of
     the last term the sum may reach; True when that term ends the series,
     which then needs no majorant, False when reaching it spends the
     budget; the first term whose majorant is checked; the gate of
     _tail_gate; and the parameters as doubles and |x|, for rho_k and the
-    float loop's step.  A sum that is not a polynomial at x = 0 is its
-    first term alone, with a zero tail: None.  An exact x whose double is
+    float loop's step.  x = 0 is read first: there every term past the
+    first is 0, so a polynomial of any degree ends at its first term,
+    within any budget, and a sum that is not a polynomial is its first
+    term alone, with a zero tail: None.  An exact x whose double is
     0.0 takes |x| as the least double 5e-324, which is at least |x|:
     rho_k = 0 would call its nonzero tail 0.
 
     This is the one place that turns a sum away before its first term, for
-    the float loop and the integer loop alike: a polynomial over budget; a
+    the float loop and the integer loop alike: a polynomial over budget at
+    x != 0; a
     sum whose majorant applies only from a term k0 past the budget; and a
     sum whose computed majorant at the last budgeted term is at least
     1 + 2**-48, inf included, with |x| normal.
@@ -282,8 +289,6 @@ def _stop_rule(params: HypergeometricParams, x: Scalar, tol: float,
     af, bf, cf = map(float, params)
     stop = termination_index(params)
     if x == 0:
-        # every term past the first is 0: a polynomial ends at its first
-        # term, whatever its degree
         if stop is None:
             return None
         stop = 0
@@ -378,9 +383,12 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
     term past the float range (inf or nan) never comes back, so another
     sum that is not a polynomial raises it at the first such term it
     checks, and so does one whose bound meets tol after a denominator
-    (k+1)(c+k) past the float range has zeroed its terms.  Exact params
-    and x are summed by _integer_sum; any other sum runs on the doubles of
-    its inputs, and ends where they do, with the bits of the same call on
+    (k+1)(c+k) past the float range has zeroed its terms.  No term of a
+    polynomial is tested against the float range, but an inf or nan term
+    leaves its sum inf or nan, so the float loop raises DomainError at its
+    last term where the sum is past the float range.  Exact params and x
+    are summed by _integer_sum; any other sum runs on the doubles of its
+    inputs, and ends where they do, with the bits of the same call on
     them.
     """
     check_eval_point(x)
@@ -389,7 +397,9 @@ def eval_series(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
         return _integer_sum(params, x, tol, max_terms, None)
     # the step runs on the doubles of the parameters and of x, so the sum
     # ends where they do: an exact a or b whose double is a nonpositive
-    # integer gives a polynomial at that double's index
+    # integer gives a polynomial at that double's index.  They stay a plain
+    # tuple: their c may be a pole (-3.0 or 0.0), which _check_double_c
+    # refuses below
     rule = _stop_rule(tuple(map(float, params)), x, tol, max_terms)
     if rule is None:
         return SeriesEvaluation(1.0, 1, False, 0.0)
@@ -550,9 +560,9 @@ def scaled_sum(scale: Scalar, params: HypergeometricParams, x: Scalar,
     a float needs the sum finite, inside the float range: a float scale
     takes float() of an exact sum, and a float sum may have overflowed.
     Under a float scale an exact sum is wanted only as its double, so it
-    is first summed in fixed point by _integer_sum, at a start width and
-    at twice, four and eight times it; a sum none of them decides runs
-    through eval_series.
+    is first summed in fixed point by _integer_sum, at a start width W and
+    at 2W, 4W and 8W; a sum none of them decides is summed exactly, by
+    _integer_sum at width None, and its value rounded once by the product.
     """
     check_finite("prefactor", scale)
     check_eval_point(x)
@@ -562,8 +572,10 @@ def scaled_sum(scale: Scalar, params: HypergeometricParams, x: Scalar,
 def _scaled_sum(scale: Scalar, mag: float, params: HypergeometricParams,
                 x: Scalar, tol: float, max_terms: int) -> SeriesEvaluation:
     """scaled_sum at a checked x, for a scale checked finite, of magnitude
-    mag.  A float sum is taken by eval_series, an exact one by
-    _integer_sum once max_terms is checked."""
+    mag.  A float sum is taken by eval_series.  An exact one is taken by
+    _integer_sum, once max_terms is checked, along one list of widths:
+    None alone under an exact scale, and W, 2W, 4W, 8W, None under a
+    float one, so that its last rung is the exact loop, which decides."""
     inner_tol = tol / mag if mag > 0.0 else tol
     if not 0.0 < inner_tol < math.inf:
         raise DomainError(f"tol {tol} over the prefactor magnitude {mag} "
@@ -572,8 +584,7 @@ def _scaled_sum(scale: Scalar, mag: float, params: HypergeometricParams,
         out = eval_series(params, x, inner_tol, max_terms)
     else:
         check_budget(inner_tol, max_terms)
-        # an exact scale takes the exact sum, width None, which decides; a
-        # float one tries W, 2W, 4W and 8W bits first
+        # width None, the exact loop, always decides
         w = _start_width(inner_tol, max_terms)
         widths = (None,) if is_exact(scale) else (w, 2 * w, 4 * w, 8 * w, None)
         for width in widths:

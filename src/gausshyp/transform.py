@@ -79,11 +79,14 @@ def params_from_triple(tp: TripleParams) -> HypergeometricParams:
 
 def eval_transformed(params: HypergeometricParams, x: Scalar,
                      tol: float = 1e-12, max_terms: int = 10000) -> SeriesEvaluation:
-    """Evaluate s at x through the transformed series.
+    """Evaluate s at x through the transformed series: scaled_sum of the
+    Euler triple, the scale (1-x)**(c-a-b) with z's parameters
+    (c-a, c-b, c) at x.
 
-    Sums z with parameters (c-a, c-b, c) and multiplies by (1-x)**(c-a-b).
     Integer exponents keep exact inputs exact; otherwise the prefactor is a
-    double.  tol applies to the returned value, as in scaled_sum.
+    double.  tol applies to the returned value, as in scaled_sum.  x is
+    checked before the prefactor is formed, as power would report a base
+    1-x <= 0 for an x >= 1.
     """
     check_eval_point(x)
     z_params, exponent = euler_transform_params(params)

@@ -189,14 +189,17 @@ def test_eval_domain_error_exit_2(capsys):
                              "-x", "0.5")
         assert code == 2 and out == "" and "finite" in err
     # values past the float range: an exact prefactor (19/10)**2001, an
-    # exact parameter 1e400, float prefactors 1.99**2000 and 1.99**2000.5,
-    # a raw polynomial whose float and exact sums pass the float range, an
-    # exact z times a prefactor (1/2)**2000.2 that underflows to 0.0, and
-    # an agreement allowance 100 tol (1 + |value|) at tol = 1e307
+    # exact parameter 1e400, raw float polynomials whose sums pass the float
+    # range, refused before their Euler prefactors 1.99**2000, 1.99**2000.5
+    # and (41/35)**-1e308 are formed, a raw polynomial whose float and exact
+    # sums pass the float range, an exact z times a prefactor
+    # (1/2)**2000.2 that underflows to 0.0, and an agreement allowance
+    # 100 tol (1 + |value|) at tol = 1e307
     for argv in (["--mode", "exact", "-a=-2000", "-b=1/2", "-c=3/2", "-x=-9/10"],
                  ["--mode", "exact", "-a=1e400", "-b=1", "-c=2", "-x=1/2"],
                  ["-a=-2000", "-b=1", "-c=1", "-x=-0.99"],
                  ["-a=-2000", "-b=1", "-c=1.5", "-x=-0.99"],
+                 ["-a=1e308", "-b=-7", "-c=52/8", "-x=-6/35"],
                  ["-a=-1020", "-b=3", "-c=1", "-x=-0.99"],
                  ["--mode", "exact", "-a=-1020", "-b=3", "-c=1", "-x=-99/100"],
                  ["--mode", "exact", "-a=-2000", "-b=1/3", "-c=5/9", "-x=1/2"],
@@ -243,23 +246,6 @@ def test_eval_rejects_an_exact_power_too_large_to_form(capsys, monkeypatch,
     assert err == (f"domain error: (41/35)**{exponent} would have more than "
                    f"{64 * sys.get_int_max_str_digits()} bits in its "
                    "numerator or denominator\n")
-    assert formed == []
-
-
-def test_eval_refuses_a_raw_polynomial_past_the_float_range_first(
-        capsys, monkeypatch):
-    # with b = -7 the raw side is a polynomial of degree 7 whose sum passes
-    # the float range: it is refused at its last term, before the Euler
-    # prefactor (41/35)**-1e308 is reached
-    formed = []
-    pow_ = Fraction.__pow__
-    monkeypatch.setattr(Fraction, "__pow__",
-                        lambda *args: formed.append(args) or pow_(*args))
-    code, out, err = run(capsys, "eval", "-a=1e308", "-b=-7", "-c=52/8",
-                         "-x=-6/35")
-    assert (code, out) == (2, "")
-    assert err == ("domain error: the polynomial's sum is inf, outside the "
-                   "float range\n")
     assert formed == []
 
 

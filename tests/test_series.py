@@ -762,17 +762,17 @@ def _majorant_refusals(n: int) -> list:
     whose series is no polynomial."""
     rng = random.Random(3403)
 
-    def wide(lo, hi):
+    def wide(lo):
         return rng.choice([rng.uniform(lo, 1e3), rng.uniform(lo, 1e6),
                            rng.choice([1e300, 1e308, 0.5])])
 
     draws = [(1e300, 1.0, 1e300, 0.5, 300),      # rho_299 about 150
              (1e308, 1e308, 1.0, -0.5, 10)]      # rho_9 overflows to inf
     while len(draws) < n:
-        a, b, c = wide(-1e3, 1e3), wide(-1e3, 1e3), wide(1e-3, 1e3)
+        a, b, c = wide(-1e3), wide(-1e3), wide(1e-3)
         x, max_terms = rng.uniform(-0.999, 0.999), rng.randint(1, 300)
         if (termination_index((a, b, c)) is None
-                and not (c.is_integer() and c <= 0.0)
+                and abs(x) >= 2.0 ** -1022
                 and series._ratio_majorant(max_terms - 1, a, b, c,
                                            abs(x)) >= 1.0 + 2.0 ** -48):
             draws.append((a, b, c, x, max_terms))
