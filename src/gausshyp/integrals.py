@@ -30,7 +30,7 @@ from collections.abc import Iterator
 from .binom import binom_char
 from .errors import (DomainError, NoConvergenceError, QuadratureFailureError,
                      no_convergence_in)
-from .scalar import Scalar, check_finite, check_index, power
+from .scalar import Scalar, _Checked, check_finite, check_index, power
 from .series import check_budget
 from .transform import _character, _character_sum
 
@@ -42,7 +42,7 @@ QUAD_ABS_TOL = 1e-10
 _MAX_POINTS = 2 ** 20  # samples per quadrature, checked before any is taken
 
 
-class IntegralSpec(namedtuple("IntegralSpec", "a_mod n i")):
+class IntegralSpec(_Checked, namedtuple("IntegralSpec", "a_mod n i")):
     """One integral instance: modulus a_mod in (0, 1), powers n, i >= 0."""
 
     __slots__ = ()
@@ -53,11 +53,6 @@ class IntegralSpec(namedtuple("IntegralSpec", "a_mod n i")):
         check_index("n", n)
         check_index("i", i)
         return super().__new__(cls, a_mod, n, i)
-
-    @classmethod
-    def _make(cls, fields) -> IntegralSpec:
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*fields)
 
 
 class IntegralResult(namedtuple(

@@ -78,6 +78,15 @@ def check_printable(name: str, value: Scalar) -> None:
                                   "for printing an integer")
 
 
+class _Checked:
+    """Base of a namedtuple record whose __new__ checks its fields, put
+    before the namedtuple: namedtuple's own _make, which _replace calls,
+    skips __new__, and this one goes through it."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
 def parse_scalar(text: str, exact: bool) -> Scalar:
     """Parse a command-line number.
 

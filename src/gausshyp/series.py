@@ -45,8 +45,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, InvalidCError, NoConvergenceError
-from .scalar import (_FLOAT_MAX_INT, Scalar, _power_bits, as_integer,
-                     check_finite, is_exact, is_nonpositive_integer)
+from .scalar import (_FLOAT_MAX_INT, Scalar, _Checked, _power_bits,
+                     as_integer, check_finite, is_exact,
+                     is_nonpositive_integer)
 
 #: Largest truncation degree accepted by the exact-mode polynomial
 #: operations.  Their integers have about N log N digits at degree N; an
@@ -67,7 +68,8 @@ _pack = tuple.__new__
 _MARGIN = 2.0 ** -48
 
 
-class HypergeometricParams(namedtuple("HypergeometricParams", "a b c")):
+class HypergeometricParams(_Checked,
+                           namedtuple("HypergeometricParams", "a b c")):
     """Parameter triple (a, b, c) of the series.
 
     Each parameter must be finite, and c must not be zero or a negative
@@ -82,11 +84,6 @@ class HypergeometricParams(namedtuple("HypergeometricParams", "a b c")):
         if is_nonpositive_integer(c):
             raise InvalidCError(f"c = {c} is zero or a negative integer")
         return _pack(cls, (a, b, c))
-
-    @classmethod
-    def _make(cls, fields) -> HypergeometricParams:
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*fields)
 
     def exact(self) -> bool:
         return is_exact(self.a) and is_exact(self.b) and is_exact(self.c)
@@ -557,8 +554,9 @@ def scaled_sum(scale: Scalar, params: HypergeometricParams, x: Scalar,
 
     The series is summed to tol / |scale| (to tol when |scale| underflows
     to 0.0) and its tail bound scaled back by |scale|.  A product that is
-    a float needs the sum finite, inside the float range: a float scale
-    takes float() of an exact sum, and a float sum may have overflowed.
+    a float needs the sum and the product finite, inside the float range:
+    a float scale takes float() of an exact sum, a float sum may have
+    overflowed, and a finite scale times a finite sum may overflow too.
     Under a float scale an exact sum is wanted only as its double, so it
     is first summed in fixed point by _integer_sum, at a start width W and
     at 2W, 4W and 8W; a sum none of them decides is summed exactly, by
@@ -591,10 +589,14 @@ def _scaled_sum(scale: Scalar, mag: float, params: HypergeometricParams,
             out = _integer_sum(params, x, inner_tol, max_terms, width)
             if out is not None:
                 break
-    if not (is_exact(scale) and is_exact(out.value)):
+    if is_exact(scale) and is_exact(out.value):
+        value = scale * out.value
+    else:
+        # the sum first: float() of an exact sum past the range overflows
         check_finite("scaled series value", out.value)
-    return _pack(SeriesEvaluation, (scale * out.value, out.terms_used,
-                                    out.terminated, out.tail_bound * mag))
+        check_finite("scaled series value", value := scale * out.value)
+    return _pack(SeriesEvaluation, (value, out.terms_used, out.terminated,
+                                    out.tail_bound * mag))
 
 
 # ---- operator residuals ----

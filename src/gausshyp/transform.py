@@ -5,10 +5,10 @@ and the same c.  Applying the map twice returns the original parameters, and
 whenever alpha or beta is a nonpositive integer the transformed series is a
 polynomial even though the original is infinite, which is what makes the
 transformation useful as a summation accelerator.  ``evaluate`` sums s at
-one point both ways and picks the cheaper side, and ``agreement`` forms the
-residual between the two and the allowance it must stay within: together
-they are ``gausshyp eval``, and ``evaluate`` alone is a ``gausshyp bench``
-row.
+one point both ways, picks the cheaper side and checks that both values can
+be reported, and ``agreement`` forms the residual between the two and the
+allowance it must stay within: together they are ``gausshyp eval`` and
+each ``gausshyp bench`` row.
 
 The second half of the module handles sums of products of two binomial
 characters, sum_k binom(m1, k) binom(m2, e+k) x**k.  Three sign patterns of
@@ -27,8 +27,8 @@ from enum import Enum
 
 from .binom import binom_char
 from .errors import DomainError, NoConvergenceError, no_convergence_in
-from .scalar import (Scalar, as_integer, check_finite, check_index,
-                     is_exact, power)
+from .scalar import (Scalar, _Checked, as_integer, check_finite,
+                     check_index, check_printable, is_exact, power)
 from .series import (HypergeometricParams, SeriesEvaluation, _pack,
                      _scaled_sum, check_budget, check_eval_point, eval_series,
                      scaled_sum)
@@ -36,7 +36,7 @@ from .series import (HypergeometricParams, SeriesEvaluation, _pack,
 
 # ---- parameter maps ----
 
-class TripleParams(namedtuple("TripleParams", "e f h")):
+class TripleParams(_Checked, namedtuple("TripleParams", "e f h")):
     """Character-series parameters (e, f, h) with e = c-1, f = -a, h = c-b-1.
 
     Only defined when c is a positive integer, i.e. e is a nonnegative
@@ -48,11 +48,6 @@ class TripleParams(namedtuple("TripleParams", "e f h")):
     def __new__(cls, e: int, f: Scalar, h: Scalar) -> TripleParams:
         check_index("e", e)
         return super().__new__(cls, e, f, h)
-
-    @classmethod
-    def _make(cls, fields) -> TripleParams:
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*fields)
 
 
 def euler_transform_params(
@@ -132,11 +127,18 @@ def evaluate(params: HypergeometricParams, x: Scalar, tol: float = 1e-12,
 
     Returns (raw, transformed, choice): eval_series, eval_transformed and
     select_representation of the two, in that order, which is what
-    ``gausshyp eval`` and each ``gausshyp bench`` row report.
+    ``gausshyp eval`` and each ``gausshyp bench`` row report.  Each value
+    must be one a report can hold: finite, inside the float range, and
+    printable, the raw value checked first; a value that is not raises
+    DomainError, once both are summed and the choice made.
     """
     raw = eval_series(params, x, tol, max_terms)
     transformed = eval_transformed(params, x, tol, max_terms)
-    return raw, transformed, select_representation(raw, transformed)
+    choice = select_representation(raw, transformed)
+    for name, out in (("raw value", raw), ("transformed value", transformed)):
+        check_finite(name, out.value)
+        check_printable(name, out.value)
+    return raw, transformed, choice
 
 
 def agreement(params: HypergeometricParams, x: Scalar, tol: float,
@@ -287,11 +289,13 @@ def triple_relations(tp: TripleParams, xs: Iterable[Scalar], tol: float,
     sums are the three character sums, in TripleSums order, each summed to
     tol / 1000.  checks hold, per relation, None when it does not apply or
     (residual, allowance), the residual |LHS - RHS| and the allowance
-    tol * (1 + |LHS|).  The leads and parameters of the sums are formed
-    once, for every point.  A sum that does not converge raises
-    NoConvergenceError naming its (e, f, h, x), tol and max_terms.
+    tol * (1 + |LHS|).  The series budget is checked, and the leads and
+    parameters of the sums are formed, once for every point.  A sum that
+    does not converge raises NoConvergenceError naming its (e, f, h, x),
+    tol and max_terms.
     """
     series_tol = max(5e-324, tol / 1000.0)  # positive for any tol > 0
+    check_budget(series_tol, max_terms)
     characters = _characters(tp)
     lead_a, lead_b, lead_c = (lead for lead, _ in characters)
     # relations 1 and 2 vanish identically when [h over e] = 0
@@ -299,7 +303,6 @@ def triple_relations(tp: TripleParams, xs: Iterable[Scalar], tol: float,
     exponent = tp.f + tp.h + 1
     for x in xs:
         check_eval_point(x)
-        check_budget(series_tol, max_terms)
         try:
             sums = _sums(characters, x, series_tol, max_terms)
         except NoConvergenceError as exc:

@@ -296,6 +296,22 @@ def test_eval_term_beyond_float_range_exit_3(capsys):
     assert "terms" in err
 
 
+@pytest.mark.parametrize("grid", ["-5,440.5,0.5", "440.5,-18.5,39.875"])
+def test_a_prefactor_times_its_series_past_the_float_range_exit_2(capsys,
+                                                                  grid):
+    # the Euler side's product overflows: eval exits 2 naming it, and the
+    # bench row reads domain-error, where it read ok
+    a, b, c = grid.split(",")
+    code, out, err = run(capsys, "eval", f"-a={a}", f"-b={b}", f"-c={c}",
+                         "-x=0.75")
+    assert code == 2 and out == ""
+    assert err == ("domain error: scaled series value must be finite, "
+                   "inside the float range\n")
+    code, out, err = run(capsys, "bench", f"--grid={grid}", "-x=0.75")
+    assert code == 0 and err == ""
+    assert json.loads(out)["rows"][0]["status"] == "domain-error"
+
+
 def test_eval_transformed_side_over_budget_exit_3(capsys):
     # the Euler side (c+400, c-b; c) at 9/10 never meets tol in the
     # 10000-term budget: its terms pass the float range and come back
@@ -1225,6 +1241,45 @@ def test_bench_rows_are_eval_at_each_point(capsys, mode):
                     outputs["selected_representation"]))
 
 
+#: A bench row's status for each exit code of eval at the row's point.
+ROW_STATUS = {0: "ok", 1: "ok", 2: "domain-error", 3: "no-convergence"}
+
+
+@st.composite
+def shared_points(draw):
+    """a, b, c, x from the fuzz test's edge values, and the options eval and
+    bench both take: either mode, a budget of 1-500 and a tol up to 1e300,
+    whose allowance lies past the float range."""
+    values = [draw(FUZZ_VALUES), draw(FUZZ_VALUES), draw(FUZZ_C),
+              draw(FUZZ_POINTS)]
+    options = [f"--mode={draw(st.sampled_from(['float', 'exact']))}",
+               f"--max-terms={draw(st.integers(1, 500))}"]
+    if draw(st.booleans()):
+        options.append("--tol=" + draw(st.sampled_from(
+            ["5e-324", "1e-300", "1e-12", "1e-3", "1e300"])))
+    return values, options
+
+
+@seed(3503)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shared_points())
+@example((["1/3", "2/7", "5/9", "99/100"], ["--mode=exact"]))  # 9236 digits
+@example((["0.5", "-42", "-18.5", "-0.9"], ["--tol=1e300"]))  # the allowance
+@example((["-5", "440.5", "0.5", "0.75"], []))  # the Euler product is inf
+def test_a_bench_row_reads_the_exit_code_of_eval_at_its_point(capsys,
+                                                              point):
+    # both commands run one evaluation with one set of value rules, so a
+    # row eval would refuse reads domain-error, not ok
+    (a, b, c, x), options = point
+    code = main(["eval", f"-a={a}", f"-b={b}", f"-c={c}", f"-x={x}",
+                 *options])
+    capsys.readouterr()
+    assert main(["bench", f"--grid={a},{b},{c}", f"-x={x}", *options]) == 0
+    row, = json.loads(capsys.readouterr()[0])["rows"]
+    assert row["status"] == ROW_STATUS[code]
+
+
 def test_bench_reports_a_point_whose_sum_is_a_domain_error(capsys):
     # the exact raw sum's denominator passes the bit cap at term 1910: the
     # row reads domain-error and the command goes on, where it exited 2
@@ -1613,14 +1668,15 @@ def test_verify_ode_leaves_its_comparisons_to_the_library():
 
 
 def test_cli_leaves_the_evaluation_to_the_library():
-    # eval and bench sum, choose and compare through transform.evaluate and
-    # transform.agreement, so the CLI binds none of the calls they make and
-    # forms no logarithm of its own
+    # eval and bench sum, choose, check and compare through
+    # transform.evaluate and transform.agreement, so the CLI binds none of
+    # the calls they make and forms no logarithm of its own
     tree = ast.parse(pathlib.Path(cli.__file__).read_text())
     names = {alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert {"evaluate", "agreement"} <= names
     assert not names & {"eval_series", "eval_transformed",
-                        "select_representation", "is_exact"}
+                        "select_representation", "is_exact",
+                        "check_finite", "check_printable"}
     assert not [node for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "log"]

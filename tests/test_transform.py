@@ -117,6 +117,19 @@ def test_eval_transformed_exact_prefactor_times_an_overflowed_float_sum():
         eval_transformed(P(1200.5, 3.0, 1.5), F(-99, 100))
 
 
+def test_eval_transformed_refuses_a_product_past_the_float_range():
+    # a finite prefactor times a finite sum overflows: the product is
+    # refused, where it came back as a sum of +-inf with a small tail bound
+    for params in (P(-5.0, 440.5, 0.5), P(F(1937326317771813, 4398046511104),
+                                          F(-37, 2), F(319, 8))):
+        with pytest.raises(DomainError, match="^scaled series value must be "
+                           "finite, inside the float range$"):
+            eval_transformed(params, 0.75)
+    # s(1, 1; 2; 3/4) = -log(1/4) / (3/4) ~ 1.85, times 1e308
+    with pytest.raises(DomainError, match="^scaled series value"):
+        series.scaled_sum(1e308, P(1.0, 1.0, 2.0), 0.75, 1e-12, 10000)
+
+
 # ---- representation choice ----
 
 def select(params, x):
@@ -256,6 +269,20 @@ def test_triple_relations_check_each_point_and_lead_once(monkeypatch):
     list(triple_relations(TripleParams(1, 2, 1), xs, 1e-10, 10000))
     assert points == list(xs)
     assert len(prefactors) == 3 * len(xs)  # one per nonzero sum at each x
+
+
+def test_triple_relations_check_the_series_budget_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(transform, "check_budget",
+                        lambda *budget: calls.append(budget))
+    xs = (F(0), F(1, 4), F(1, 2))
+    list(triple_relations(TripleParams(1, 2, 1), xs, 1e-10, 10000))
+    assert calls == [(1e-10 / 1000.0, 10000)]
+    # neither argument depends on x, so the check runs before any point:
+    # with none, at the first next()
+    monkeypatch.undo()
+    with pytest.raises(DomainError, match="max_terms"):
+        next(triple_relations(TripleParams(1, 2, 1), (), 1e-10, 0))
 
 
 def test_character_series_validation():
@@ -433,15 +460,20 @@ def test_triple_relations_exact_lead_times_p_before_a_float_sum():
         _matches_scalar_products(TripleParams(e, f, h), x)
 
 
-@pytest.mark.parametrize("tp, x", [
-    (TripleParams(300, 0, 600), F(1, 4)),       # [e-h-1 over e] A ~ 1.8e358
-    (TripleParams(300, 0, 600), F(0)),
-    (TripleParams(300, 0.0, 600.0), 0.25),      # both sides of relation 1 inf
-    (TripleParams(500, 0.0, 1000), F(-1, 2)),   # exact [h over e] p ~ 4e475
-])
-def test_triple_relation_side_past_the_float_range(tp, x):
-    # every lead lies inside the float range, one side does not
-    with pytest.raises(DomainError, match="relation 1"):
+@pytest.mark.parametrize("tp, x, message", [
+    # [e-h-1 over e] A ~ 1.8e358
+    (TripleParams(300, 0, 600), F(1, 4), "relation 1"),
+    (TripleParams(300, 0, 600), F(0), "relation 1"),
+    # both sides of relation 1 inf
+    (TripleParams(300, 0.0, 600.0), 0.25, "relation 1"),
+    # exact [h over e] p ~ 4e475, but first the float series of B cancels
+    # to ~8.9e283, which its lead ~2.7e299 takes past the range
+    (TripleParams(500, 0.0, 1000), F(-1, 2), "scaled series value"),
+    # the ids that (tp, x) alone gave, kept when the message joined them
+], ids=["tp0-x0", "tp1-x1", "tp2-0.25", "tp3-x3"])
+def test_triple_relation_side_past_the_float_range(tp, x, message):
+    # every lead lies inside the float range, one side or one sum does not
+    with pytest.raises(DomainError, match=message):
         verify_triple_relations(tp, x)
 
 
