@@ -12,10 +12,11 @@ diagnostics go to stderr only.  Exit codes: 0 pass, 1 identity failure,
 
 A command parses its arguments, loops over its points, renders the report
 and maps errors to exit codes; the sums, choices, value checks and
-allowances come from the library.  eval and bench sum, choose and check
-through transform.evaluate and take the residual and allowance from
-transform.agreement, so a bench row reads domain-error exactly where eval
-of its point exits 2.
+allowances come from the library.  eval and bench run one routine at a
+point, _outputs, which sums, chooses and checks through transform.evaluate
+and takes the residual and allowance from transform.agreement: a bench row
+is five of eval's outputs at its point, and reads domain-error exactly
+where eval of its point exits 2.
 """
 
 from __future__ import annotations
@@ -177,42 +178,46 @@ EVAL_COLUMNS = ["a", "b", "c", "x", "value", "terms_used", "terminated",
                 "agreement_residual", "selected_representation", "status"]
 
 
+def _outputs(params: HypergeometricParams, x: Scalar, tol: float,
+             max_terms: int) -> dict:
+    """eval's outputs at x: both sums and the choice of transform.evaluate,
+    and the residual and allowance of transform.agreement.  A bench row
+    reads its fields from the same dict, through _ROW_FIELDS."""
+    raw, trans, choice = evaluate(params, x, tol, max_terms)
+    residual, allowance = agreement(params, x, tol, raw, trans)
+    return {
+        "value": raw.value,
+        "terms_used": raw.terms_used,
+        "terminated": raw.terminated,
+        "tail_bound": raw.tail_bound,
+        "transformed_value": trans.value,
+        "transformed_terms_used": trans.terms_used,
+        "transformed_terminated": trans.terminated,
+        "transformed_tail_bound": trans.tail_bound,
+        "agreement_residual": residual,
+        "agreement_allowance": allowance,
+        "selected_representation": choice.representation.value,
+        "selection_reason": choice.reason,
+    }
+
+
 def cmd_eval(args):
     exact = args.mode == "exact"
-    a = parse_scalar(args.a, exact)
-    b = parse_scalar(args.b, exact)
-    c = parse_scalar(args.c, exact)
-    x = parse_scalar(args.x, exact)
-    params = HypergeometricParams(a, b, c)
+    a, b, c, x = [parse_scalar(getattr(args, name), exact) for name in "abcx"]
     tol = _tol(args)
-
-    raw, trans, choice = evaluate(params, x, tol, args.max_terms)
-    residual, allowance = agreement(params, x, tol, raw, trans)
-    ok = residual <= allowance
-
+    outputs = _outputs(HypergeometricParams(a, b, c), x, tol, args.max_terms)
+    residual = outputs["agreement_residual"]
+    ok = residual <= outputs["agreement_allowance"]
     report = {
         "command": "eval",
         "inputs": {"a": a, "b": b, "c": c, "x": x, "mode": args.mode,
                    "tol": tol, "max_terms": args.max_terms},
-        "outputs": {
-            "value": raw.value,
-            "terms_used": raw.terms_used,
-            "terminated": raw.terminated,
-            "tail_bound": raw.tail_bound,
-            "transformed_value": trans.value,
-            "transformed_terms_used": trans.terms_used,
-            "transformed_terminated": trans.terminated,
-            "transformed_tail_bound": trans.tail_bound,
-            "agreement_residual": residual,
-            "agreement_allowance": allowance,
-            "selected_representation": choice.representation.value,
-            "selection_reason": choice.reason,
-        },
+        "outputs": outputs,
         "status": "pass" if ok else "fail",
         "error": None if ok else
         f"raw and transformed values disagree by {residual:.3e}",
     }
-    record = {**report["inputs"], **report["outputs"], "status": report["status"]}
+    record = {**report["inputs"], **outputs, "status": report["status"]}
     return report, EVAL_COLUMNS, [record], (0 if ok else 1)
 
 
@@ -333,6 +338,14 @@ def _parse_grid(text: str, exact: bool) -> list[tuple[Scalar, Scalar, Scalar]]:
     return triples
 
 
+#: bench row field -> the eval output it holds; a point that fails holds
+#: None in each
+_ROW_FIELDS = {"raw_terms": "terms_used", "raw_terminated": "terminated",
+               "transformed_terms": "transformed_terms_used",
+               "transformed_terminated": "transformed_terminated",
+               "selected": "selected_representation"}
+
+
 def cmd_bench(args):
     exact = args.mode == "exact"
     tol = _tol(args)
@@ -342,31 +355,18 @@ def cmd_bench(args):
     for a, b, c in grid:
         params = HypergeometricParams(a, b, c)
         for x in xs:
-            row = {"a": a, "b": b, "c": c, "x": x}
             # a point outside (-1, 1) fails the command, not its row
             check_eval_point(x)
             try:
-                raw, trans, choice = evaluate(params, x, tol, args.max_terms)
-                # as in eval, an allowance past the float range refuses
-                # the point; the pair itself is not reported
-                agreement(params, x, tol, raw, trans)
-                row.update({
-                    "raw_terms": raw.terms_used,
-                    "raw_terminated": raw.terminated,
-                    "transformed_terms": trans.terms_used,
-                    "transformed_terminated": trans.terminated,
-                    "selected": choice.representation.value,
-                    "status": "ok",
-                })
-            except (NoConvergenceError, DomainError) as exc:
-                row.update({
-                    "raw_terms": None, "raw_terminated": None,
-                    "transformed_terms": None, "transformed_terminated": None,
-                    "selected": None, "status": (
-                        "domain-error" if isinstance(exc, DomainError)
-                        else "no-convergence"),
-                })
-            rows.append(row)
+                outputs, status = _outputs(params, x, tol, args.max_terms), "ok"
+            except DomainError:
+                outputs, status = {}, "domain-error"
+            except NoConvergenceError:
+                outputs, status = {}, "no-convergence"
+            rows.append({"a": a, "b": b, "c": c, "x": x,
+                         **{field: outputs.get(key)
+                            for field, key in _ROW_FIELDS.items()},
+                         "status": status})
     report = {"command": "bench", "mode": args.mode, "tol": tol,
               "max_terms": args.max_terms, "rows": rows}
     return report, list(rows[0]), rows, 0

@@ -30,7 +30,8 @@ from collections.abc import Iterator
 from .binom import binom_char
 from .errors import (DomainError, NoConvergenceError, QuadratureFailureError,
                      no_convergence_in)
-from .scalar import Scalar, _Checked, check_finite, check_index, power
+from .scalar import (Scalar, _Checked, _double_inside, check_finite,
+                     check_index, power)
 from .series import check_budget
 from .transform import _character, _character_sum
 
@@ -48,8 +49,8 @@ class IntegralSpec(_Checked, namedtuple("IntegralSpec", "a_mod n i")):
     __slots__ = ()
 
     def __new__(cls, a_mod: float, n: int, i: int) -> IntegralSpec:
-        if not 0.0 < float(a_mod) < 1.0:
-            raise DomainError(f"a_mod must lie in (0, 1), got {a_mod}")
+        _double_inside("a_mod", a_mod, 0, 1,
+                       "a_mod must lie in (0, 1), got {}")
         check_index("n", n)
         check_index("i", i)
         return super().__new__(cls, a_mod, n, i)

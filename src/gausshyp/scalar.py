@@ -87,6 +87,40 @@ class _Checked:
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
+def _shown(value: Scalar) -> str:
+    """str(value), or its size in bits where an int in it has more digits
+    than the interpreter converts to text."""
+    try:
+        return str(value)
+    except ValueError:
+        bits = max(abs(value.numerator).bit_length(),
+                   value.denominator.bit_length())
+        return f"<a number of {bits} bits>"
+
+
+def _double_inside(name: str, value: Scalar, lo: Scalar, hi: Scalar,
+                   outside: str) -> float:
+    """The double of a value inside (lo, hi) whose double is inside too.
+
+    Rounding is monotone, so a double inside puts the value inside, and
+    the value itself is compared only where its double is not: outside,
+    DomainError(outside.format(value)); inside, an error that names the
+    end its double rounds onto.  An exact value past the float range,
+    whose float() overflows, is compared the same way.
+    """
+    try:
+        double = float(value)
+    except OverflowError:
+        double = math.inf
+    if not lo < double < hi:
+        if not lo < value < hi:
+            raise DomainError(outside.format(_shown(value)))
+        raise DomainError(f"{name} = {_shown(value)} lies inside "
+                          f"({lo}, {hi}), but its double {double} is the "
+                          "interval's edge")
+    return double
+
+
 def parse_scalar(text: str, exact: bool) -> Scalar:
     """Parse a command-line number.
 
@@ -129,19 +163,26 @@ def power(base: Scalar, exponent: Scalar) -> Scalar:
     """base**exponent, staying exact for integer exponents on exact bases.
 
     Non-integer exponents require base > 0 and an exponent inside the
-    float range, and go through exp(p*log(base)).  A result whose
-    magnitude lies past the float range is rejected before any power is
-    formed, and so is an exact power m**n of a numerator or denominator m
-    where |n| (bl(m) - 1), a lower bound on its bit length, exceeds
-    _power_bits().
+    float range, and go through exp(p*log(base)), with the log of the
+    base's double, or of an exact base whose double is inf or 0.0.  A
+    result whose magnitude lies past the float range is rejected before
+    any power is formed, and so is an exact power m**n of a numerator or
+    denominator m where |n| (bl(m) - 1), a lower bound on its bit length,
+    exceeds _power_bits().  No message prints an int past the
+    interpreter's limit for converting one to text.
     """
     n = as_integer(exponent)
     if n is None:
-        b = float(base)
-        if b <= 0.0:
-            raise DomainError(f"non-integer exponent needs a positive base, got {base!r}")
+        if not base > 0:
+            raise DomainError("non-integer exponent needs a positive base, "
+                              f"got {_shown(base)}")
         check_finite("non-integer exponent", exponent)
-        log_mag = float(exponent) * math.log(b)
+        # an exact base whose double is inf or 0.0 takes its own log
+        try:
+            log_base = math.log(float(base))
+        except (OverflowError, ValueError):
+            log_base = _log_abs(base)
+        log_mag = float(exponent) * log_base
     else:
         # no double holds an n past the float range, so float arithmetic
         # takes it at the range's edge: a nonzero log|base| is above 1e-17
@@ -155,7 +196,8 @@ def power(base: Scalar, exponent: Scalar) -> Scalar:
         else:
             log_mag = -math.inf
     if log_mag > _LOG_FLOAT_MAX:
-        raise DomainError(f"({base})**{exponent} lies past the float range")
+        raise DomainError(f"({_shown(base)})**{_shown(exponent)} lies past "
+                          "the float range")
     if n is None:
         return math.exp(log_mag)
     if isinstance(base, float):
@@ -165,7 +207,8 @@ def power(base: Scalar, exponent: Scalar) -> Scalar:
     bits = abs(n) * (max(base.numerator.bit_length(),
                          base.denominator.bit_length()) - 1)
     if bits > _POWER_BITS_LEAST and bits > (cap := _power_bits()):
-        raise DomainError(f"({base})**{exponent} would have more than "
-                          f"{cap} bits in its numerator or denominator")
+        raise DomainError(f"({_shown(base)})**{_shown(exponent)} would have "
+                          f"more than {cap} bits in its numerator or "
+                          "denominator")
     # a Fraction's power is a Fraction; an int's is made one
     return (base if isinstance(base, Fraction) else Fraction(base)) ** n

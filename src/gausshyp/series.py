@@ -45,8 +45,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, InvalidCError, NoConvergenceError
-from .scalar import (_FLOAT_MAX_INT, Scalar, _Checked, _power_bits,
-                     as_integer, check_finite, is_exact,
+from .scalar import (_FLOAT_MAX_INT, Scalar, _Checked, _double_inside,
+                     _power_bits, _shown, as_integer, check_finite, is_exact,
                      is_nonpositive_integer)
 
 #: Largest truncation degree accepted by the exact-mode polynomial
@@ -111,18 +111,26 @@ class SeriesEvaluation(namedtuple(
 # ---- validation helpers ----
 
 def check_eval_point(x: Scalar) -> None:
-    """Reject points outside the open interval of convergence (-1, 1)."""
-    if not abs(float(x)) < 1.0:
-        raise DomainError(f"x = {x} is outside the open interval (-1, 1)")
+    """Reject points outside the open interval of convergence (-1, 1),
+    and an exact x inside whose double is +-1.0: the sums run on that
+    double."""
+    if not (isinstance(x, float) and -1.0 < x < 1.0):  # the common case
+        _double_inside("x", x, -1, 1,
+                       "x = {} is outside the open interval (-1, 1)")
 
 
 def check_budget(tol: float, max_terms: int) -> None:
-    """Reject a tol that is not positive and finite, or a budget below 1
-    or above 2**53, which no sum can spend."""
+    """Reject a tol that is not positive and finite, or a budget that is
+    not an int (a bool is not), lies below 1 or above 2**53, which no sum
+    can spend."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
+    if type(max_terms) is not int:
+        raise DomainError("max_terms must be an int, got "
+                          f"{type(max_terms).__name__}")
     if not 1 <= max_terms <= 2 ** 53:
-        raise DomainError(f"max_terms must lie in [1, 2**53], got {max_terms}")
+        raise DomainError(f"max_terms must lie in [1, 2**53], got "
+                          f"{_shown(max_terms)}")
 
 
 # ---- coefficients and termination ----
@@ -746,9 +754,7 @@ def substitution_residual(params: HypergeometricParams, n_exp: Scalar,
     product summed to tol.  Returns the numerical residual, which is zero
     up to rounding and series truncation; a point where s = 0 is rejected.
     """
-    xf = float(x)
-    if not 0.0 < xf < 0.9:
-        raise DomainError(f"x must lie in (0, 0.9), got {x}")
+    xf = _double_inside("x", x, 0, 0.9, "x must lie in (0, 0.9), got {}")
     a, b, c = float(params.a), float(params.b), float(params.c)
     n = float(n_exp)
 
@@ -763,8 +769,8 @@ def substitution_residual(params: HypergeometricParams, n_exp: Scalar,
 
     s0 = derivative(0)
     if s0 == 0.0:
-        raise DomainError(f"s = 0 at x = {x}; the transformed equation "
-                          "divides by s")
+        raise DomainError(f"s = 0 at x = {_shown(x)}; the transformed "
+                          "equation divides by s")
     s1, s2 = derivative(1), derivative(2)
     u = 1.0 - xf
     zr1 = s1 / s0 + n / u

@@ -1270,14 +1270,24 @@ def shared_points(draw):
 def test_a_bench_row_reads_the_exit_code_of_eval_at_its_point(capsys,
                                                               point):
     # both commands run one evaluation with one set of value rules, so a
-    # row eval would refuse reads domain-error, not ok
+    # row eval would refuse reads domain-error, not ok, and an ok row holds
+    # five of eval's outputs
     (a, b, c, x), options = point
     code = main(["eval", f"-a={a}", f"-b={b}", f"-c={c}", f"-x={x}",
                  *options])
-    capsys.readouterr()
+    out = capsys.readouterr()[0]
     assert main(["bench", f"--grid={a},{b},{c}", f"-x={x}", *options]) == 0
     row, = json.loads(capsys.readouterr()[0])["rows"]
     assert row["status"] == ROW_STATUS[code]
+    if row["status"] == "ok":
+        outputs = json.loads(out)["outputs"]
+        assert ((row["raw_terms"], row["raw_terminated"],
+                 row["transformed_terms"], row["transformed_terminated"],
+                 row["selected"])
+                == (outputs["terms_used"], outputs["terminated"],
+                    outputs["transformed_terms_used"],
+                    outputs["transformed_terminated"],
+                    outputs["selected_representation"]))
 
 
 def test_bench_reports_a_point_whose_sum_is_a_domain_error(capsys):

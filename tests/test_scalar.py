@@ -7,6 +7,7 @@ import math
 import sys
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -93,6 +94,30 @@ def test_power_rejects_a_non_integer_exponent_past_the_float_range():
         with pytest.raises(DomainError, match="^non-integer exponent must "
                            "be finite, inside the float range$"):
             power(base, F(-4 * 10 ** 308 - 1, 2))
+
+
+@pytest.mark.parametrize("base", [F(10 ** 400), 10 ** 400, F(1, 10 ** 400)],
+                         ids=["F(10**400)", "10**400", "F(1,10**400)"])
+@pytest.mark.parametrize("exponent", [F(1, 2), 0.5, -0.5, F(-1, 3)])
+def test_power_of_an_exact_base_whose_double_is_inf_or_zero(base, exponent):
+    # float(base) raised OverflowError, or was 0.0 and read as no positive
+    # base; the log of the exact base gives the value
+    want = mpmath.power(mpmath.mpf(base.numerator) / base.denominator,
+                        mpmath.mpf(exponent.numerator) / exponent.denominator
+                        if isinstance(exponent, F) else exponent)
+    assert abs(power(base, exponent) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("base,message", [
+    (F(2), "lies past the float range"),
+    (F(1, 2), "would have more than"),
+])
+def test_power_message_of_an_exponent_too_long_to_print(base, message):
+    # formatting the message raised ValueError past the str-digits limit
+    with pytest.raises(DomainError,
+                       match=rf"^\({base}\)\*\*<a number of 16610 bits> "
+                             f"{message}"):
+        power(base, 10 ** 5000)
 
 
 def test_power_rejects_a_nonpositive_base_with_a_non_integer_exponent():

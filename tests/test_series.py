@@ -230,6 +230,66 @@ def test_eval_bad_budget():
         eval_series(P(1, 1, 2), 0.5, max_terms=0)
 
 
+@pytest.mark.parametrize("budget", [10.5, True, 10 ** 5000],
+                         ids=["float", "bool", "past-str-digits"])
+def test_a_budget_that_is_not_an_int_is_a_domain_error(budget):
+    # 10.5 raised TypeError from range() in the exact loop, True read as
+    # one term, and 10**5000 raised ValueError formatting the message
+    for call in (
+            lambda: eval_series(P(F(1, 3), 1, 2), F(1, 2), 1e-12, budget),
+            lambda: eval_series(P(1 / 3, 1, 2), 0.5, 1e-12, budget),
+            lambda: series.scaled_sum(1.5, P(1, 1, 2), F(1, 2), 1e-12,
+                                      budget),
+            lambda: gausshyp.character_series(1, 2, 0, 0.5, 1e-12, budget)):
+        with pytest.raises(DomainError, match="^max_terms must "):
+            call()
+
+
+# An exact value is judged against its domain before its double is taken:
+# past the float range float() overflowed, and a value inside the domain
+# whose double is the domain's edge was called outside it.
+
+_PAST = F(10 ** 400)
+_NEAR_ONE = 1 - F(1, 10 ** 20)  # its double is 1.0
+_NEAR_ZERO = F(1, 10 ** 400)  # its double is 0.0
+
+#: entry -> (its call on one value, values inside its domain whose double
+#: is the domain's edge)
+EXACT_EDGE_ENTRIES = {
+    "eval_series": (lambda x: eval_series(P(1, 1, 2), x),
+                    (_NEAR_ONE, -_NEAR_ONE)),
+    "eval_transformed": (
+        lambda x: gausshyp.eval_transformed(P(1, 1, 2), x),
+        (_NEAR_ONE, -_NEAR_ONE)),
+    "scaled_sum": (lambda x: series.scaled_sum(2, P(1, 1, 2), x, 1e-12, 100),
+                   (_NEAR_ONE, -_NEAR_ONE)),
+    "character_series": (
+        lambda x: gausshyp.character_series(1, 2, 0, x),
+        (_NEAR_ONE, -_NEAR_ONE)),
+    "triple_sums": (lambda x: gausshyp.triple_sums(TripleParams(1, 1, 1), x),
+                    (_NEAR_ONE, -_NEAR_ONE)),
+    "verify_triple_relations": (
+        lambda x: gausshyp.verify_triple_relations(TripleParams(1, 1, 1), x),
+        (_NEAR_ONE, -_NEAR_ONE)),
+    "substitution_residual": (
+        lambda x: substitution_residual(P(1, 1, 2), 1, x), (_NEAR_ZERO,)),
+    "IntegralSpec": (lambda a: IntegralSpec(a, 1, 1),
+                     (_NEAR_ZERO, _NEAR_ONE)),
+}
+
+
+@pytest.mark.parametrize("entry", list(EXACT_EDGE_ENTRIES))
+def test_an_exact_value_is_judged_before_its_double(entry):
+    call, edges = EXACT_EDGE_ENTRIES[entry]
+    # 10**5000 is also past the digits the interpreter prints
+    for value in (_PAST, -_PAST, F(10 ** 5000)):
+        with pytest.raises(DomainError):
+            call(value)
+    for value in edges:
+        with pytest.raises(DomainError, match="is the interval's edge$"):
+            call(value)
+
+
 def test_no_convergence():
     with pytest.raises(NoConvergenceError):
         eval_series(P(1, 1, 2), 0.9, max_terms=5)
